@@ -11,8 +11,14 @@ import argparse
 
 import numpy as np
 
-from qhj3d import ReducedActionField, continuity_identity_residual, qshje_residual
-from qhj3d.errors import QhjError
+from qhj3d import (
+    ReducedActionField,
+    continuity_identity_from_sample,
+    qshje_from_sample,
+    sample,
+    sparse_grid,
+)
+from qhj3d.errors import OK
 from qhj3d.scenario import build_field, parse_scenario
 
 
@@ -28,8 +34,7 @@ def main():
 
     scenario = parse_scenario(open(args.scenario).read())
     field = build_field(scenario)
-    bounds = scenario.verify.bounds
-    axes = [np.linspace(lo, hi, args.n) for lo, hi in bounds]
+    grid = sparse_grid(scenario.verify.bounds, (args.n,) * 3)
 
     rows = []
     print(f"{'a':>8} {'b':>8} {'max |qshje|':>14} {'max continuity':>16} {'skipped':>8}")
@@ -38,16 +43,11 @@ def main():
             continue
         for b in np.linspace(-args.bmax, args.bmax, args.steps):
             action = ReducedActionField(field, float(a), float(b))
-            worst_q = worst_c = 0.0
-            skipped = 0
-            for x in axes[0]:
-                for y in axes[1]:
-                    for z in axes[2]:
-                        try:
-                            worst_q = max(worst_q, abs(qshje_residual(action, (x, y, z))))
-                            worst_c = max(worst_c, continuity_identity_residual(action, (x, y, z)))
-                        except QhjError:
-                            skipped += 1
+            s = sample(action, grid)
+            used = s.status == OK
+            worst_q = float(np.max(np.abs(qshje_from_sample(action, s))[used], initial=0.0))
+            worst_c = float(np.max(continuity_identity_from_sample(action, s)[used], initial=0.0))
+            skipped = int(np.count_nonzero(~used))
             print(f"{a:8.3f} {b:8.3f} {worst_q:14.3e} {worst_c:16.3e} {skipped:8d}")
             rows.append((a, b, worst_q, worst_c, skipped))
 

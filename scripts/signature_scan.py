@@ -13,9 +13,11 @@ import argparse
 
 import numpy as np
 
-from qhj3d import metric_at
-from qhj3d.errors import NodalPoint, NodeSingularity, OutOfDomain
+from qhj3d import a_upper_from_sample, sample
+from qhj3d.errors import NODAL, NODE_SINGULAR, OUT_OF_DOMAIN
 from qhj3d.scenario import build_action, parse_scenario
+
+STATUS_CHARS = {NODAL: "o", NODE_SINGULAR: "x", OUT_OF_DOMAIN: "."}
 
 
 def main():
@@ -33,29 +35,19 @@ def main():
     ax1, ax2 = args.plane
     other = ({"x", "y", "z"} - {ax1, ax2}).pop()
 
-    u = np.linspace(*bounds[ax1], args.n)
-    v = np.linspace(*bounds[ax2], args.n)
-    census = {}
-    lines = []
-    for vv in v[::-1]:
-        chars = []
-        for uu in u:
-            coords = {ax1: uu, ax2: vv, other: args.offset}
-            r = (coords["x"], coords["y"], coords["z"])
-            try:
-                met = metric_at(action, r)
-            except NodalPoint:
-                ch = "o"
-            except NodeSingularity:
-                ch = "x"
-            except OutOfDomain:
-                ch = "."
-            else:
-                n_neg = int(np.sum(met.a_upper < 0))
-                ch = "+" if n_neg == 0 else str(n_neg)
-            census[ch] = census.get(ch, 0) + 1
-            chars.append(ch)
-        lines.append("".join(chars))
+    # Rows run down the ax2 axis from its upper bound, columns along ax1.
+    coords = {ax1: np.linspace(*bounds[ax1], args.n)[None, :],
+              ax2: np.linspace(*bounds[ax2], args.n)[::-1, None],
+              other: args.offset}
+    s = sample(action, (coords["x"], coords["y"], coords["z"]))
+    a_upper, status = a_upper_from_sample(action, s)
+    n_neg = sum((a < 0).astype(int) for a in a_upper)
+    chars = np.where(n_neg == 0, "+", n_neg.astype(str))
+    for code, ch in STATUS_CHARS.items():
+        chars = np.where(status == code, ch, chars)
+    lines = ["".join(row) for row in chars]
+    names, counts = np.unique(chars, return_counts=True)
+    census = {str(n): int(c) for n, c in zip(names, counts)}
 
     print(f"{ax1}-{ax2} plane at {other} = {args.offset}, "
           f"{ax1} in {bounds[ax1]}, {ax2} in {bounds[ax2]}")

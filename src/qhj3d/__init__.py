@@ -18,6 +18,7 @@ from .errors import (
     ValidationError,
     ZeroConjugateMomentum,
 )
+from .arrays import sparse_grid
 from .potentials import (
     AxisPotential,
     Free,
@@ -41,8 +42,10 @@ from .schrodinger import (
 from .hj_core import (
     ActionSample,
     ReducedActionField,
+    continuity_identity_from_sample,
     continuity_identity_residual,
     floyd_residual_1d,
+    qshje_from_sample,
     qshje_residual,
     s0_derivatives_1d,
     sample,
@@ -51,6 +54,7 @@ from .metric import (
     JacobianMatrix,
     QuantumMetric,
     TWELVE_EQUATION_LABELS,
+    a_upper_from_sample,
     canonical_jacobian,
     fm_factor_1d,
     metric_at,

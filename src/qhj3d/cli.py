@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 scenario validation failure, 3 numerical failure
 (threshold violation, singularity, step underflow), 4 I/O failure.
 
 All file writes are atomic (temp file + rename), trajectories are CSV with
-a fixed header, and machine-readable reports are JSON; numbers keep full
-double precision so repeated runs produce byte-identical files.
+a fixed header, and machine-readable reports are strict JSON (null for an
+undefined or non-finite number); numbers keep full double precision so
+repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from .arrays import sparse_grid
 from .dynamics import (
     SINGULARITY,
     IntegratorConfig,
@@ -35,16 +37,40 @@ from .dynamics import (
     integrate_first_order,
 )
 from .errors import (
+    NODAL,
+    NODE_SINGULAR,
+    OK,
+    OUT_OF_DOMAIN,
     NodalPoint,
     NodeSingularity,
     NonRiemannianPoint,
-    OutOfDomain,
     QhjError,
     ScenarioError,
+    ValidationError,
 )
-from .hj_core import continuity_identity_residual, qshje_residual, sample
-from .metric import TWELVE_EQUATION_LABELS, canonical_jacobian, metric_at, verify_transformation
-from .scenario import Scenario, build_action, parse_point_list, parse_scenario
+from .hj_core import (
+    continuity_identity_from_sample,
+    continuity_identity_residual,
+    qshje_from_sample,
+    sample,
+)
+from .metric import (
+    TWELVE_EQUATION_LABELS,
+    a_upper_from_sample,
+    canonical_jacobian,
+    metric_at,
+    signature_chars,
+    verify_transformation,
+)
+from .scenario import (
+    Scenario,
+    build_action,
+    check_positive,
+    parse_grid,
+    parse_point,
+    parse_point_list,
+    parse_scenario,
+)
 from .schrodinger import wronskian
 
 CSV_HEADER = "t,x,y,z,vx,vy,vz,dS0dx,dS0dy,dS0dz,law_residual,energy_residual"
@@ -65,6 +91,21 @@ def _atomic_write(path, text):
 
 def _g17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _strict(obj):
+    """obj with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
+def _json_text(obj) -> str:
+    return json.dumps(_strict(obj), indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -94,70 +135,55 @@ class VerificationReport:
         return dataclasses.asdict(self)
 
 
+def _census(signatures) -> dict[str, int]:
+    """Count of each signature, in order of first occurrence."""
+    names, first, counts = np.unique(signatures, return_index=True, return_counts=True)
+    return {str(names[i]): int(counts[i]) for i in np.argsort(first)}
+
+
 def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     """Sweep a grid: residuals, Wronskian drift, metric signature census.
 
     Nodal and momentum-singular points are skipped and counted; the skip
-    counts plus the census total the grid size."""
+    counts plus the census total the grid size. A sweep that evaluates no
+    point fails."""
     action = build_action(scenario)
     spec = scenario.verify
     grid = tuple(grid) if grid is not None else spec.grid
-    axes_pts = [np.linspace(lo, hi, n) for (lo, hi), n in zip(spec.bounds, grid)]
 
-    total = evaluated = nodal = singular = 0
-    max_q = mean_q = max_ci = 0.0
-    census: dict[str, int] = {}
-    for x in axes_pts[0]:
-        for y in axes_pts[1]:
-            for z in axes_pts[2]:
-                total += 1
-                r = (float(x), float(y), float(z))
-                try:
-                    q = abs(qshje_residual(action, r))
-                    ci = continuity_identity_residual(action, r)
-                    met = metric_at(action, r)
-                except NodalPoint:
-                    nodal += 1
-                    continue
-                except (NodeSingularity, OutOfDomain):
-                    singular += 1
-                    continue
-                evaluated += 1
-                max_q = max(max_q, q)
-                mean_q += q
-                max_ci = max(max_ci, ci)
-                sig = "".join(met.signature)
-                census[sig] = census.get(sig, 0) + 1
-    mean_q = mean_q / evaluated if evaluated else math.nan
+    s = sample(action, sparse_grid(spec.bounds, grid))
+    q = np.abs(qshje_from_sample(action, s))
+    ci = continuity_identity_from_sample(action, s)
+    a_upper, status = a_upper_from_sample(action, s)
+    ok = status == OK
+    evaluated = int(np.count_nonzero(ok))
+    nodal = int(np.count_nonzero(status == NODAL))
+    singular = int(np.count_nonzero((status == NODE_SINGULAR) | (status == OUT_OF_DOMAIN)))
+    max_q = float(np.max(q[ok], initial=0.0))
+    mean_q = float(np.mean(q[ok])) if evaluated else math.nan
+    max_ci = float(np.max(ci[ok], initial=0.0))
+    sigs = signature_chars(a_upper)
+    census = _census((sigs[0] + sigs[1] + sigs[2])[ok])
 
     # Divergence-mode continuity on a coarse subsample (finite differences
     # need interior room, so points at the bounds are inset toward center).
-    max_div = 0.0
     mids = [0.5 * (lo + hi) for lo, hi in spec.bounds]
-    for x in np.linspace(*spec.bounds[0], 3):
-        for y in np.linspace(*spec.bounds[1], 3):
-            for z in np.linspace(*spec.bounds[2], 3):
-                r = tuple(m + (float(c) - m) * (1.0 - 1e-3)
-                          for c, m in zip((x, y, z), mids))
-                try:
-                    max_div = max(max_div, continuity_identity_residual(action, r, mode="divergence"))
-                except QhjError:
-                    continue
+    inset = [m + (c - m) * (1.0 - 1e-3) for c, m in zip(sparse_grid(spec.bounds, (3, 3, 3)), mids)]
+    div = continuity_identity_residual(action, inset, mode="divergence")
+    max_div = float(np.max(div, where=~np.isnan(div), initial=0.0))
 
     drifts = []
     for pair, (lo, hi) in zip(action.field.pairs, spec.bounds):
-        p_lo = max(lo, pair.domain[0])
-        p_hi = min(hi, pair.domain[1])
-        xs = np.linspace(p_lo, p_hi, 101)
+        xs = np.linspace(max(lo, pair.domain[0]), min(hi, pair.domain[1]), 101)
         ref = pair.wronskian_ref
-        drift = max(abs(wronskian(pair, float(xx)) - ref) for xx in xs)
+        drift = float(np.max(np.abs(wronskian(pair, xs) - ref)))
         drifts.append(drift / max(abs(ref), 1e-300))
     drifts = tuple(drifts)
 
-    passed = (max_q < spec.qshje_tol and max_ci < spec.continuity_tol
+    passed = (evaluated > 0 and max_q < spec.qshje_tol and max_ci < spec.continuity_tol
               and all(d < spec.wronskian_tol for d in drifts))
     report = VerificationReport(
-        grid=grid, bounds=spec.bounds, points_total=total,
+        grid=grid, bounds=spec.bounds, points_total=int(status.size),
         points_evaluated=evaluated, nodal_skips=nodal, singular_skips=singular,
         max_qshje=max_q, mean_qshje=mean_q, max_continuity_identity=max_ci,
         max_continuity_divergence=max_div, wronskian_drift=drifts,
@@ -166,7 +192,7 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
         passed=passed,
     )
     if out:
-        _atomic_write(out, json.dumps(report.to_dict(), indent=2) + "\n")
+        _atomic_write(out, _json_text(report.to_dict()))
     return report
 
 
@@ -226,7 +252,7 @@ def run_trajectory(scenario: Scenario, r0=None, t_end=None, out="trajectory.csv"
         "max_law_residual": trajectory.max_law_residual if trajectory.states else None,
         "max_energy_residual": trajectory.max_energy_residual if trajectory.states else None,
     }
-    _atomic_write(sidecar, json.dumps(payload, indent=2) + "\n")
+    _atomic_write(sidecar, _json_text(payload))
     if plot_script:
         _atomic_write(plot_script, _gnuplot_script(out))
     return trajectory
@@ -277,7 +303,7 @@ def run_metric(scenario: Scenario, points, out=None) -> dict:
         rows.append(entry)
     report = {"points": rows}
     if out:
-        _atomic_write(out, json.dumps(report, indent=2) + "\n")
+        _atomic_write(out, _json_text(report))
     return report
 
 
@@ -334,8 +360,23 @@ def _build_parser():
     return parser
 
 
+def _overrides(args) -> dict:
+    """The command's keyword overrides, checked by the scenario-file rules."""
+    if args.command == "verify":
+        return {"grid": parse_grid(args.grid, "--grid") if args.grid else None}
+    if args.command == "trajectory":
+        return {"r0": parse_point(args.r0, "--r0") if args.r0 else None,
+                "t_end": None if args.t_end is None else check_positive(args.t_end, "--t-end")}
+    return {"points": parse_point_list(args.at, "--at")}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        overrides = _overrides(args)
+    except ValidationError as exc:
+        print(f"invalid argument: {exc}", file=sys.stderr)
+        return 2
     try:
         scenario = _load_scenario(args.scenario)
     except ScenarioError as exc:
@@ -347,13 +388,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            grid = None
-            if args.grid:
-                grid = tuple(int(v) for v in args.grid.split(","))
-                if len(grid) != 3:
-                    print("--grid needs NX,NY,NZ", file=sys.stderr)
-                    return 2
-            report = run_verify(scenario, grid=grid, out=args.out)
+            report = run_verify(scenario, out=args.out, **overrides)
             print(f"grid {report.grid} over {report.bounds}")
             print(f"points: {report.points_evaluated} evaluated, "
                   f"{report.nodal_skips} nodal, {report.singular_skips} singular")
@@ -366,12 +401,8 @@ def main(argv=None) -> int:
             return 0 if report.passed else 3
 
         if args.command == "trajectory":
-            r0 = tuple(float(v) for v in args.r0.split(",")) if args.r0 else None
-            if r0 is not None and len(r0) != 3:
-                print("--r0 needs x,y,z", file=sys.stderr)
-                return 2
-            trajectory = run_trajectory(scenario, r0=r0, t_end=args.t_end,
-                                        out=args.out, plot_script=args.plot_script)
+            trajectory = run_trajectory(scenario, out=args.out, plot_script=args.plot_script,
+                                        **overrides)
             term = trajectory.termination
             print(f"{len(trajectory.states)} states -> {args.out}")
             print(f"termination: {term.status}" + (f" ({term.kind})" if term.kind else "")
@@ -382,8 +413,7 @@ def main(argv=None) -> int:
             return 3 if term.status == SINGULARITY else 0
 
         if args.command == "metric":
-            points = parse_point_list(args.at, "--at")
-            report = run_metric(scenario, points, out=args.out)
+            report = run_metric(scenario, out=args.out, **overrides)
             _print_metric_report(report)
             return 0
     except ScenarioError as exc:

@@ -115,8 +115,8 @@ class Trajectory:
 def velocity_field(action: ReducedActionField, r) -> np.ndarray:
     """v^mu = a^{mumu} d_mu S0 / m0; satisfies v . grad S0 = 2 (E - V)."""
     s = sample(action, r)
-    a_upper = a_upper_from_sample(action, s)
-    return a_upper * s.grad_s0 / action.m0
+    a_upper, _ = a_upper_from_sample(action, s)
+    return np.array([a * ds / action.m0 for a, ds in zip(a_upper, s.grad_s0)])
 
 
 def law_residual(action: ReducedActionField, state: TrajectoryState) -> float:
@@ -125,19 +125,28 @@ def law_residual(action: ReducedActionField, state: TrajectoryState) -> float:
     return float(state.velocity @ s.grad_s0) - 2.0 * (action.e - s.v)
 
 
+def _kinetic(action: ReducedActionField, state: TrajectoryState) -> float:
+    """(m0/2) sum a_{mumu} v_mu^2 at the state.
+
+    A term with v_mu = 0 counts as 0: where a^{mumu} = 0 the velocity
+    component vanishes with it and a_{mumu} is infinite.
+    """
+    met = metric_at(action, state.position)
+    v = np.asarray(state.velocity)
+    moving = v != 0.0
+    return 0.5 * action.m0 * float(np.sum(met.a_lower[moving] * v[moving]**2))
+
+
 def energy_residual(action: ReducedActionField, state: TrajectoryState) -> float:
     """(m0/2) sum a_{mumu} v_mu^2 + V - E; an exact first integral."""
-    met = metric_at(action, state.position)
     v_total, _ = evaluate_potential(action.field.potential, state.position)
-    kinetic = 0.5 * action.m0 * float(np.sum(met.a_lower * state.velocity**2))
-    return kinetic + v_total - action.e
+    return _kinetic(action, state) + v_total - action.e
 
 
 def quantum_lagrangian(action: ReducedActionField, state: TrajectoryState) -> float:
     """(m0/2) sum a_{mumu} v_mu^2 - V."""
-    met = metric_at(action, state.position)
     v_total, _ = evaluate_potential(action.field.potential, state.position)
-    return 0.5 * action.m0 * float(np.sum(met.a_lower * state.velocity**2)) - v_total
+    return _kinetic(action, state) - v_total
 
 
 def reduce_1d_check(action: ReducedActionField, trajectory: Trajectory) -> float:

@@ -7,6 +7,13 @@ conjugate-momentum components) get their own types so callers can tell
 
 from __future__ import annotations
 
+# Per-point status of an evaluation over arrays. Evaluated at a single
+# point, the same code raises the matching exception instead.
+OK = 0
+NODAL = 1          # NodalPoint
+NODE_SINGULAR = 2  # NodeSingularity
+OUT_OF_DOMAIN = 3  # OutOfDomain
+
 
 class QhjError(Exception):
     """Base class for package-specific errors."""

@@ -11,6 +11,9 @@ and the gradient of S0 is always taken from the closed form
 which is smooth across arctan branch jumps; only the reported principal
 value lives on (-pi hbar/2, pi hbar/2]. R carries unit prefactor because
 the free constant in the continuity solution is pinned to k = hbar*a.
+
+sample and the residuals are array-generic: at a point they raise on a
+nodal or out-of-domain point, and over arrays they report it per point.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NodalPoint, ZeroConjugateMomentum
+from .arrays import as_coords, at_point, atan2, maximum, sqrt, where
+from .errors import NODAL, OK, NodalPoint, ZeroConjugateMomentum
 from .potentials import evaluate as evaluate_potential
-from .schrodinger import SolutionField3D, evaluate_field
+from .schrodinger import FieldSample, SolutionField3D, evaluate_field
 
 NODAL_EPS = 1e-12
 
@@ -63,57 +65,92 @@ class ReducedActionField:
 @dataclass(frozen=True)
 class ActionSample:
     """S0 (principal branch), its closed-form gradient, R, the diagonal
-    Hessian of R, and the local potential energy."""
+    Hessian of R, the local potential energy, the field evaluation they
+    come from, and the status (OK, NODAL or OUT_OF_DOMAIN).
+
+    Shapes follow FieldSample: per-axis quantities are (x, y, z) tuples.
+    Over arrays, points whose status is not OK hold placeholders (R = 1)
+    that keep later divisions finite.
+    """
 
     s0_principal: float
-    grad_s0: np.ndarray
+    grad_s0: tuple
     amplitude: float
-    hessian_r_diag: np.ndarray
+    hessian_r_diag: tuple
     v: float
+    field: FieldSample
+    status: int
 
 
 def _theta_prime_parts(action, fs):
     a, b = action.a, action.b
     tp = a * fs.theta + b * fs.phi
-    grad_tp = a * fs.grad_theta + b * fs.grad_phi
-    sec_tp = a * fs.second_theta + b * fs.second_phi
+    grad_tp = tuple(a * gt + b * gp for gt, gp in zip(fs.grad_theta, fs.grad_phi))
+    sec_tp = tuple(a * st + b * sp for st, sp in zip(fs.second_theta, fs.second_phi))
     return tp, grad_tp, sec_tp
 
 
 def sample(action: ReducedActionField, r) -> ActionSample:
-    """Evaluate S0, grad S0, R and the diagonal Hessian of R at r."""
+    """Evaluate S0, grad S0, R and the diagonal Hessian of R at r: a point,
+    or coordinate arrays that broadcast together.
+
+    A nodal or out-of-domain point raises NodalPoint or OutOfDomain; over
+    arrays the status marks such points instead.
+    """
     fs = evaluate_field(action.field, r)
     tp, grad_tp, sec_tp = _theta_prime_parts(action, fs)
     ph, grad_ph, sec_ph = fs.phi, fs.grad_phi, fs.second_phi
 
     g = tp * tp + ph * ph
-    amplitude = math.sqrt(g)
-    if amplitude < NODAL_EPS * max(1.0, abs(tp), abs(ph)):
+    amplitude = sqrt(g)
+    nodal = amplitude < NODAL_EPS * maximum(maximum(1.0, abs(tp)), abs(ph))
+    status = where(fs.status == OK, where(nodal, NODAL, OK), fs.status)
+    if at_point(status) and status == NODAL:
         raise NodalPoint(f"R = {amplitude:.3e} at r = {tuple(float(c) for c in r)}")
+    ok = status == OK
+    g = where(ok, g, 1.0)
+    amplitude = where(ok, amplitude, 1.0)
 
     hbar = action.hbar
 
     # Principal arctan(theta'/phi) on (-pi/2, pi/2]; phi = 0 maps to +pi/2.
-    angle = math.atan2(tp, ph)
-    if angle > 0.5 * math.pi:
-        angle -= math.pi
-    elif angle <= -0.5 * math.pi:
-        angle += math.pi
+    angle = atan2(tp, ph)
+    angle = where(angle > 0.5 * math.pi, angle - math.pi,
+                  where(angle <= -0.5 * math.pi, angle + math.pi, angle))
 
-    grad_s0 = hbar * (ph * grad_tp - tp * grad_ph) / g
+    grad_s0 = tuple(hbar * (ph * gtp - tp * gph) / g for gtp, gph in zip(grad_tp, grad_ph))
 
-    grad_r = (tp * grad_tp + ph * grad_ph) / amplitude
-    hess_r = (grad_tp**2 + tp * sec_tp + grad_ph**2 + ph * sec_ph) / amplitude \
-        - grad_r**2 / amplitude
+    hess_r = []
+    for gtp, gph, stp, sph in zip(grad_tp, grad_ph, sec_tp, sec_ph):
+        grad_r = (tp * gtp + ph * gph) / amplitude
+        hess_r.append((gtp * gtp + tp * stp + gph * gph + ph * sph) / amplitude
+                      - grad_r * grad_r / amplitude)
 
-    v_total, _ = evaluate_potential(action.field.potential, r)
     return ActionSample(
         s0_principal=hbar * angle,
         grad_s0=grad_s0,
         amplitude=amplitude,
-        hessian_r_diag=hess_r,
-        v=v_total,
+        hessian_r_diag=tuple(hess_r),
+        v=fs.v,
+        field=fs,
+        status=status,
     )
+
+
+def _defined(s: ActionSample, value):
+    """value where the sample is defined, NaN elsewhere (arrays only)."""
+    return where(s.status == OK, value, math.nan)
+
+
+def qshje_from_sample(action: ReducedActionField, s: ActionSample) -> float:
+    """(grad S0)^2/2m0 - (hbar^2/2m0) (Lap R)/R + V - E from a sample; NaN
+    where its status is not OK."""
+    m0 = action.m0
+    gx, gy, gz = s.grad_s0
+    hx, hy, hz = s.hessian_r_diag
+    kinetic = (gx * gx + gy * gy + gz * gz) / (2.0 * m0)
+    quantum = action.hbar**2 / (2.0 * m0) * (hx + hy + hz) / s.amplitude
+    return _defined(s, kinetic - quantum + s.v - action.e)
 
 
 def qshje_residual(action: ReducedActionField, r) -> float:
@@ -122,11 +159,20 @@ def qshje_residual(action: ReducedActionField, r) -> float:
     Zero in exact arithmetic whenever theta and phi solve the Schrodinger
     equation at E, so the returned value measures numerical error only.
     """
-    s = sample(action, r)
-    m0 = action.m0
-    kinetic = float(s.grad_s0 @ s.grad_s0) / (2.0 * m0)
-    quantum = action.hbar**2 / (2.0 * m0) * float(np.sum(s.hessian_r_diag)) / s.amplitude
-    return kinetic - quantum + s.v - action.e
+    return qshje_from_sample(action, sample(action, r))
+
+
+def continuity_identity_from_sample(action: ReducedActionField, s: ActionSample) -> float:
+    """max over mu of |R^2 d_mu S0 - hbar a (phi d_mu theta - theta d_mu phi)|,
+    from the field evaluation the sample was built on; NaN where its status
+    is not OK."""
+    fs = s.field
+    k = action.hbar * action.a
+    r2 = s.amplitude**2
+    worst = 0.0
+    for ds, gt, gp in zip(s.grad_s0, fs.grad_theta, fs.grad_phi):
+        worst = maximum(worst, abs(r2 * ds - k * (fs.phi * gt - fs.theta * gp)))
+    return _defined(s, worst)
 
 
 def continuity_identity_residual(action: ReducedActionField, r, mode="identity",
@@ -135,26 +181,25 @@ def continuity_identity_residual(action: ReducedActionField, r, mode="identity",
 
     identity mode compares the two closed forms componentwise (guards
     against implementation drift; zero up to rounding). divergence mode
-    checks div(R^2 grad S0) = 0 by central differences with the given step.
+    checks div(R^2 grad S0) = 0 by central differences with the given step;
+    over arrays it reads NaN where any shifted sample is undefined.
     """
     if mode == "identity":
-        fs = evaluate_field(action.field, r)
-        s = sample(action, r)
-        lhs = s.amplitude**2 * s.grad_s0
-        rhs = action.hbar * action.a * (fs.phi * fs.grad_theta - fs.theta * fs.grad_phi)
-        return float(np.max(np.abs(lhs - rhs)))
+        return continuity_identity_from_sample(action, sample(action, r))
     if mode == "divergence":
+        coords = as_coords(r)
         div = 0.0
-        r = np.asarray(r, dtype=float)
+        status = OK
         for mu in range(3):
-            shift = np.zeros(3)
-            shift[mu] = fd_step
-            sp = sample(action, r + shift)
-            sm = sample(action, r - shift)
-            flux_p = sp.amplitude**2 * sp.grad_s0[mu]
-            flux_m = sm.amplitude**2 * sm.grad_s0[mu]
-            div += (flux_p - flux_m) / (2.0 * fd_step)
-        return abs(div)
+            flux = []
+            for step in (fd_step, -fd_step):
+                shifted = list(coords)
+                shifted[mu] = coords[mu] + step
+                s = sample(action, shifted)
+                status = where(status == OK, s.status, status)
+                flux.append(s.amplitude**2 * s.grad_s0[mu])
+            div = div + (flux[0] - flux[1]) / (2.0 * fd_step)
+        return where(status == OK, abs(div), math.nan)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import at_point, where
 from .errors import (
+    NODE_SINGULAR,
+    OK,
     ClassicalTurningPoint,
     NodeSingularity,
     NonRiemannianPoint,
@@ -51,35 +54,45 @@ class JacobianMatrix:
     entries: np.ndarray
 
 
-def a_upper_from_sample(action: ReducedActionField, s, node_eps: float = NODE_EPS) -> np.ndarray:
-    """Diagonal a^{mumu} from an ActionSample.
+def a_upper_from_sample(action: ReducedActionField, s, node_eps: float = NODE_EPS):
+    """Diagonal a^{mumu} from an ActionSample, as an (x, y, z) tuple like
+    s.grad_s0, and the sample's status with NODE_SINGULAR added.
 
     Axes along which the field is flat (d_mu S0 and d^2_mu R both vanish)
     carry no quantum correction: a^{mumu} = 1 there. A vanishing momentum
-    component with a surviving correction is a genuine NodeSingularity.
+    component with a surviving correction is a genuine NodeSingularity: a
+    point raises it, and over arrays such points read 1 and are marked.
     """
     hbar2 = action.hbar**2
     p_scale = max(1.0, 2.0 * action.m0 * abs(action.e))
-    a_upper = np.empty(3)
+    status = s.status
+    a_upper = []
     for mu in range(3):
         ds = s.grad_s0[mu]
         corr = hbar2 * s.hessian_r_diag[mu] / s.amplitude
-        if abs(ds) >= node_eps:
-            a_upper[mu] = 1.0 - corr / (ds * ds)
-        elif abs(corr) <= node_eps * p_scale:
-            a_upper[mu] = 1.0
-        else:
+        moving = abs(ds) >= node_eps
+        flat = abs(corr) <= node_eps * p_scale
+        singular = where(moving | flat, False, True)
+        if at_point(status) and singular:
             raise NodeSingularity(mu, f"d_{'xyz'[mu]} S0 = {ds:.3e} with nonzero quantum correction")
-    return a_upper
+        status = where(singular & (status == OK), NODE_SINGULAR, status)
+        a_upper.append(where(moving, 1.0 - corr / where(moving, ds * ds, 1.0), 1.0))
+    return tuple(a_upper), status
+
+
+def signature_chars(a_upper) -> tuple:
+    """'+', '-' or '0' for each component of a^{mumu}."""
+    return tuple(where(a > 0, "+", where(a < 0, "-", "0")) for a in a_upper)
 
 
 def metric_at(action: ReducedActionField, r, node_eps: float = NODE_EPS) -> QuantumMetric:
-    """Diagonal quantum metric at r."""
+    """Diagonal quantum metric at the point r."""
     s = sample(action, r)
-    a_upper = a_upper_from_sample(action, s, node_eps)
+    a_upper, _ = a_upper_from_sample(action, s, node_eps)
+    signature = signature_chars(a_upper)
+    a_upper = np.array(a_upper)
     with np.errstate(divide="ignore"):
         a_lower = 1.0 / a_upper
-    signature = tuple("+" if a > 0 else ("-" if a < 0 else "0") for a in a_upper)
     return QuantumMetric(
         point=np.asarray(r, dtype=float).copy(),
         a_upper=a_upper,

@@ -3,7 +3,8 @@
 Separability is the structural choice that lets the field builder obtain
 two independent real 3D Schrodinger solutions as products of 1D solutions,
 so each axis carries its own one-dimensional potential. All objects here
-are immutable and safe for concurrent evaluation.
+are immutable and safe for concurrent evaluation. Every evaluation takes
+a float or an array of coordinates and returns the same kind.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .arrays import all_true, as_coords, like, zeros_like
 from .errors import OutOfDomain
 
 AXES = ("x", "y", "z")
 
 FULL_LINE = (-math.inf, math.inf)
+
+EPS = float(np.finfo(float).eps)
 
 
 class AxisPotential:
@@ -29,6 +33,12 @@ class AxisPotential:
     @property
     def domain(self) -> tuple[float, float]:
         return FULL_LINE
+
+    def contains(self, x):
+        """Whether x lies in the domain, up to rounding at its edges."""
+        lo, hi = self.domain
+        eps = 4.0 * EPS * max(1.0, abs(lo), abs(hi))
+        return (lo - eps <= x) & (x <= hi + eps)
 
     def __call__(self, x: float) -> float:
         raise NotImplementedError
@@ -44,10 +54,10 @@ class Free(AxisPotential):
     kind = "free"
 
     def __call__(self, x: float) -> float:
-        return 0.0
+        return zeros_like(x)
 
     def derivative(self, x: float) -> float:
-        return 0.0
+        return zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ class LinearRamp(AxisPotential):
         return self.slope * x
 
     def derivative(self, x: float) -> float:
-        return self.slope
+        return self.slope + zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -124,19 +134,18 @@ class Tabulated(AxisPotential):
     def domain(self) -> tuple[float, float]:
         return (self.grid[0], self.grid[-1])
 
-    def _check(self, x: float) -> None:
-        lo, hi = self.domain
-        eps = 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
-        if not (lo - eps <= x <= hi + eps):
+    def _check(self, x) -> None:
+        if not all_true(self.contains(x)):
+            lo, hi = self.domain
             raise OutOfDomain(f"x={x} outside tabulated grid [{lo}, {hi}]")
 
     def __call__(self, x: float) -> float:
         self._check(x)
-        return float(self._spline(x))
+        return like(x, self._spline(x))
 
     def derivative(self, x: float) -> float:
         self._check(x)
-        return float(self._dspline(x))
+        return like(x, self._dspline(x))
 
 
 @dataclass(frozen=True)
@@ -157,5 +166,5 @@ class SeparablePotential:
 
 def evaluate(potential: SeparablePotential, r) -> tuple[float, tuple[float, float, float]]:
     """Total V(r) and the three per-axis contributions."""
-    per_axis = tuple(ax(float(c)) for ax, c in zip(potential.axes, r))
+    per_axis = tuple(ax(c) for ax, c in zip(potential.axes, as_coords(r)))
     return sum(per_axis), per_axis

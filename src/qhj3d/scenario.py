@@ -162,10 +162,28 @@ def _float_list(value, field, count=None):
 
 def _int_list(value, field, count):
     vals = _float_list(value, field, count)
-    out = tuple(int(v) for v in vals)
-    if any(float(i) != v for i, v in zip(out, vals)):
+    if not all(math.isfinite(v) and v == int(v) for v in vals):
         raise ValidationError(field, "expected integers")
-    return out
+    return tuple(int(v) for v in vals)
+
+
+def parse_grid(value, field):
+    """NX,NY,NZ grid point counts, each at least 2."""
+    grid = _int_list(value, field, 3)
+    if any(n < 2 for n in grid):
+        raise ValidationError(field, "grid counts must be >= 2")
+    return grid
+
+
+def parse_point(value, field):
+    """One x,y,z point."""
+    return _float_list(value, field, 3)
+
+
+def check_positive(value, field):
+    if not value > 0:
+        raise ValidationError(field, "must be positive")
+    return value
 
 
 _POTENTIAL_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
@@ -333,7 +351,7 @@ def parse_scenario(text: str) -> Scenario:
         v = _as_dict(sections["verify"])
         kwargs = {}
         if "grid" in v:
-            kwargs["grid"] = _int_list(v.pop("grid"), "verify.grid", 3)
+            kwargs["grid"] = parse_grid(v.pop("grid"), "verify.grid")
         bounds = list(VerifySpec().bounds)
         for i, ax in enumerate(AXES):
             if ax in v:
@@ -345,15 +363,15 @@ def parse_scenario(text: str) -> Scenario:
         if v:
             raise ValidationError("verify", f"unexpected keys {sorted(v)}")
         verify = VerifySpec(**kwargs)
-        if any(not lo < hi for lo, hi in verify.bounds) or any(g < 2 for g in verify.grid):
-            raise ValidationError("verify", "bounds need lo < hi and grid counts >= 2")
+        if any(not lo < hi for lo, hi in verify.bounds):
+            raise ValidationError("verify", "bounds need lo < hi")
 
     trajectory = TrajectorySpec()
     if "trajectory" in sections:
         t = _as_dict(sections["trajectory"])
         kwargs = {}
         if "r0" in t:
-            kwargs["r0"] = _float_list(t.pop("r0"), "trajectory.r0", 3)
+            kwargs["r0"] = parse_point(t.pop("r0"), "trajectory.r0")
         for key in ("t_end", "rel_tol", "abs_tol", "max_step", "singularity_eps"):
             if key in t:
                 kwargs[key] = _float(t.pop(key), f"trajectory.{key}")
@@ -361,8 +379,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError("trajectory", f"unexpected keys {sorted(t)}")
         trajectory = TrajectorySpec(**kwargs)
         for key in ("t_end", "rel_tol", "abs_tol", "max_step", "singularity_eps"):
-            if not getattr(trajectory, key) > 0:
-                raise ValidationError(f"trajectory.{key}", "must be positive")
+            check_positive(getattr(trajectory, key), f"trajectory.{key}")
 
     metric_points = ()
     if "metric" in sections:
@@ -384,7 +401,7 @@ def parse_point_list(value, field="points"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        points.append(_float_list(chunk, field, 3))
+        points.append(parse_point(chunk, field))
     if not points:
         raise ValidationError(field, "needs at least one x,y,z point")
     return tuple(points)

@@ -8,6 +8,11 @@ either from a small analytic catalog or from the Numerov recurrence. A 3D
 field is a pair of linear combinations of per-axis product terms, all at
 the same per-axis energies, so every term solves the 3D equation at
 E = sum(E_axis) and second derivatives are exact via the ODE identity.
+
+Every evaluation here is array-generic (see arrays.py): at a point it takes
+and returns floats, and on arrays that broadcast together (one 1-D array
+per axis for a grid) it evaluates each axis once on its own coordinates and
+forms the 3D products by broadcasting.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .arrays import all_true, as_coords, at_point, cos, like, maximum, sin, sparse_grid, where, zeros_like
 from .errors import (
+    OK,
+    OUT_OF_DOMAIN,
     DegenerateICs,
     InconsistentEnergy,
     OutOfDomain,
@@ -27,7 +35,7 @@ from .errors import (
     ProportionalSolutions,
     UnknownCatalogEntry,
 )
-from .potentials import AXES, AxisPotential, Free, SeparablePotential
+from .potentials import AXES, EPS, AxisPotential, Free, SeparablePotential
 
 SELECTORS = ("u1", "u2")
 
@@ -50,13 +58,13 @@ class AxisSolution:
     _coeff: Callable[[float], float]
 
     def value(self, x: float) -> float:
-        return float(self._value(x))
+        return self._value(x)
 
     def derivative(self, x: float) -> float:
-        return float(self._derivative(x))
+        return self._derivative(x)
 
     def second_derivative(self, x: float) -> float:
-        return float(self._coeff(x)) * self.value(x)
+        return self._coeff(x) * self.value(x)
 
 
 @dataclass(frozen=True)
@@ -84,9 +92,17 @@ class AxisSolutionPair:
         return 2.0 * self.m0 / self.hbar**2 * (self.potential(x) - self.e_axis)
 
     def contains(self, x: float) -> bool:
+        """Whether x lies in the axis domain and the potential's, up to
+        rounding at the edges."""
         lo, hi = self.domain
-        eps = 4.0 * np.finfo(float).eps * max(1.0, abs(x))
-        return (lo - eps) <= x <= (hi + eps)
+        eps = 4.0 * EPS * maximum(1.0, abs(x))
+        return (lo - eps <= x) & (x <= hi + eps) & self.potential.contains(x)
+
+    @property
+    def anchor(self) -> float:
+        """A point of the domain, evaluated in place of coordinates outside it."""
+        lo, hi = self.domain
+        return min(max(0.0, lo), hi)
 
     def probe_interval(self) -> tuple[float, float]:
         """Bounded interval used for independence/activity probing."""
@@ -99,7 +115,7 @@ class AxisSolutionPair:
 
 def wronskian(pair: AxisSolutionPair, x: float) -> float:
     """u1(x) u2'(x) - u2(x) u1'(x); constant over the domain in exact math."""
-    if not pair.contains(x):
+    if not all_true(pair.contains(x)):
         raise OutOfDomain(f"x={x} outside axis {pair.axis} domain {pair.domain}")
     return pair.u1.value(x) * pair.u2.derivative(x) - pair.u2.value(x) * pair.u1.derivative(x)
 
@@ -134,9 +150,9 @@ def solve_axis_analytic(kind, params=None, e_axis=None, *, m0=1.0, hbar=1.0, axi
                           m0=m0, hbar=hbar, axis=axis)
     if kind == "zero_energy_free":
         energy = _energy_check(e_axis, 0.0, "zero_energy_free")
-        coeff = lambda x: 0.0
-        u1 = AxisSolution(lambda x: 1.0, lambda x: 0.0, coeff)
-        u2 = AxisSolution(lambda x: x, lambda x: 1.0, coeff)
+        one = lambda x: 1.0 + zeros_like(x)
+        u1 = AxisSolution(one, zeros_like, zeros_like)
+        u2 = AxisSolution(lambda x: x, one, zeros_like)
         return AxisSolutionPair(
             axis=axis, e_axis=energy, u1=u1, u2=u2, potential=Free(),
             m0=m0, hbar=hbar, domain=(-math.inf, math.inf),
@@ -155,9 +171,9 @@ def solve_axis_analytic(kind, params=None, e_axis=None, *, m0=1.0, hbar=1.0, axi
 
 
 def _trig_pair(k, energy, domain, source, *, m0, hbar, axis):
-    coeff = lambda x: -k * k  # (2m0/hbar^2)(0 - E) for E = (hbar k)^2/2m0
-    u1 = AxisSolution(lambda x: math.sin(k * x), lambda x: k * math.cos(k * x), coeff)
-    u2 = AxisSolution(lambda x: math.cos(k * x), lambda x: -k * math.sin(k * x), coeff)
+    coeff = lambda x: -k * k + zeros_like(x)  # (2m0/hbar^2)(0 - E) for E = (hbar k)^2/2m0
+    u1 = AxisSolution(lambda x: sin(k * x), lambda x: k * cos(k * x), coeff)
+    u2 = AxisSolution(lambda x: cos(k * x), lambda x: -k * sin(k * x), coeff)
     return AxisSolutionPair(
         axis=axis, e_axis=energy, u1=u1, u2=u2, potential=Free(),
         m0=m0, hbar=hbar, domain=domain, source=source, wronskian_ref=-k,
@@ -178,9 +194,9 @@ class _TableEval:
         self.eps = 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
 
     def __call__(self, x):
-        if not (self.lo - self.eps <= x <= self.hi + self.eps):
+        if not all_true((self.lo - self.eps <= x) & (x <= self.hi + self.eps)):
             raise OutOfDomain(f"x={x} outside Numerov table [{self.lo}, {self.hi}]")
-        return float(self.spline(x))
+        return like(x, self.spline(x))
 
 
 def _rk4_segment(coeff, x0, u, up, x1, nsub=32):
@@ -205,15 +221,18 @@ def _rk4_segment(coeff, x0, u, up, x1, nsub=32):
     return u, up
 
 
-def _numerov_fill(u, fvals, h, i0, overflow_limit, axis):
+def _numerov_fill(table, fvals, h, i0, overflow_limit, axis):
     """Run the three-point recurrence outward from i0 in both directions.
 
-    u[i0] and the immediate neighbours present in the table must already
-    be seeded. w = 1 - (h^2/12) f is the Numerov weight.
+    table[i0] and the immediate neighbours present in the table must
+    already be seeded. w = 1 - (h^2/12) f is the Numerov weight. The
+    recurrence runs on Python lists, where one step costs less than numpy
+    element access, and the table is written back once.
     """
-    n = len(u)
-    w = 1.0 - (h * h / 12.0) * fvals
-    p = 2.0 + (5.0 * h * h / 6.0) * fvals
+    n = len(table)
+    u = table.tolist()
+    w = (1.0 - (h * h / 12.0) * fvals).tolist()
+    p = (2.0 + (5.0 * h * h / 6.0) * fvals).tolist()
     for i in range(i0 + 1, n - 1):
         u[i + 1] = (p[i] * u[i] - w[i - 1] * u[i - 1]) / w[i + 1]
         if abs(u[i + 1]) > overflow_limit:
@@ -222,6 +241,7 @@ def _numerov_fill(u, fvals, h, i0, overflow_limit, axis):
         u[i - 1] = (p[i] * u[i] - w[i + 1] * u[i + 1]) / w[i - 1]
         if abs(u[i - 1]) > overflow_limit:
             raise Overflow(f"axis {axis}: |u| exceeded {overflow_limit:g} during Numerov sweep")
+    table[:] = u
 
 
 def _five_point_derivative(u, h):
@@ -274,7 +294,7 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     def coeff(x):
         return 2.0 * m0 / hbar**2 * (axis_potential(x) - e_axis)
 
-    fvals = np.array([coeff(x) for x in xs])
+    fvals = coeff(xs)
 
     tables = []
     for value, slope in ((v1, s1), (v2, s2)):
@@ -332,14 +352,22 @@ class SolutionField3D:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Values, gradients and diagonal second partials of theta and phi."""
+    """Values, gradients and diagonal second partials of theta and phi, the
+    potential V, and the status (OK or OUT_OF_DOMAIN).
+
+    Per-axis quantities are (x, y, z) tuples. At a point every entry is a
+    float; over arrays every entry has the broadcast shape, and points
+    outside the domain hold the values at the axis anchors.
+    """
 
     theta: float
     phi: float
-    grad_theta: np.ndarray
-    grad_phi: np.ndarray
-    second_theta: np.ndarray
-    second_phi: np.ndarray
+    grad_theta: tuple
+    grad_phi: tuple
+    second_theta: tuple
+    second_phi: tuple
+    v: float
+    status: int
 
 
 def _normalize_terms(terms, which):
@@ -357,47 +385,71 @@ def _normalize_terms(terms, which):
     return tuple(out)
 
 
-def _axis_eval(pairs, r):
-    """Per-axis (u, u', u'') for u1 and u2 at the coordinates of r."""
+def _axis_eval(pairs, coords):
+    """Per-axis (u, u', u'') for u1 and u2, the summed axis potentials, and
+    whether every coordinate lies inside its axis domain.
+
+    Each axis is evaluated once on its own coordinate (a float, or an array
+    for many points). A coordinate outside its domain is evaluated at the
+    axis anchor instead, so one stray point never stops an array
+    evaluation; the returned flag marks it.
+    """
     cache = []
-    for i, pair in enumerate(pairs):
-        xi = float(r[i])
-        if not pair.contains(xi):
-            raise OutOfDomain(f"axis {pair.axis}: {xi} outside domain {pair.domain}")
-        c = pair.schrod_coeff(xi)
-        v1 = pair.u1.value(xi)
-        v2 = pair.u2.value(xi)
+    v = 0.0
+    inside = True
+    for pair, x in zip(pairs, coords):
+        ok = pair.contains(x)
+        x = where(ok, x, pair.anchor)
+        c = pair.schrod_coeff(x)
+        v1 = pair.u1.value(x)
+        v2 = pair.u2.value(x)
         cache.append({
-            "u1": (v1, pair.u1.derivative(xi), c * v1),
-            "u2": (v2, pair.u2.derivative(xi), c * v2),
+            "u1": (v1, pair.u1.derivative(x), c * v1),
+            "u2": (v2, pair.u2.derivative(x), c * v2),
         })
-    return cache
+        v = v + pair.potential(x)
+        inside = inside & ok
+    return cache, v, inside
 
 
 def _combine(terms, cache):
+    """Value, gradient and diagonal second partials of a sum of products.
+
+    Per-axis factors broadcast into the products. Sums start from +0.0 and
+    run in term order, so a point and a grid entry take the same steps.
+    """
     value = 0.0
-    grad = np.zeros(3)
-    second = np.zeros(3)
+    grad = [0.0, 0.0, 0.0]
+    second = [0.0, 0.0, 0.0]
     for coef, sels in terms:
         f = [cache[i][sels[i]] for i in range(3)]
-        v = coef * f[0][0] * f[1][0] * f[2][0]
-        value += v
+        value = value + coef * f[0][0] * f[1][0] * f[2][0]
         for mu in range(3):
             others = coef
             for nu in range(3):
                 if nu != mu:
-                    others *= f[nu][0]
-            grad[mu] += f[mu][1] * others
-            second[mu] += f[mu][2] * others
-    return value, grad, second
+                    others = others * f[nu][0]
+            grad[mu] = grad[mu] + f[mu][1] * others
+            second[mu] = second[mu] + f[mu][2] * others
+    return value, tuple(grad), tuple(second)
 
 
 def evaluate_field(field: SolutionField3D, r) -> FieldSample:
-    """Point evaluation of theta and phi with exact second partials."""
-    cache = _axis_eval(field.pairs, r)
+    """theta and phi with exact second partials at r: a point, or three
+    coordinate arrays that broadcast together (see arrays.sparse_grid).
+
+    A point outside the domain raises OutOfDomain; over arrays such points
+    are marked OUT_OF_DOMAIN in the status.
+    """
+    coords = as_coords(r)
+    cache, v, inside = _axis_eval(field.pairs, coords)
+    status = where(inside, OK, OUT_OF_DOMAIN)
+    if at_point(status) and status != OK:
+        pair, x = next((p, x) for p, x in zip(field.pairs, coords) if not p.contains(x))
+        raise OutOfDomain(f"axis {pair.axis}: {x} outside domain {pair.domain}")
     theta, grad_t, sec_t = _combine(field.theta_terms, cache)
     phi, grad_p, sec_p = _combine(field.phi_terms, cache)
-    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p)
+    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status)
 
 
 def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms,
@@ -421,19 +473,13 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms,
     theta_terms = _normalize_terms(theta_terms, "theta")
     phi_terms = _normalize_terms(phi_terms, "phi")
 
-    probe_axes = [np.linspace(*p.probe_interval(), probe_points) for p in pairs]
-    max_cross = 0.0
-    max_grad = np.zeros(3)
-    for xi in probe_axes[0]:
-        for yi in probe_axes[1]:
-            for zi in probe_axes[2]:
-                cache = _axis_eval(pairs, (xi, yi, zi))
-                th, gt, _ = _combine(theta_terms, cache)
-                ph, gp, _ = _combine(phi_terms, cache)
-                cross = ph * gt - th * gp
-                max_cross = max(max_cross, float(np.max(np.abs(cross))))
-                max_grad = np.maximum(max_grad, np.abs(gt))
-                max_grad = np.maximum(max_grad, np.abs(gp))
+    probe = sparse_grid([p.probe_interval() for p in pairs], (probe_points,) * 3)
+    cache, _, _ = _axis_eval(pairs, probe)
+    th, gt, _ = _combine(theta_terms, cache)
+    ph, gp, _ = _combine(phi_terms, cache)
+    gt, gp = np.array(gt), np.array(gp)
+    max_cross = float(np.max(np.abs(ph * gt - th * gp)))
+    max_grad = np.max(np.maximum(np.abs(gt), np.abs(gp)), axis=(1, 2, 3))
     if max_cross <= PROBE_EPS:
         raise ProportionalSolutions(
             f"theta and phi look proportional: max |phi grad(theta) - theta grad(phi)| = {max_cross:.3e}"

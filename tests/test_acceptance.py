@@ -13,22 +13,25 @@ from qhj3d import (
     IntegratorConfig,
     ReducedActionField,
     canonical_jacobian,
+    continuity_identity_from_sample,
     continuity_identity_residual,
     fm_factor_1d,
     floyd_residual_1d,
     integrate_first_order,
     integrate_second_order,
     metric_at,
-    qshje_residual,
+    qshje_from_sample,
     reduce_1d_check,
     s0_derivatives_1d,
+    sample,
     schwarzian_1d,
     solve_axis_numerov,
+    sparse_grid,
     velocity_field,
     wronskian,
 )
 from qhj3d.dynamics import COMPLETED
-from qhj3d.errors import QhjError
+from qhj3d.errors import OK, QhjError
 from qhj3d.metric import JacobianMatrix, verify_transformation
 from qhj3d.potentials import Free, HarmonicOscillator
 
@@ -40,21 +43,11 @@ MIXINGS = ((1.0, 0.0), (2.0, 0.0), (1.5, 0.5), (3.0, -1.0), (0.5, 2.0))
 def sweep(action, bounds, n):
     """Max |qshje| and max identity-continuity over an n^3 grid, skipping
     nodal/singular points."""
-    max_q = max_c = 0.0
-    used = 0
-    axes = [np.linspace(lo, hi, n) for lo, hi in bounds]
-    for x in axes[0]:
-        for y in axes[1]:
-            for z in axes[2]:
-                try:
-                    q = abs(qshje_residual(action, (x, y, z)))
-                    c = continuity_identity_residual(action, (x, y, z))
-                except QhjError:
-                    continue
-                used += 1
-                max_q = max(max_q, q)
-                max_c = max(max_c, c)
-    assert used > 0.8 * n**3
+    s = sample(action, sparse_grid(bounds, (n, n, n)))
+    used = s.status == OK
+    assert np.count_nonzero(used) > 0.8 * n**3
+    max_q = float(np.max(np.abs(qshje_from_sample(action, s))[used]))
+    max_c = float(np.max(continuity_identity_from_sample(action, s)[used]))
     return max_q, max_c
 
 
@@ -112,12 +105,9 @@ def test_c2_continuity_law(analytic_sweeps, field_2d):
     worst_id = max(v[1] for v in analytic_sweeps.values())
     assert worst_id < 1e-13
     action = ReducedActionField(field_2d, 3.0, -1.0)
-    worst_div = 0.0
-    for x in np.linspace(-1, 1, 3):
-        for y in np.linspace(-1, 1, 3):
-            for z in np.linspace(-1, 1, 3):
-                worst_div = max(worst_div,
-                                continuity_identity_residual(action, (x, y, z), mode="divergence"))
+    div = continuity_identity_residual(action, sparse_grid(((-1, 1),) * 3, (3, 3, 3)),
+                                       mode="divergence")
+    worst_div = float(np.max(div))
     assert worst_div < 1e-5
     print(f"\n[acceptance] C2 continuity law: PASS "
           f"(identity max {worst_id:.2e} < 1e-13, divergence max {worst_div:.2e} < 1e-5)")

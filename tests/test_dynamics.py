@@ -228,3 +228,12 @@ def test_config_validation():
         IntegratorConfig(t_end=1.0, rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=1.0, method="euler")
+
+
+def test_energy_residual_finite_where_metric_component_vanishes(harmonic_action):
+    """This run passes a state with a^{zz} = 0 and v_z = 0, where a_{zz} is
+    infinite; the term a_{zz} v_z^2 counts as 0 there."""
+    tr = integrate_first_order(harmonic_action, (0.7, 0.6, 1.0),
+                               IntegratorConfig(t_end=5.0, singularity_eps=1e-3))
+    assert np.all(np.isfinite(tr.energy_residuals))
+    assert tr.max_energy_residual < 1e-8 * max(1.0, harmonic_action.e)

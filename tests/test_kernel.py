@@ -1,0 +1,97 @@
+"""The array kernel against the single-point path, point by point.
+
+Over arrays sample and a_upper_from_sample report a status per point;
+at a point the same code raises the matching exception instead. On every
+shipped scenario's verify grid, and on grids widened to reach nodes and
+domain edges, the status must be the exception the point path raises and
+the values must agree to 1e-12.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from qhj3d import (
+    a_upper_from_sample,
+    continuity_identity_from_sample,
+    metric_at,
+    qshje_from_sample,
+    sample,
+    sparse_grid,
+)
+from qhj3d.errors import (
+    NODAL,
+    NODE_SINGULAR,
+    OK,
+    OUT_OF_DOMAIN,
+    NodalPoint,
+    NodeSingularity,
+    OutOfDomain,
+)
+from qhj3d.scenario import build_action, parse_scenario
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SHIPPED = ("box", "field2d", "free_a2", "free_classical", "harmonic_numerov")
+STATUS_OF = {NodalPoint: NODAL, NodeSingularity: NODE_SINGULAR, OutOfDomain: OUT_OF_DOMAIN}
+HALF_PI = np.pi / 2
+
+# (scenario, bounds, grid): past the box walls at 0 and 20, past the Numerov
+# tables at +-4 and across their node planes, and through field2d's nodal
+# points (+-pi/2, -+pi/2) and (pi/2, pi/2).
+WIDENED = (
+    ("box", ((-1.0, 21.0), (-2.0, 2.0), (-2.0, 2.0)), (12, 3, 3)),
+    ("harmonic_numerov", ((-4.5, 4.5),) * 3, (9, 9, 9)),
+    ("field2d", ((-HALF_PI, HALF_PI), (-HALF_PI, HALF_PI), (-1.0, 1.0)), (9, 9, 3)),
+)
+
+
+def _load(name):
+    with open(os.path.join(SCENARIOS, f"{name}.scn")) as handle:
+        return parse_scenario(handle.read())
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _check(name, bounds, grid):
+    action = build_action(_load(name))
+    s = sample(action, sparse_grid(bounds, grid))
+    qshje = qshje_from_sample(action, s)
+    continuity = continuity_identity_from_sample(action, s)
+    a_upper, status = a_upper_from_sample(action, s)
+    assert status.shape == tuple(grid)
+
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, grid)]
+    seen = set()
+    for idx in np.ndindex(*grid):
+        r = tuple(float(ax[i]) for ax, i in zip(axes, idx))
+        try:
+            point = sample(action, r)
+            metric = metric_at(action, r)
+        except tuple(STATUS_OF) as exc:
+            assert status[idx] == STATUS_OF[type(exc)], (r, exc)
+            seen.add(int(status[idx]))
+            continue
+        assert status[idx] == OK, r
+        assert _close(qshje[idx], qshje_from_sample(action, point)), r
+        assert _close(continuity[idx], continuity_identity_from_sample(action, point)), r
+        for mu in range(3):
+            assert _close(a_upper[mu][idx], metric.a_upper[mu]), (r, mu)
+        seen.add(OK)
+    return seen
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_kernel_matches_point_path_on_verify_grid(name):
+    spec = _load(name).verify
+    seen = _check(name, spec.bounds, spec.grid)
+    assert OK in seen
+
+
+def test_kernel_matches_point_path_past_nodes_and_edges():
+    seen = set()
+    for name, bounds, grid in WIDENED:
+        seen |= _check(name, bounds, grid)
+    assert seen == {OK, NODAL, NODE_SINGULAR, OUT_OF_DOMAIN}

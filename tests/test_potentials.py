@@ -94,3 +94,19 @@ def test_gradient_matches_finite_differences():
         shift[mu] = h
         fd = (evaluate(pot, r + shift)[0] - evaluate(pot, r - shift)[0]) / (2 * h)
         assert grad[mu] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def test_axis_potentials_are_array_generic():
+    """An array of coordinates gives the values of the single points, and a
+    single point gives a float."""
+    xs = np.linspace(-2.0, 2.0, 41)
+    pots = (Free(), HarmonicOscillator(omega=1.3, mass=2.0), LinearRamp(slope=0.7),
+            Tabulated((-2.0, -1.0, 0.0, 1.0, 2.0), (4.0, 1.0, 0.0, 1.0, 4.0)))
+    for pot in pots:
+        for f in (pot, pot.derivative):
+            values = f(xs)
+            assert values.shape == xs.shape
+            assert np.array_equal(values, [f(float(x)) for x in xs])
+            assert type(f(0.5)) is float
+    with pytest.raises(OutOfDomain):
+        pots[-1](np.array([0.0, 2.5]))

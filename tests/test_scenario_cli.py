@@ -137,6 +137,23 @@ def test_run_verify_classical_census():
     assert report.max_qshje < 1e-12
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_run_verify_with_no_points_fails(tmp_path):
+    s = parse_scenario(open(scenario_path("free_a2.scn")).read())
+    out = tmp_path / "report.json"
+    report = run_verify(s, grid=(0, 2, 2), out=str(out))
+    assert report.points_total == 0 and report.points_evaluated == 0
+    assert not report.passed
+    data = _strict_json(out.read_text())
+    assert data["passed"] is False
+    assert data["mean_qshje"] is None
+
+
 def test_run_verify_harmonic_numerov():
     s = parse_scenario(open(scenario_path("harmonic_numerov.scn")).read())
     report = run_verify(s, grid=(7, 7, 7))
@@ -242,6 +259,21 @@ def test_cli_validation_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text(MINIMAL.replace("a = 2.0", "a = 0.0"))
     assert main(["verify", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "free_a2.scn", "--grid", "a,b,c"], "--grid"),
+    (["verify", "free_a2.scn", "--grid", "0,2,2"], "--grid"),
+    (["verify", "free_a2.scn", "--grid", "1,1,1"], "--grid"),
+    (["trajectory", "free_a2.scn", "--t-end", "-1"], "--t-end"),
+    (["trajectory", "free_a2.scn", "--r0", "1,2,x"], "--r0"),
+], ids=["grid-not-numbers", "grid-zero", "grid-one", "t-end-negative", "r0-not-a-number"])
+def test_cli_bad_override_exit_two(argv, flag, tmp_path, capsys):
+    command, name, *rest = argv
+    code = main([command, scenario_path(name), *rest, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_missing_file_exit_four(capsys):

@@ -18,6 +18,7 @@ from qhj3d import (
     wronskian,
 )
 from qhj3d.potentials import Free, HarmonicOscillator, LinearRamp
+from qhj3d.schrodinger import _numerov_fill
 
 from conftest import make_field_2d, make_free_field, zero_pair
 
@@ -158,6 +159,25 @@ def test_numerov_overflow_in_forbidden_region():
 def test_numerov_out_of_domain(numerov_free_pair):
     with pytest.raises(OutOfDomain):
         numerov_free_pair.u1.value(10.5)
+
+
+def test_numerov_fill_matches_elementwise_recurrence():
+    """The list-based sweep takes the same steps as the recurrence written
+    on numpy elements, so the tables agree bit for bit."""
+    rng = np.random.default_rng(7)
+    n, h, i0 = 200, 1e-2, 60
+    fvals = rng.uniform(-3.0, 3.0, n)
+    table = np.zeros(n)
+    table[i0 - 1:i0 + 2] = rng.uniform(-1.0, 1.0, 3)
+    ref = table.copy()
+    w = 1.0 - (h * h / 12.0) * fvals
+    p = 2.0 + (5.0 * h * h / 6.0) * fvals
+    for i in range(i0 + 1, n - 1):
+        ref[i + 1] = (p[i] * ref[i] - w[i - 1] * ref[i - 1]) / w[i + 1]
+    for i in range(i0 - 1, 0, -1):
+        ref[i - 1] = (p[i] * ref[i] - w[i + 1] * ref[i + 1]) / w[i - 1]
+    _numerov_fill(table, fvals, h, i0, 1e300, "x")
+    assert np.array_equal(table, ref)
 
 
 def test_numerov_step_validation():
