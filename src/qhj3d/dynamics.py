@@ -74,14 +74,11 @@ class IntegratorConfig:
     abs_tol: float = 1e-11
     max_step: float = math.inf
     singularity_eps: float = 1e-10
-    method: str = "dormand-prince-54"
 
     def __post_init__(self):
-        if not (self.t_end > 0 and self.rel_tol > 0 and self.abs_tol > 0
+        if not (0 < self.t_end < math.inf and self.rel_tol > 0 and self.abs_tol > 0
                 and self.max_step > 0 and self.singularity_eps > 0):
-            raise ValueError("tolerances, max_step and t_end must all be positive")
-        if self.method != "dormand-prince-54":
-            raise ValueError(f"unsupported method {self.method!r}")
+            raise ValueError("tolerances, max_step and t_end must all be positive, t_end finite")
 
 
 @dataclass(frozen=True)

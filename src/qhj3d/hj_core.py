@@ -29,21 +29,24 @@ from .schrodinger import FieldSample, SolutionField3D, evaluate_field
 NODAL_EPS = 1e-12
 
 
+def check_mixing(a: float, b: float) -> None:
+    """The mixing constants must be finite, and a nonzero: a = 0 makes S0
+    constant and the whole construction degenerate."""
+    if a == 0.0 or not math.isfinite(a) or not math.isfinite(b):
+        raise ValueError("need finite (a, b) with a nonzero")
+
+
 @dataclass(frozen=True)
 class ReducedActionField:
-    """A solution field together with the mixing constants (a, b).
-
-    a = 0 is rejected: it makes S0 constant and the whole construction
-    degenerate.
-    """
+    """A solution field together with the mixing constants (a, b), which
+    must pass check_mixing."""
 
     field: SolutionField3D
     a: float
     b: float
 
     def __post_init__(self):
-        if self.a == 0.0 or not math.isfinite(self.a) or not math.isfinite(self.b):
-            raise ValueError("need finite (a, b) with a != 0")
+        check_mixing(self.a, self.b)
 
     @property
     def hbar(self) -> float:

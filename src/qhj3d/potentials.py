@@ -9,7 +9,9 @@ a float or an array of coordinates and returns the same kind.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -23,6 +25,13 @@ AXES = ("x", "y", "z")
 FULL_LINE = (-math.inf, math.inf)
 
 EPS = float(np.finfo(float).eps)
+
+
+def check_finite(value, name: str) -> float:
+    """value as a float; ValueError unless it is one finite real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 class AxisPotential:
@@ -70,9 +79,9 @@ class HarmonicOscillator(AxisPotential):
     kind = "harmonic"
 
     def __post_init__(self):
-        if not self.omega > 0:
+        if not check_finite(self.omega, "omega") > 0:
             raise ValueError("omega must be positive")
-        if not self.mass > 0:
+        if not check_finite(self.mass, "mass") > 0:
             raise ValueError("mass must be positive")
 
     def __call__(self, x: float) -> float:
@@ -89,6 +98,9 @@ class LinearRamp(AxisPotential):
     slope: float
 
     kind = "linear"
+
+    def __post_init__(self):
+        check_finite(self.slope, "slope")
 
     def __call__(self, x: float) -> float:
         return self.slope * x
@@ -114,8 +126,8 @@ class Tabulated(AxisPotential):
     kind = "tabulated"
 
     def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
-        values = tuple(float(v) for v in self.values)
+        grid = tuple(check_finite(g, "grid") for g in np.atleast_1d(self.grid))
+        values = tuple(check_finite(v, "values") for v in np.atleast_1d(self.values))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         if len(grid) < 4:
@@ -124,8 +136,6 @@ class Tabulated(AxisPotential):
             raise ValueError("grid and values must have equal length")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("tabulated grid must be strictly ascending")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("tabulated values must be finite")
         spline = CubicSpline(grid, values)
         object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "_dspline", spline.derivative())
@@ -146,6 +156,25 @@ class Tabulated(AxisPotential):
     def derivative(self, x: float) -> float:
         self._check(x)
         return like(x, self._dspline(x))
+
+
+POTENTIALS = {cls.kind: cls for cls in (Free, HarmonicOscillator, LinearRamp, Tabulated)}
+
+
+def axis_potential(kind: str, params: dict, mass: float = 1.0) -> AxisPotential:
+    """The axis potential of a kind from its constructor's fields, all but
+    mass (which comes from the scenario); ValueError for any broken rule."""
+    if kind not in POTENTIALS:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    cls = POTENTIALS[kind]
+    fields = [f.name for f in dataclasses.fields(cls) if f.init]
+    names = [name for name in fields if name != "mass"]
+    if set(params) != set(names):
+        wanted = "exactly " + " and ".join(names) if names else "no parameters"
+        raise ValueError(f"{kind} takes {wanted}")
+    if "mass" in fields:
+        params = {**params, "mass": mass}
+    return cls(**params)
 
 
 @dataclass(frozen=True)

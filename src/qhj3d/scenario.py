@@ -5,41 +5,37 @@ and optional [verify], [trajectory], [metric]. Lists are comma-separated;
 field terms read  coef * sel_x * sel_y * sel_z  with sel in {u1, u2};
 parenthesised potential parameters read  harmonic(omega = 1.0).
 
-Parsing validates every cross-reference up front and either returns a
-fully-validated Scenario or raises a line-anchored ParseError /
-field-anchored ValidationError. Scenarios are plain data: parse,
+Parsing checks syntax and cross-references, asks each other rule's owner
+(potentials, catalog, Numerov, terms, mixing) without building anything,
+and returns a fully-validated Scenario or raises a line-anchored ParseError
+/ field-anchored ValidationError. Scenarios are plain data: parse,
 serialize, parse round-trips to an equal value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, ProportionalSolutions, ValidationError
-from .potentials import (
-    AXES,
-    Free,
-    HarmonicOscillator,
-    LinearRamp,
-    SeparablePotential,
-    Tabulated,
+from .errors import ParseError, ProportionalSolutions, QhjError, ValidationError
+from .potentials import AXES, SeparablePotential, axis_potential
+from .schrodinger import (
+    CATALOG,
+    assemble_field,
+    catalog_energy,
+    normalize_terms,
+    numerov_grid,
+    solve_axis_analytic,
+    solve_axis_numerov,
 )
-from .schrodinger import SELECTORS, assemble_field, solve_axis_analytic, solve_axis_numerov
-from .hj_core import ReducedActionField
+from .hj_core import ReducedActionField, check_mixing
 
 _KNOWN_SECTIONS = ("physics", "potential", "solutions.x", "solutions.y", "solutions.z",
                    "field", "action", "verify", "trajectory", "metric")
 _REQUIRED_SECTIONS = ("physics", "potential", "solutions.x", "solutions.y", "solutions.z",
                       "field", "action")
-
-_CATALOG_ENERGY = {
-    "free": lambda p, hbar, m0: (hbar * p["k"]) ** 2 / (2.0 * m0),
-    "zero_energy_free": lambda p, hbar, m0: 0.0,
-    "box": lambda p, hbar, m0: (hbar * p["n"] * math.pi / p["L"]) ** 2 / (2.0 * m0),
-}
-_CATALOG_PARAMS = {"free": ("k",), "zero_energy_free": (), "box": ("L", "n")}
 
 
 @dataclass(frozen=True)
@@ -99,13 +95,9 @@ class Scenario:
 
     @property
     def energy(self) -> float:
-        total = 0.0
-        for spec in self.solutions:
-            if isinstance(spec, NumerovSpec):
-                total += spec.e_axis
-            else:
-                total += _CATALOG_ENERGY[spec.entry](dict(spec.params), self.hbar, self.mass)
-        return total
+        return sum(spec.e_axis if isinstance(spec, NumerovSpec)
+                   else catalog_energy(spec.entry, dict(spec.params), m0=self.mass, hbar=self.hbar)
+                   for spec in self.solutions)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +137,23 @@ def _as_dict(entries):
     return {k: v for _, k, v in entries}
 
 
-def _float(value, field):
+def _float(value, field, *, inf_ok=False):
+    """A finite number (or +inf where inf_ok)."""
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ValidationError(field, f"not a number: {value!r}") from None
+    if not (math.isfinite(x) or (inf_ok and x == math.inf)):
+        raise ValidationError(field, f"must be finite, got {value!r}")
+    return x
+
+
+def _owned(field, check, *args, **kwargs):
+    """check(*args, **kwargs), a broken rule reported against field."""
+    try:
+        return check(*args, **kwargs)
+    except (ValueError, QhjError) as exc:
+        raise ValidationError(field, str(exc)) from None
 
 
 def _float_list(value, field, count=None):
@@ -162,7 +166,7 @@ def _float_list(value, field, count=None):
 
 def _int_list(value, field, count):
     vals = _float_list(value, field, count)
-    if not all(math.isfinite(v) and v == int(v) for v in vals):
+    if not all(v == int(v) for v in vals):
         raise ValidationError(field, "expected integers")
     return tuple(int(v) for v in vals)
 
@@ -181,15 +185,15 @@ def parse_point(value, field):
 
 
 def check_positive(value, field):
-    if not value > 0:
-        raise ValidationError(field, "must be positive")
+    if not 0 < value < math.inf:
+        raise ValidationError(field, "must be positive and finite")
     return value
 
 
 _POTENTIAL_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
 
 
-def _parse_potential_value(value, field):
+def _parse_potential_value(value, field, mass):
     m = _POTENTIAL_RE.match(value.strip())
     if not m:
         raise ValidationError(field, f"cannot parse potential {value!r}")
@@ -200,54 +204,18 @@ def _parse_potential_value(value, field):
             if "=" not in item:
                 raise ValidationError(field, f"potential parameter needs key=value: {item.strip()!r}")
             k, v = (s.strip() for s in item.split("=", 1))
-            pieces = v.split()
-            if len(pieces) > 1:
-                params[k] = tuple(_float(p, f"{field}.{k}") for p in pieces)
-            else:
-                params[k] = _float(v, f"{field}.{k}")
-    if kind == "free":
-        if params:
-            raise ValidationError(field, "free takes no parameters")
-    elif kind == "harmonic":
-        if set(params) != {"omega"}:
-            raise ValidationError(field, "harmonic needs exactly omega=...")
-        if not params["omega"] > 0:
-            raise ValidationError(field, "omega must be positive")
-    elif kind == "linear":
-        if set(params) != {"slope"}:
-            raise ValidationError(field, "linear needs exactly slope=...")
-    elif kind == "tabulated":
-        if set(params) != {"grid", "values"}:
-            raise ValidationError(field, "tabulated needs grid=... and values=...")
-        grid = params["grid"] if isinstance(params["grid"], tuple) else (params["grid"],)
-        vals = params["values"] if isinstance(params["values"], tuple) else (params["values"],)
-        if len(grid) < 4 or len(grid) != len(vals):
-            raise ValidationError(field, "tabulated needs >= 4 grid points matching values")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValidationError(field, "tabulated grid must be strictly ascending")
-        params = {"grid": grid, "values": vals}
-    else:
-        raise ValidationError(field, f"unknown potential kind {kind!r}")
+            values = tuple(_float(p, f"{field}.{k}") for p in v.split())
+            params[k] = values[0] if len(values) == 1 else values
+    _owned(field, axis_potential, kind, params, mass)
     return PotentialSpec(kind=kind, params=tuple(sorted(params.items())))
 
 
 def _parse_terms(value, field):
     terms = []
-    for chunk in value.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        pieces = [p.strip() for p in chunk.split("*")]
-        if len(pieces) != 4:
-            raise ValidationError(field, f"term must be coef * sel_x * sel_y * sel_z: {chunk!r}")
-        coef = _float(pieces[0], field)
-        sels = tuple(pieces[1:])
-        if any(s not in SELECTORS for s in sels):
-            raise ValidationError(field, f"selectors must be u1 or u2: {chunk!r}")
-        terms.append((coef, sels))
-    if not terms:
-        raise ValidationError(field, "needs at least one product term")
-    return tuple(terms)
+    for chunk in filter(str.strip, value.split(",")):
+        coef, *sels = (p.strip() for p in chunk.split("*"))
+        terms.append((_float(coef, field), tuple(sels)))
+    return _owned(field, normalize_terms, terms, field.rsplit(".", 1)[-1])
 
 
 def _parse_solution_section(entries, axis, hbar, mass):
@@ -259,21 +227,17 @@ def _parse_solution_section(entries, axis, hbar, mass):
     source = source.strip()
     if source.startswith("catalog:"):
         entry = source.split(":", 1)[1].strip()
-        if entry not in _CATALOG_PARAMS:
+        if entry not in CATALOG:
             raise ValidationError(f"{field}.source", f"unknown catalog entry {entry!r}")
-        wanted = _CATALOG_PARAMS[entry]
         params = {}
-        for key in wanted:
+        for key in CATALOG[entry][0]:
             if key not in data:
                 raise ValidationError(f"{field}.{key}", f"required by catalog:{entry}")
             params[key] = _float(data.pop(key), f"{field}.{key}")
-        e_axis = data.pop("e_axis", None)
-        if e_axis is not None:
-            expected = _CATALOG_ENERGY[entry](params, hbar, mass)
-            if abs(_float(e_axis, f"{field}.e_axis") - expected) > 1e-12 * max(1.0, abs(expected)):
-                raise ValidationError(f"{field}.e_axis", f"conflicts with catalog value {expected!r}")
+        e_axis = _float(data.pop("e_axis"), f"{field}.e_axis") if "e_axis" in data else None
         if data:
             raise ValidationError(field, f"unexpected keys {sorted(data)}")
+        _owned(field, catalog_energy, entry, params, e_axis, m0=mass, hbar=hbar)
         return CatalogSpec(entry=entry, params=tuple(sorted(params.items())))
     if source == "numerov":
         try:
@@ -287,14 +251,10 @@ def _parse_solution_section(entries, axis, hbar, mass):
             )
         except KeyError as exc:
             raise ValidationError(f"{field}.{exc.args[0]}", "missing") from None
-        if not spec.domain[0] < spec.domain[1]:
-            raise ValidationError(f"{field}.domain", "needs lo < hi")
-        if not spec.step > 0:
-            raise ValidationError(f"{field}.step", "must be positive")
-        if spec.ic_at is not None and not (spec.domain[0] <= spec.ic_at <= spec.domain[1]):
-            raise ValidationError(f"{field}.ic_at", "must lie inside domain")
         if data:
             raise ValidationError(field, f"unexpected keys {sorted(data)}")
+        _owned(field, numerov_grid, spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
+               spec.ic_at)
         return spec
     raise ValidationError(f"{field}.source", f"unknown source {source!r}")
 
@@ -309,15 +269,13 @@ def parse_scenario(text: str) -> Scenario:
     phys = _as_dict(sections["physics"])
     if set(phys) != {"hbar", "mass"}:
         raise ValidationError("physics", "needs exactly hbar = ... and mass = ...")
-    hbar = _float(phys["hbar"], "physics.hbar")
-    mass = _float(phys["mass"], "physics.mass")
-    if hbar <= 0 or mass <= 0:
-        raise ValidationError("physics", "hbar and mass must be positive")
+    hbar = check_positive(_float(phys["hbar"], "physics.hbar"), "physics.hbar")
+    mass = check_positive(_float(phys["mass"], "physics.mass"), "physics.mass")
 
     pot = _as_dict(sections["potential"])
     if set(pot) != set(AXES):
         raise ValidationError("potential", f"needs exactly the axes {AXES}")
-    potentials = tuple(_parse_potential_value(pot[ax], f"potential.{ax}") for ax in AXES)
+    potentials = tuple(_parse_potential_value(pot[ax], f"potential.{ax}", mass) for ax in AXES)
 
     solutions = []
     for i, ax in enumerate(AXES):
@@ -343,8 +301,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError("action", "needs exactly a = ... and b = ...")
     a = _float(actd["a"], "action.a")
     b = _float(actd["b"], "action.b")
-    if a == 0.0:
-        raise ValidationError("action.a", "must be nonzero")
+    _owned("action.a", check_mixing, a, b)  # b is finite, so only a can break the rule
 
     verify = VerifySpec()
     if "verify" in sections:
@@ -374,12 +331,13 @@ def parse_scenario(text: str) -> Scenario:
             kwargs["r0"] = parse_point(t.pop("r0"), "trajectory.r0")
         for key in ("t_end", "rel_tol", "abs_tol", "max_step", "singularity_eps"):
             if key in t:
-                kwargs[key] = _float(t.pop(key), f"trajectory.{key}")
+                name = f"trajectory.{key}"
+                value = _float(t.pop(key), name, inf_ok=key == "max_step")
+                # max_step = inf, the default, means no step limit
+                kwargs[key] = value if value == math.inf else check_positive(value, name)
         if t:
             raise ValidationError("trajectory", f"unexpected keys {sorted(t)}")
         trajectory = TrajectorySpec(**kwargs)
-        for key in ("t_end", "rel_tol", "abs_tol", "max_step", "singularity_eps"):
-            check_positive(getattr(trajectory, key), f"trajectory.{key}")
 
     metric_points = ()
     if "metric" in sections:
@@ -411,19 +369,21 @@ def parse_point_list(value, field="points"):
 # Serialization (canonical form; parse(serialize(s)) == s)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x) -> str:
+    """A float, or a tuple of floats comma-separated, at full precision."""
+    return ", ".join(_fmt(v) for v in x) if isinstance(x, tuple) else repr(float(x))
+
+
+def _fmt_fields(spec) -> list[str]:
+    return [f"{f.name} = {_fmt(getattr(spec, f.name))}" for f in dataclasses.fields(spec)
+            if getattr(spec, f.name) is not None]
 
 
 def _fmt_potential(spec: PotentialSpec) -> str:
     if not spec.params:
         return spec.kind
-    parts = []
-    for key, val in spec.params:
-        if isinstance(val, tuple):
-            parts.append(f"{key} = " + " ".join(_fmt(v) for v in val))
-        else:
-            parts.append(f"{key} = {_fmt(val)}")
+    parts = [f"{key} = " + (" ".join(_fmt(v) for v in val) if isinstance(val, tuple) else _fmt(val))
+             for key, val in spec.params]
     return f"{spec.kind}(" + ", ".join(parts) + ")"
 
 
@@ -441,41 +401,19 @@ def serialize_scenario(s: Scenario) -> str:
         lines.append(f"[solutions.{ax}]")
         if isinstance(spec, CatalogSpec):
             lines.append(f"source = catalog:{spec.entry}")
-            for key, val in spec.params:
-                lines.append(f"{key} = {_fmt(val)}")
+            lines += [f"{key} = {_fmt(val)}" for key, val in spec.params]
         else:
-            lines.append("source = numerov")
-            lines.append(f"e_axis = {_fmt(spec.e_axis)}")
-            lines.append(f"domain = {_fmt(spec.domain[0])}, {_fmt(spec.domain[1])}")
-            lines.append(f"step = {_fmt(spec.step)}")
-            lines.append(f"ic1 = {_fmt(spec.ic1[0])}, {_fmt(spec.ic1[1])}")
-            lines.append(f"ic2 = {_fmt(spec.ic2[0])}, {_fmt(spec.ic2[1])}")
-            if spec.ic_at is not None:
-                lines.append(f"ic_at = {_fmt(spec.ic_at)}")
+            lines += ["source = numerov", *_fmt_fields(spec)]
         lines.append("")
     lines += ["[field]", f"theta = {_fmt_terms(s.theta_terms)}", f"phi = {_fmt_terms(s.phi_terms)}", ""]
     lines += ["[action]", f"a = {_fmt(s.a)}", f"b = {_fmt(s.b)}", ""]
     v = s.verify
-    lines.append("[verify]")
-    lines.append("grid = " + ", ".join(str(g) for g in v.grid))
-    for ax, (lo, hi) in zip(AXES, v.bounds):
-        lines.append(f"{ax} = {_fmt(lo)}, {_fmt(hi)}")
-    lines.append(f"qshje_tol = {_fmt(v.qshje_tol)}")
-    lines.append(f"continuity_tol = {_fmt(v.continuity_tol)}")
-    lines.append(f"wronskian_tol = {_fmt(v.wronskian_tol)}")
-    lines.append("")
-    t = s.trajectory
-    lines.append("[trajectory]")
-    lines.append("r0 = " + ", ".join(_fmt(c) for c in t.r0))
-    lines.append(f"t_end = {_fmt(t.t_end)}")
-    lines.append(f"rel_tol = {_fmt(t.rel_tol)}")
-    lines.append(f"abs_tol = {_fmt(t.abs_tol)}")
-    lines.append(f"max_step = {_fmt(t.max_step)}")
-    lines.append(f"singularity_eps = {_fmt(t.singularity_eps)}")
+    lines += ["[verify]", "grid = " + ", ".join(str(g) for g in v.grid)]
+    lines += [f"{ax} = {_fmt(bounds)}" for ax, bounds in zip(AXES, v.bounds)]
+    lines += _fmt_fields(v)[2:]  # the tolerances
+    lines += ["", "[trajectory]", *_fmt_fields(s.trajectory)]
     if s.metric_points:
-        lines.append("")
-        lines.append("[metric]")
-        lines.append("points = " + "; ".join(", ".join(_fmt(c) for c in p) for p in s.metric_points))
+        lines += ["", "[metric]", "points = " + "; ".join(_fmt(p) for p in s.metric_points)]
     return "\n".join(lines) + "\n"
 
 
@@ -483,32 +421,19 @@ def serialize_scenario(s: Scenario) -> str:
 # Builders: Scenario -> live objects
 # ---------------------------------------------------------------------------
 
-def build_axis_potential(spec: PotentialSpec, mass: float):
-    params = dict(spec.params)
-    if spec.kind == "free":
-        return Free()
-    if spec.kind == "harmonic":
-        return HarmonicOscillator(omega=params["omega"], mass=mass)
-    if spec.kind == "linear":
-        return LinearRamp(slope=params["slope"])
-    return Tabulated(grid=params["grid"], values=params["values"])
-
-
 def build_potential(s: Scenario) -> SeparablePotential:
-    return SeparablePotential(*(build_axis_potential(p, s.mass) for p in s.potentials))
+    return SeparablePotential(*(axis_potential(p.kind, dict(p.params), s.mass) for p in s.potentials))
 
 
 def build_field(s: Scenario):
     pairs = []
-    for i, ax in enumerate(AXES):
-        spec = s.solutions[i]
+    for ax, spec, potential in zip(AXES, s.solutions, build_potential(s).axes):
         if isinstance(spec, CatalogSpec):
             pairs.append(solve_axis_analytic(spec.entry, dict(spec.params),
                                              m0=s.mass, hbar=s.hbar, axis=ax))
         else:
             pairs.append(solve_axis_numerov(
-                build_axis_potential(s.potentials[i], s.mass),
-                spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
+                potential, spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
                 m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at,
             ))
     return assemble_field(pairs, s.theta_terms, s.phi_terms)

@@ -35,12 +35,15 @@ from .errors import (
     ProportionalSolutions,
     UnknownCatalogEntry,
 )
-from .potentials import AXES, EPS, AxisPotential, Free, SeparablePotential
+from .potentials import AXES, EPS, FULL_LINE, AxisPotential, Free, SeparablePotential, check_finite
 
 SELECTORS = ("u1", "u2")
 
 # Independence / activity probe threshold, in scenario units.
 PROBE_EPS = 1e-12
+
+# Largest Numerov grid; a node costs a few hundred bytes of tables.
+MAX_NUMEROV_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,54 @@ def wronskian(pair: AxisSolutionPair, x: float) -> float:
 # Analytic catalog
 # ---------------------------------------------------------------------------
 
-def _energy_check(e_axis, expected, kind):
-    if e_axis is None:
-        return expected
-    if abs(e_axis - expected) > 1e-12 * max(1.0, abs(expected)):
+def _free_wave(params):
+    k = check_finite(params["k"], "k")
+    if k == 0.0:
+        raise ValueError("k must be nonzero (use zero_energy_free)")
+    return k, FULL_LINE
+
+
+def _box_wave(params):
+    length = check_finite(params["L"], "L")
+    n = check_finite(params["n"], "n")
+    if not length > 0:
+        raise ValueError("L must be positive")
+    if n != int(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n}")
+    return int(n) * math.pi / length, (0.0, length)
+
+
+# Entry -> (parameter names, checked (wavenumber k, domain) from the
+# parameters). Every entry is free motion at E = (hbar k)^2 / 2 m0: free(k)
+# with (u1, u2) = (sin kx, cos kx), box(L, n) = free(n pi / L) restricted to
+# (0, L), and zero_energy_free (k = 0) with (1, x).
+CATALOG = {
+    "free": (("k",), _free_wave),
+    "zero_energy_free": ((), lambda params: (0.0, FULL_LINE)),
+    "box": (("L", "n"), _box_wave),
+}
+
+
+def _catalog_wave(kind, params):
+    if kind not in CATALOG:
+        raise UnknownCatalogEntry(f"no catalog entry named {kind!r}")
+    return CATALOG[kind][1](dict(params or {}))
+
+
+def catalog_energy(kind, params=None, e_axis=None, *, m0=1.0, hbar=1.0):
+    """Axis energy of a catalog entry, after checking the entry, its
+    parameters and, when given, agreement with a supplied e_axis.
+
+    Raises UnknownCatalogEntry, ValueError for an invalid parameter or a
+    non-finite energy, or InconsistentEnergy when e_axis conflicts."""
+    k, _ = _catalog_wave(kind, params)
+    try:
+        expected = (hbar * k) ** 2 / (2.0 * m0)
+    except OverflowError:
+        expected = math.inf
+    if not math.isfinite(expected):
+        raise ValueError(f"{kind}: energy (hbar k)^2 / 2 m0 is not finite")
+    if e_axis is not None and abs(e_axis - expected) > 1e-12 * max(1.0, abs(expected)):
         raise InconsistentEnergy(
             f"{kind}: E_axis={e_axis} conflicts with parameter value {expected}"
         )
@@ -135,39 +182,19 @@ def _energy_check(e_axis, expected, kind):
 
 
 def solve_axis_analytic(kind, params=None, e_axis=None, *, m0=1.0, hbar=1.0, axis="x"):
-    """Closed-form solution pair from the catalog.
-
-    Entries: free(k) with (u1, u2) = (sin kx, cos kx); zero_energy_free
-    with (1, x); box(L, n) = free(n*pi/L) restricted to (0, L).
-    """
-    params = dict(params or {})
-    if kind == "free":
-        k = float(params["k"])
-        if k == 0.0:
-            raise InconsistentEnergy("free: k must be nonzero (use zero_energy_free)")
-        energy = _energy_check(e_axis, (hbar * k) ** 2 / (2.0 * m0), "free")
-        return _trig_pair(k, energy, (-math.inf, math.inf), f"catalog:{kind}",
-                          m0=m0, hbar=hbar, axis=axis)
-    if kind == "zero_energy_free":
-        energy = _energy_check(e_axis, 0.0, "zero_energy_free")
-        one = lambda x: 1.0 + zeros_like(x)
-        u1 = AxisSolution(one, zeros_like, zeros_like)
-        u2 = AxisSolution(lambda x: x, one, zeros_like)
-        return AxisSolutionPair(
-            axis=axis, e_axis=energy, u1=u1, u2=u2, potential=Free(),
-            m0=m0, hbar=hbar, domain=(-math.inf, math.inf),
-            source="catalog:zero_energy_free", wronskian_ref=1.0,
-        )
-    if kind == "box":
-        length = float(params["L"])
-        n = int(params["n"])
-        if length <= 0 or n < 1:
-            raise InconsistentEnergy("box: need L > 0 and integer n >= 1")
-        k = n * math.pi / length
-        energy = _energy_check(e_axis, (hbar * k) ** 2 / (2.0 * m0), "box")
-        return _trig_pair(k, energy, (0.0, length), "catalog:box",
-                          m0=m0, hbar=hbar, axis=axis)
-    raise UnknownCatalogEntry(f"no catalog entry named {kind!r}")
+    """Closed-form solution pair of a CATALOG entry."""
+    energy = catalog_energy(kind, params, e_axis, m0=m0, hbar=hbar)
+    k, domain = _catalog_wave(kind, params)
+    source = f"catalog:{kind}"
+    if k != 0.0:
+        return _trig_pair(k, energy, domain, source, m0=m0, hbar=hbar, axis=axis)
+    one = lambda x: 1.0 + zeros_like(x)
+    u1 = AxisSolution(one, zeros_like, zeros_like)
+    u2 = AxisSolution(lambda x: x, one, zeros_like)
+    return AxisSolutionPair(
+        axis=axis, e_axis=energy, u1=u1, u2=u2, potential=Free(),
+        m0=m0, hbar=hbar, domain=domain, source=source, wronskian_ref=1.0,
+    )
 
 
 def _trig_pair(k, energy, domain, source, *, m0, hbar, axis):
@@ -225,7 +252,8 @@ def _numerov_fill(table, fvals, h, i0, overflow_limit, axis):
     """Run the three-point recurrence outward from i0 in both directions.
 
     table[i0] and the immediate neighbours present in the table must
-    already be seeded. w = 1 - (h^2/12) f is the Numerov weight. The
+    already be seeded. w = 1 - (h^2/12) f is the Numerov weight. A value
+    past overflow_limit, or NaN after an overflow, raises Overflow. The
     recurrence runs on Python lists, where one step costs less than numpy
     element access, and the table is written back once.
     """
@@ -235,11 +263,11 @@ def _numerov_fill(table, fvals, h, i0, overflow_limit, axis):
     p = (2.0 + (5.0 * h * h / 6.0) * fvals).tolist()
     for i in range(i0 + 1, n - 1):
         u[i + 1] = (p[i] * u[i] - w[i - 1] * u[i - 1]) / w[i + 1]
-        if abs(u[i + 1]) > overflow_limit:
+        if not abs(u[i + 1]) <= overflow_limit:
             raise Overflow(f"axis {axis}: |u| exceeded {overflow_limit:g} during Numerov sweep")
     for i in range(i0 - 1, 0, -1):
         u[i - 1] = (p[i] * u[i] - w[i + 1] * u[i + 1]) / w[i - 1]
-        if abs(u[i - 1]) > overflow_limit:
+        if not abs(u[i - 1]) <= overflow_limit:
             raise Overflow(f"axis {axis}: |u| exceeded {overflow_limit:g} during Numerov sweep")
     table[:] = u
 
@@ -256,6 +284,35 @@ def _five_point_derivative(u, h):
     return up
 
 
+def numerov_grid(e_axis, domain, step, ic1, ic2, ic_at=None):
+    """The argument rules of solve_axis_numerov, checked without running it
+    (ValueError, or DegenerateICs for parallel ICs). Returns x_lo, x_hi, the
+    number of intervals, the anchor node index and the ICs as floats."""
+    anchor = () if ic_at is None else (ic_at,)
+    if not all(math.isfinite(v) for v in (e_axis, *domain, step, *ic1, *ic2, *anchor)):
+        raise ValueError("e_axis, domain, step, ic1, ic2 and ic_at must be finite")
+    x_lo, x_hi = float(domain[0]), float(domain[1])
+    if not x_lo < x_hi:
+        raise ValueError("domain needs lo < hi")
+    if not step > 0.0:
+        raise ValueError("step must be positive")
+    steps = (x_hi - x_lo) / step
+    if steps < 16:
+        raise ValueError("domain must span at least 16 steps")
+    if not steps <= MAX_NUMEROV_STEPS:
+        raise ValueError(f"domain must span at most {MAX_NUMEROV_STEPS} steps")
+    if ic_at is not None and not x_lo <= ic_at <= x_hi:
+        raise ValueError("ic_at must lie inside the domain")
+    (v1, s1), (v2, s2) = (float(ic1[0]), float(ic1[1])), (float(ic2[0]), float(ic2[1]))
+    det = v1 * s2 - v2 * s1
+    scale = max(abs(v1), abs(s1), 1.0) * max(abs(v2), abs(s2), 1.0)
+    if abs(det) <= 1e-12 * scale:
+        raise DegenerateICs("ic1 and ic2 are parallel as (value, slope) vectors")
+    n_int = int(round(steps))
+    i0 = 0 if ic_at is None else int(round((float(ic_at) - x_lo) / ((x_hi - x_lo) / n_int)))
+    return x_lo, x_hi, n_int, i0, (v1, s1), (v2, s2)
+
+
 def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
                        m0=1.0, hbar=1.0, axis="x", ic_at=None,
                        overflow_limit=1e300):
@@ -269,27 +326,9 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     The table stores (x, u, u') with u' from O(h^4) five-point stencils;
     off-grid values interpolate u and u' independently by cubic splines.
     """
-    x_lo, x_hi = float(domain[0]), float(domain[1])
-    if not (step > 0.0):
-        raise ValueError("step must be positive")
-    if (x_hi - x_lo) / step < 16:
-        raise ValueError("domain must span at least 16 steps")
-    (v1, s1), (v2, s2) = (float(ic1[0]), float(ic1[1])), (float(ic2[0]), float(ic2[1]))
-    det = v1 * s2 - v2 * s1
-    scale = max(abs(v1), abs(s1), 1.0) * max(abs(v2), abs(s2), 1.0)
-    if abs(det) <= 1e-12 * scale:
-        raise DegenerateICs("ic1 and ic2 are parallel as (value, slope) vectors")
-
-    n_int = int(round((x_hi - x_lo) / step))
+    x_lo, x_hi, n_int, i0, (v1, s1), (v2, s2) = numerov_grid(e_axis, domain, step, ic1, ic2, ic_at)
     h = (x_hi - x_lo) / n_int
     xs = np.linspace(x_lo, x_hi, n_int + 1)
-
-    if ic_at is None:
-        i0 = 0
-    else:
-        if not (x_lo <= ic_at <= x_hi):
-            raise ValueError("ic_at must lie inside the domain")
-        i0 = int(round((float(ic_at) - x_lo) / h))
 
     def coeff(x):
         return 2.0 * m0 / hbar**2 * (axis_potential(x) - e_axis)
@@ -370,13 +409,14 @@ class FieldSample:
     status: int
 
 
-def _normalize_terms(terms, which):
+def normalize_terms(terms, which):
+    """(coefficient, (sel_x, sel_y, sel_z)) tuples; ValueError for a
+    non-finite coefficient, selectors other than three of SELECTORS, or an
+    empty list."""
     out = []
     for entry in terms:
-        coef = float(entry[0])
+        coef = check_finite(entry[0], f"{which}: coefficient")
         sels = tuple(entry[1])
-        if not math.isfinite(coef):
-            raise ValueError(f"{which}: non-finite coefficient {coef}")
         if len(sels) != 3 or any(s not in SELECTORS for s in sels):
             raise ValueError(f"{which}: selectors must be three of {SELECTORS}, got {sels}")
         out.append((coef, sels))
@@ -470,8 +510,8 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms,
         if abs(pair.hbar - hbar) > 1e-15 or abs(pair.m0 - m0) > 1e-15:
             raise ValueError("all pairs must share hbar and m0")
 
-    theta_terms = _normalize_terms(theta_terms, "theta")
-    phi_terms = _normalize_terms(phi_terms, "phi")
+    theta_terms = normalize_terms(theta_terms, "theta")
+    phi_terms = normalize_terms(phi_terms, "phi")
 
     probe = sparse_grid([p.probe_interval() for p in pairs], (probe_points,) * 3)
     cache, _, _ = _axis_eval(pairs, probe)

@@ -15,6 +15,7 @@ from qhj3d import (
     sample,
     solve_axis_analytic,
 )
+from qhj3d.hj_core import check_mixing
 
 from conftest import make_box_field, make_field_2d, zero_pair
 
@@ -28,6 +29,12 @@ mixings = st.tuples(
 def test_a_zero_rejected(free_field):
     with pytest.raises(ValueError):
         ReducedActionField(free_field, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (math.nan, 1.0), (math.inf, 0.0), (1.0, math.nan)])
+def test_check_mixing_rejects(a, b):
+    with pytest.raises(ValueError):
+        check_mixing(a, b)
 
 
 def test_sample_classical_gauge(free_action_a1):

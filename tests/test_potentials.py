@@ -11,6 +11,7 @@ from qhj3d.potentials import (
     LinearRamp,
     SeparablePotential,
     Tabulated,
+    axis_potential,
     evaluate,
 )
 
@@ -110,3 +111,27 @@ def test_axis_potentials_are_array_generic():
             assert type(f(0.5)) is float
     with pytest.raises(OutOfDomain):
         pots[-1](np.array([0.0, 2.5]))
+
+
+def test_axis_potential_by_kind():
+    assert axis_potential("free", {}) == Free()
+    assert axis_potential("harmonic", {"omega": 2.0}, mass=3.0) == HarmonicOscillator(omega=2.0, mass=3.0)
+    assert axis_potential("linear", {"slope": -0.5}) == LinearRamp(slope=-0.5)
+    tab = axis_potential("tabulated", {"grid": (0.0, 1.0, 2.0, 3.0), "values": (0.0, 1.0, 4.0, 9.0)})
+    assert tab.domain == (0.0, 3.0)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("morse", {}),
+    ("free", {"k": 1.0}),
+    ("harmonic", {}),
+    ("harmonic", {"omega": 1.0, "slope": 1.0}),
+    ("harmonic", {"omega": math.inf}),
+    ("harmonic", {"omega": (1.0, 2.0)}),
+    ("linear", {"slope": math.nan}),
+    ("tabulated", {"grid": (0.0, 1.0, math.nan, 3.0), "values": (0.0, 0.0, 0.0, 0.0)}),
+    ("tabulated", {"grid": 1.0, "values": 1.0}),
+])
+def test_axis_potential_rejects(kind, params):
+    with pytest.raises(ValueError):
+        axis_potential(kind, params)

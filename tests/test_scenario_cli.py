@@ -10,6 +10,7 @@ from qhj3d.cli import CSV_HEADER, main, run_metric, run_trajectory, run_verify
 from qhj3d.scenario import (
     CatalogSpec,
     NumerovSpec,
+    build_action,
     parse_scenario,
     serialize_scenario,
 )
@@ -104,6 +105,12 @@ def test_roundtrip_all_shipped_scenarios():
         text = open(scenario_path(name)).read()
         s = parse_scenario(text)
         assert parse_scenario(serialize_scenario(s)) == s
+
+
+def test_scenario_energy_is_the_built_field_energy():
+    for name in os.listdir(SCENARIOS):
+        s = parse_scenario(open(scenario_path(name)).read())
+        assert s.energy == build_action(s).e
 
 
 def test_numerov_scenario_spec_fields():
@@ -255,10 +262,55 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_cli_validation_exit_two(tmp_path, capsys):
+@pytest.mark.parametrize("name, old, new, field", [
+    ("free_a2.scn", "a = 2.0", "a = 0.0", "action.a"),
+    ("box.scn", "n = 1", "n = 2.5", "solutions.x"),
+    ("box.scn", "n = 1", "n = 0", "solutions.x"),
+    ("box.scn", "L = 20.0", "L = -1", "solutions.x"),
+    ("free_a2.scn", "k = 1.0", "k = 0", "solutions.x"),
+    ("free_a2.scn", "k = 1.0", "k = 1e300", "solutions.x"),
+    ("free_a2.scn", "source = catalog:zero_energy_free", "source = catalog:zero_energy_free\ne_axis = 0.1",
+     "solutions.y"),
+    ("harmonic_numerov.scn", "step = 1e-3", "step = 1.0", "solutions.x"),
+    ("harmonic_numerov.scn", "step = 1e-3", "step = 1e-300", "solutions.x"),
+    ("harmonic_numerov.scn", "domain = -4, 4", "domain = -inf, 4", "solutions.x.domain"),
+    ("harmonic_numerov.scn", "ic_at = 0", "ic_at = 5", "solutions.x"),
+    ("harmonic_numerov.scn", "ic2 = 0, 1", "ic2 = 2, 0", "solutions.x"),
+    ("harmonic_numerov.scn", "e_axis = 0.5", "e_axis = nan", "solutions.x.e_axis"),
+    ("harmonic_numerov.scn", "ic1 = 1, 0", "ic1 = nan, 0", "solutions.x.ic1"),
+    ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "harmonic(omega = inf)", "potential.x.omega"),
+    ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "harmonic(omega = 0)", "potential.x"),
+    ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "linear(slope = nan)", "potential.x.slope"),
+    ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "tabulated(grid = 0 1 1 2, values = 0 0 0 0)",
+     "potential.x"),
+    ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "harmonic(slope = 1.0)", "potential.x"),
+    ("harmonic_numerov.scn", "a = 1.5", "a = nan", "action.a"),
+    ("harmonic_numerov.scn", "a = 1.5", "a = inf", "action.a"),
+    ("free_a2.scn", "theta = 1.0 *", "theta = nan *", "field.theta"),
+    ("free_a2.scn", "theta = 1.0 * u1", "theta = 1.0 * u3", "field.theta"),
+    ("free_a2.scn", "hbar = 1.0", "hbar = inf", "physics.hbar"),
+    ("free_a2.scn", "mass = 1.0", "mass = nan", "physics.mass"),
+    ("box.scn", "x = 1, 19", "x = 1, inf", "verify.x"),
+    ("harmonic_numerov.scn", "qshje_tol = 1e-5", "qshje_tol = nan", "verify.qshje_tol"),
+    ("harmonic_numerov.scn", "qshje_tol = 1e-5", "qshje_tol = inf", "verify.qshje_tol"),
+    ("box.scn", "t_end = 5.0", "t_end = inf", "trajectory.t_end"),
+    ("box.scn", "points = 5, 0, 0", "points = nan, 0, 0", "metric.points"),
+], ids=["a-zero", "box-n-fractional", "box-n-zero", "box-L-negative", "free-k-zero",
+        "free-energy-overflow", "e-axis-conflict", "numerov-too-few-steps", "numerov-too-many-steps",
+        "numerov-domain-inf", "numerov-ic-at-outside", "numerov-parallel-ics", "numerov-e-axis-nan",
+        "numerov-ic1-nan", "omega-inf", "omega-zero", "slope-nan", "tabulated-not-ascending",
+        "potential-wrong-parameter", "a-nan", "a-inf", "coefficient-nan", "selector-unknown",
+        "hbar-inf", "mass-nan", "verify-bound-inf", "tolerance-nan", "tolerance-inf", "t-end-inf",
+        "metric-point-nan"])
+def test_cli_validation_exit_two(name, old, new, field, tmp_path, capsys):
+    """A broken rule exits 2 naming its field, before any file is written."""
+    text = open(scenario_path(name)).read()
+    assert old in text
     bad = tmp_path / "bad.scn"
-    bad.write_text(MINIMAL.replace("a = 2.0", "a = 0.0"))
-    assert main(["verify", str(bad)]) == 2
+    bad.write_text(text.replace(old, new, 1))
+    assert main(["verify", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+    assert f"scenario error: {field}:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.scn"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -267,13 +319,35 @@ def test_cli_validation_exit_two(tmp_path, capsys):
     (["verify", "free_a2.scn", "--grid", "1,1,1"], "--grid"),
     (["trajectory", "free_a2.scn", "--t-end", "-1"], "--t-end"),
     (["trajectory", "free_a2.scn", "--r0", "1,2,x"], "--r0"),
-], ids=["grid-not-numbers", "grid-zero", "grid-one", "t-end-negative", "r0-not-a-number"])
+    (["verify", "free_a2.scn", "--grid", "inf,2,2"], "--grid"),
+    (["trajectory", "free_a2.scn", "--t-end", "inf"], "--t-end"),
+    (["trajectory", "harmonic_numerov.scn", "--t-end", "inf"], "--t-end"),
+    (["trajectory", "free_a2.scn", "--t-end", "nan"], "--t-end"),
+    (["trajectory", "free_a2.scn", "--r0", "nan,0,0"], "--r0"),
+    (["metric", "free_a2.scn", "--at", "0,0,0;inf,0,0"], "--at"),
+], ids=["grid-not-numbers", "grid-zero", "grid-one", "t-end-negative", "r0-not-a-number",
+        "grid-inf", "t-end-inf", "t-end-inf-numerov", "t-end-nan", "r0-nan", "at-inf"])
 def test_cli_bad_override_exit_two(argv, flag, tmp_path, capsys):
     command, name, *rest = argv
     code = main([command, scenario_path(name), *rest, "--out", str(tmp_path / "out")])
     assert code == 2
     assert flag in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("old, new", [
+    ("hbar = 1.0", "hbar = 1e300"),
+    ("hbar = 1.0", "hbar = 1e-300"),
+    ("e_axis = 0.5", "e_axis = 1e100"),
+], ids=["hbar-huge", "hbar-tiny", "e-axis-huge"])
+def test_cli_overflow_exit_three(old, new, tmp_path, capsys):
+    """Finite but extreme numbers pass every rule and overflow while the
+    field is built: a numerical failure, not a traceback."""
+    bad = tmp_path / "bad.scn"
+    bad.write_text(open(scenario_path("harmonic_numerov.scn")).read().replace(old, new, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", str(bad), "--out", str(tmp_path / "r.json")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_four(capsys):

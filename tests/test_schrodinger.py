@@ -18,7 +18,7 @@ from qhj3d import (
     wronskian,
 )
 from qhj3d.potentials import Free, HarmonicOscillator, LinearRamp
-from qhj3d.schrodinger import _numerov_fill
+from qhj3d.schrodinger import MAX_NUMEROV_STEPS, _numerov_fill, catalog_energy, numerov_grid
 
 from conftest import make_field_2d, make_free_field, zero_pair
 
@@ -59,6 +59,28 @@ def test_box_catalog():
 def test_unknown_catalog_entry():
     with pytest.raises(UnknownCatalogEntry):
         solve_axis_analytic("morse", {"d": 1.0})
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("free", {"k": 0.0}),
+    ("free", {"k": math.nan}),
+    ("free", {"k": 1e300}),
+    ("box", {"L": 3.0, "n": 2.5}),
+    ("box", {"L": 3.0, "n": 0}),
+    ("box", {"L": -1.0, "n": 1}),
+    ("box", {"L": math.inf, "n": 1}),
+])
+def test_catalog_rejects_parameters(kind, params):
+    with pytest.raises(ValueError):
+        catalog_energy(kind, params)
+    with pytest.raises(ValueError):
+        solve_axis_analytic(kind, params)
+
+
+def test_catalog_energy_is_the_pair_energy():
+    for kind, params in (("free", {"k": 1.3}), ("zero_energy_free", {}), ("box", {"L": 3.0, "n": 2})):
+        pair = solve_axis_analytic(kind, params, m0=1.7, hbar=0.9)
+        assert catalog_energy(kind, params, m0=1.7, hbar=0.9) == pair.e_axis
 
 
 def test_inconsistent_energy():
@@ -148,6 +170,27 @@ def test_catalog_ode_residual_exact():
 def test_numerov_degenerate_ics():
     with pytest.raises(DegenerateICs):
         solve_axis_numerov(Free(), 0.5, (0.0, 10.0), 1e-3, (1.0, 1.0), (2.0, 2.0))
+
+
+def test_numerov_grid_checks_arguments():
+    assert numerov_grid(0.5, (-4.0, 4.0), 1e-3, (1.0, 0.0), (0.0, 1.0), 0.0) == \
+        (-4.0, 4.0, 8000, 4000, (1.0, 0.0), (0.0, 1.0))
+    good = dict(e_axis=0.5, domain=(-4.0, 4.0), step=1e-3, ic1=(1.0, 0.0), ic2=(0.0, 1.0), ic_at=0.0)
+    for change in ({"e_axis": math.nan}, {"domain": (-math.inf, 4.0)}, {"domain": (4.0, -4.0)},
+                   {"step": 0.0}, {"step": 1.0}, {"step": 8.0 / (2 * MAX_NUMEROV_STEPS)},
+                   {"ic1": (math.nan, 0.0)}, {"ic_at": 5.0}):
+        with pytest.raises(ValueError):
+            numerov_grid(**{**good, **change})
+    with pytest.raises(DegenerateICs):
+        numerov_grid(**{**good, "ic2": (2.0, 0.0)})
+
+
+def test_numerov_overflow_to_nan_raises_overflow():
+    """A huge energy drives the seed and the sweep through inf to NaN, which
+    is an overflow too rather than a table the splines refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Overflow):
+            solve_axis_numerov(Free(), 1e100, (0.0, 1.0), 0.01, (1.0, 0.0), (0.0, 1.0))
 
 
 def test_numerov_overflow_in_forbidden_region():
