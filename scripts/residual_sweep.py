@@ -32,7 +32,8 @@ def main():
     ap.add_argument("--out", default="mixing_sweep.csv")
     args = ap.parse_args()
 
-    scenario = parse_scenario(open(args.scenario).read())
+    with open(args.scenario) as handle:
+        scenario = parse_scenario(handle.read())
     field = build_field(scenario)
     grid = sparse_grid(scenario.verify.bounds, (args.n,) * 3)
 

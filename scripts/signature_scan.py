@@ -29,7 +29,8 @@ def main():
     ap.add_argument("--n", type=int, default=41)
     args = ap.parse_args()
 
-    scenario = parse_scenario(open(args.scenario).read())
+    with open(args.scenario) as handle:
+        scenario = parse_scenario(handle.read())
     action = build_action(scenario)
     bounds = dict(zip("xyz", scenario.verify.bounds))
     ax1, ax2 = args.plane

@@ -24,7 +24,8 @@ def main():
     ap.add_argument("--outdir", default="portrait")
     args = ap.parse_args()
 
-    scenario = parse_scenario(open(args.scenario).read())
+    with open(args.scenario) as handle:
+        scenario = parse_scenario(handle.read())
     os.makedirs(args.outdir, exist_ok=True)
     r0 = np.array(scenario.trajectory.r0)
 

@@ -4,7 +4,6 @@ from .errors import (
     ClassicalTurningPoint,
     DegenerateICs,
     InconsistentEnergy,
-    InconsistentInitialVelocity,
     NodalPoint,
     NodeSingularity,
     NonRiemannianPoint,

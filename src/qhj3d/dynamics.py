@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InconsistentInitialVelocity,
-    NodalPoint,
-    NodeSingularity,
-    OutOfDomain,
-)
+from .errors import NodalPoint, NodeSingularity, OutOfDomain
 from .hj_core import ReducedActionField, sample, _require_1d
 from .metric import a_upper_from_sample, metric_at
 from .potentials import evaluate as evaluate_potential
@@ -171,10 +166,9 @@ def _event_margin(action, r, eps):
 
 
 def _classify_event(action, r):
-    try:
-        s = sample(action, r)
-    except NodalPoint:
-        return "amplitude"
+    """Which margin ran out at r, a point the right-hand side has just
+    evaluated (so sampling it succeeds)."""
+    s = sample(action, r)
     momenta = [abs(s.grad_s0[mu]) for mu in range(3) if action.field.active_axes[mu]]
     return "amplitude" if s.amplitude <= min(momenta) else "node"
 
@@ -293,8 +287,7 @@ def integrate_first_order(action: ReducedActionField, r0, config: IntegratorConf
     )
 
 
-def integrate_second_order(action: ReducedActionField, r0, config: IntegratorConfig,
-                           v0=None) -> Trajectory:
+def integrate_second_order(action: ReducedActionField, r0, config: IntegratorConfig) -> Trajectory:
     """Integrate the Euler-Lagrange equations as a 6D first-order system.
 
     The initial velocity is pinned to the velocity field (the law of motion
@@ -302,15 +295,7 @@ def integrate_second_order(action: ReducedActionField, r0, config: IntegratorCon
     step 1e-6 times the field's length scale.
     """
     r0 = np.asarray(r0, dtype=float)
-    v_field = velocity_field(action, r0)
-    if v0 is None:
-        v0 = v_field
-    else:
-        v0 = np.asarray(v0, dtype=float)
-        if float(np.max(np.abs(v0 - v_field))) > 1e-9:
-            raise InconsistentInitialVelocity(
-                f"supplied v0 {tuple(v0)} differs from velocity field {tuple(v_field)}"
-            )
+    v0 = velocity_field(action, r0)
 
     m0 = action.m0
     active = action.field.active_axes

@@ -76,10 +76,6 @@ class NonRiemannianPoint(QhjError):
         super().__init__(message or f"signature {sig} admits no real transformation")
 
 
-class InconsistentInitialVelocity(QhjError):
-    """Caller-supplied v0 disagrees with the velocity field at r0."""
-
-
 class ScenarioError(QhjError):
     """Base for scenario-file problems."""
 

@@ -28,6 +28,13 @@ from .schrodinger import FieldSample, SolutionField3D, evaluate_field
 
 NODAL_EPS = 1e-12
 
+# A 1D formula that divides by S0' raises ZeroConjugateMomentum when |S0'|
+# falls below this (s0_derivatives_1d scales it by the momentum scale).
+MOMENTUM_EPS = 1e-12
+
+# Central-difference step of the divergence mode of the continuity check.
+DIVERGENCE_STEP = 1e-5
+
 
 def check_mixing(a: float, b: float) -> None:
     """The mixing constants must be finite, and a nonzero: a = 0 makes S0
@@ -178,13 +185,12 @@ def continuity_identity_from_sample(action: ReducedActionField, s: ActionSample)
     return _defined(s, worst)
 
 
-def continuity_identity_residual(action: ReducedActionField, r, mode="identity",
-                                 fd_step=1e-5) -> float:
+def continuity_identity_residual(action: ReducedActionField, r, mode="identity") -> float:
     """Residual of the continuity law R^2 grad S0 = hbar a (phi grad theta - theta grad phi).
 
     identity mode compares the two closed forms componentwise (guards
     against implementation drift; zero up to rounding). divergence mode
-    checks div(R^2 grad S0) = 0 by central differences with the given step;
+    checks div(R^2 grad S0) = 0 by central differences (DIVERGENCE_STEP);
     over arrays it reads NaN where any shifted sample is undefined.
     """
     if mode == "identity":
@@ -195,13 +201,13 @@ def continuity_identity_residual(action: ReducedActionField, r, mode="identity",
         status = OK
         for mu in range(3):
             flux = []
-            for step in (fd_step, -fd_step):
+            for step in (DIVERGENCE_STEP, -DIVERGENCE_STEP):
                 shifted = list(coords)
                 shifted[mu] = coords[mu] + step
                 s = sample(action, shifted)
                 status = where(status == OK, s.status, status)
                 flux.append(s.amplitude**2 * s.grad_s0[mu])
-            div = div + (flux[0] - flux[1]) / (2.0 * fd_step)
+            div = div + (flux[0] - flux[1]) / (2.0 * DIVERGENCE_STEP)
         return where(status == OK, abs(div), math.nan)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -219,8 +225,7 @@ def _flat_axis_reference(field: SolutionField3D) -> tuple[float, float]:
     return refs[0], refs[1]
 
 
-def s0_derivatives_1d(action: ReducedActionField, x: float,
-                      momentum_eps: float = 1e-12):
+def s0_derivatives_1d(action: ReducedActionField, x: float):
     """(S0', S0'', S0''') along x for a field varying along x only.
 
     Uses S0' = hbar W / g with W = phi theta'_x - theta' phi_x and
@@ -243,7 +248,7 @@ def s0_derivatives_1d(action: ReducedActionField, x: float,
     hbar = action.hbar
     s1 = hbar * w / g
     scale = math.sqrt(2.0 * action.m0 * abs(action.e)) if action.e != 0.0 else 1.0
-    if abs(s1) < momentum_eps * max(1.0, scale):
+    if abs(s1) < MOMENTUM_EPS * max(1.0, scale):
         raise ZeroConjugateMomentum(f"S0' = {s1:.3e} at x = {x}")
     gp = 2.0 * (tp * tpx + ph * phx)
     gpp = 2.0 * (tpx * tpx + tp * tpxx + phx * phx + ph * phxx)

@@ -23,7 +23,7 @@ from .errors import (
     NonRiemannianPoint,
     ZeroConjugateMomentum,
 )
-from .hj_core import ReducedActionField, s0_derivatives_1d, sample, _flat_axis_reference, _require_1d
+from .hj_core import MOMENTUM_EPS, ReducedActionField, s0_derivatives_1d, sample, _flat_axis_reference, _require_1d
 from .potentials import evaluate as evaluate_potential
 
 NODE_EPS = 1e-12
@@ -54,7 +54,7 @@ class JacobianMatrix:
     entries: np.ndarray
 
 
-def a_upper_from_sample(action: ReducedActionField, s, node_eps: float = NODE_EPS):
+def a_upper_from_sample(action: ReducedActionField, s):
     """Diagonal a^{mumu} from an ActionSample, as an (x, y, z) tuple like
     s.grad_s0, and the sample's status with NODE_SINGULAR added.
 
@@ -70,8 +70,8 @@ def a_upper_from_sample(action: ReducedActionField, s, node_eps: float = NODE_EP
     for mu in range(3):
         ds = s.grad_s0[mu]
         corr = hbar2 * s.hessian_r_diag[mu] / s.amplitude
-        moving = abs(ds) >= node_eps
-        flat = abs(corr) <= node_eps * p_scale
+        moving = abs(ds) >= NODE_EPS
+        flat = abs(corr) <= NODE_EPS * p_scale
         singular = where(moving | flat, False, True)
         if at_point(status) and singular:
             raise NodeSingularity(mu, f"d_{'xyz'[mu]} S0 = {ds:.3e} with nonzero quantum correction")
@@ -85,10 +85,10 @@ def signature_chars(a_upper) -> tuple:
     return tuple(where(a > 0, "+", where(a < 0, "-", "0")) for a in a_upper)
 
 
-def metric_at(action: ReducedActionField, r, node_eps: float = NODE_EPS) -> QuantumMetric:
+def metric_at(action: ReducedActionField, r) -> QuantumMetric:
     """Diagonal quantum metric at the point r."""
     s = sample(action, r)
-    a_upper, _ = a_upper_from_sample(action, s, node_eps)
+    a_upper, _ = a_upper_from_sample(action, s)
     signature = signature_chars(a_upper)
     a_upper = np.array(a_upper)
     with np.errstate(divide="ignore"):
@@ -127,10 +127,10 @@ def verify_transformation(jacobian: JacobianMatrix, metric: QuantumMetric) -> np
     return res
 
 
-def schwarzian_1d(s0_derivs, momentum_eps: float = 1e-12) -> float:
+def schwarzian_1d(s0_derivs) -> float:
     """{S0, x} = S0'''/S0' - (3/2)(S0''/S0')^2, standard convention."""
     s1, s2, s3 = s0_derivs
-    if abs(s1) < momentum_eps:
+    if abs(s1) < MOMENTUM_EPS:
         raise ZeroConjugateMomentum(f"S0' = {s1:.3e}")
     return s3 / s1 - 1.5 * (s2 / s1) ** 2
 

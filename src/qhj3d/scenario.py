@@ -171,11 +171,19 @@ def _int_list(value, field, count):
     return tuple(int(v) for v in vals)
 
 
+# Largest verify grid (100^3). verify holds about 310 bytes per point, so
+# the ceiling is about 0.3 GB.
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(value, field):
-    """NX,NY,NZ grid point counts, each at least 2."""
+    """NX,NY,NZ grid point counts, each at least 2, at most MAX_GRID_POINTS
+    points in all."""
     grid = _int_list(value, field, 3)
     if any(n < 2 for n in grid):
         raise ValidationError(field, "grid counts must be >= 2")
+    if math.prod(grid) > MAX_GRID_POINTS:
+        raise ValidationError(field, f"grid must have at most {MAX_GRID_POINTS:,} points (NX*NY*NZ)")
     return grid
 
 

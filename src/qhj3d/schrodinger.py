@@ -4,10 +4,11 @@ Every axis contributes two independent real solutions of
 
     u'' = (2 m0 / hbar^2) (V_axis(x) - E_axis) u,
 
-either from a small analytic catalog or from the Numerov recurrence. A 3D
-field is a pair of linear combinations of per-axis product terms, all at
-the same per-axis energies, so every term solves the 3D equation at
-E = sum(E_axis) and second derivatives are exact via the ODE identity.
+either from a small analytic catalog or from the Numerov recurrence, held
+together in one AxisSolution. A 3D field is a pair of linear combinations
+of per-axis product terms, all at the same per-axis energies, so every
+term solves the 3D equation at E = sum(E_axis) and second derivatives are
+exact via the ODE identity.
 
 Every evaluation here is array-generic (see arrays.py): at a point it takes
 and returns floats, and on arrays that broadcast together (one 1-D array
@@ -45,54 +46,61 @@ PROBE_EPS = 1e-12
 # Largest Numerov grid; a node costs a few hundred bytes of tables.
 MAX_NUMEROV_STEPS = 1_000_000
 
+# Numerov sweep guard on |u|; a larger value (or NaN) raises Overflow.
+OVERFLOW_LIMIT = 1e300
+
+# RK4 substeps per grid cell when seeding the anchor's neighbours.
+RK4_SUBSTEPS = 32
+
+# Points per axis of assemble_field's independence/activity probe grid.
+PROBE_POINTS = 5
+
+
+def _ode_factor(v, e_axis, m0, hbar):
+    """(2 m0/hbar^2)(v - E_axis) at the potential value v: the u''/u factor
+    that the field kernel and the Numerov recurrence both use."""
+    return 2.0 * m0 / hbar**2 * (v - e_axis)
+
 
 @dataclass(frozen=True)
 class AxisSolution:
-    """One real solution with value and first-derivative access.
+    """Both real solutions of one axis: value(x) is (u1, u2) and
+    derivative(x) is (u1', u2').
 
-    The second derivative always comes from the ODE identity
-    u'' = coeff(x) * u with coeff = (2 m0/hbar^2)(V - E), so it is exactly
-    consistent with the equation the solution satisfies -- never a double
-    finite difference.
+    Second derivatives are not stored: u'' = _ode_factor(V, E) * u, so they
+    are exactly consistent with the equation the solutions satisfy -- never
+    a double finite difference.
     """
 
-    _value: Callable[[float], float]
-    _derivative: Callable[[float], float]
-    _coeff: Callable[[float], float]
+    _value: Callable[[float], tuple]
+    _derivative: Callable[[float], tuple]
 
-    def value(self, x: float) -> float:
+    def value(self, x: float) -> tuple:
         return self._value(x)
 
-    def derivative(self, x: float) -> float:
+    def derivative(self, x: float) -> tuple:
         return self._derivative(x)
-
-    def second_derivative(self, x: float) -> float:
-        return self._coeff(x) * self.value(x)
 
 
 @dataclass(frozen=True)
 class AxisSolutionPair:
-    """Two independent solutions at a common axis energy.
-
-    wronskian_ref is u1*u2' - u2*u1' at the reference point (left domain
-    edge, or 0 for unbounded domains); constancy of the Wronskian over the
-    domain is the independence certificate.
-    """
+    """Two independent solutions (basis) at a common axis energy."""
 
     axis: str
     e_axis: float
-    u1: AxisSolution
-    u2: AxisSolution
+    basis: AxisSolution
     potential: AxisPotential
     m0: float
     hbar: float
     domain: tuple[float, float]
     source: str
-    wronskian_ref: float
 
-    def schrod_coeff(self, x: float) -> float:
-        """(2 m0/hbar^2) (V(x) - E_axis), the u''/u factor."""
-        return 2.0 * self.m0 / self.hbar**2 * (self.potential(x) - self.e_axis)
+    @property
+    def wronskian_ref(self) -> float:
+        """The Wronskian at the left domain edge, or at 0 on an unbounded
+        domain; its constancy over the domain certifies independence."""
+        lo = self.domain[0]
+        return wronskian(self, lo if math.isfinite(lo) else 0.0)
 
     def contains(self, x: float) -> bool:
         """Whether x lies in the axis domain and the potential's, up to
@@ -120,7 +128,8 @@ def wronskian(pair: AxisSolutionPair, x: float) -> float:
     """u1(x) u2'(x) - u2(x) u1'(x); constant over the domain in exact math."""
     if not all_true(pair.contains(x)):
         raise OutOfDomain(f"x={x} outside axis {pair.axis} domain {pair.domain}")
-    return pair.u1.value(x) * pair.u2.derivative(x) - pair.u2.value(x) * pair.u1.derivative(x)
+    (u1, u2), (d1, d2) = pair.basis.value(x), pair.basis.derivative(x)
+    return u1 * d2 - u2 * d1
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +194,15 @@ def solve_axis_analytic(kind, params=None, e_axis=None, *, m0=1.0, hbar=1.0, axi
     """Closed-form solution pair of a CATALOG entry."""
     energy = catalog_energy(kind, params, e_axis, m0=m0, hbar=hbar)
     k, domain = _catalog_wave(kind, params)
-    source = f"catalog:{kind}"
     if k != 0.0:
-        return _trig_pair(k, energy, domain, source, m0=m0, hbar=hbar, axis=axis)
-    one = lambda x: 1.0 + zeros_like(x)
-    u1 = AxisSolution(one, zeros_like, zeros_like)
-    u2 = AxisSolution(lambda x: x, one, zeros_like)
+        basis = AxisSolution(lambda x: (sin(k * x), cos(k * x)),
+                             lambda x: (k * cos(k * x), -k * sin(k * x)))
+    else:
+        one = lambda x: 1.0 + zeros_like(x)
+        basis = AxisSolution(lambda x: (one(x), x), lambda x: (zeros_like(x), one(x)))
     return AxisSolutionPair(
-        axis=axis, e_axis=energy, u1=u1, u2=u2, potential=Free(),
-        m0=m0, hbar=hbar, domain=domain, source=source, wronskian_ref=1.0,
-    )
-
-
-def _trig_pair(k, energy, domain, source, *, m0, hbar, axis):
-    coeff = lambda x: -k * k + zeros_like(x)  # (2m0/hbar^2)(0 - E) for E = (hbar k)^2/2m0
-    u1 = AxisSolution(lambda x: sin(k * x), lambda x: k * cos(k * x), coeff)
-    u2 = AxisSolution(lambda x: cos(k * x), lambda x: -k * sin(k * x), coeff)
-    return AxisSolutionPair(
-        axis=axis, e_axis=energy, u1=u1, u2=u2, potential=Free(),
-        m0=m0, hbar=hbar, domain=domain, source=source, wronskian_ref=-k,
+        axis=axis, e_axis=energy, basis=basis, potential=Free(),
+        m0=m0, hbar=hbar, domain=domain, source=f"catalog:{kind}",
     )
 
 
@@ -212,48 +211,51 @@ def _trig_pair(k, energy, domain, source, *, m0, hbar, axis):
 # ---------------------------------------------------------------------------
 
 class _TableEval:
-    """Cubic-spline evaluation over a Numerov table, with domain guard."""
+    """One cubic spline over two stacked Numerov columns, with domain guard;
+    a call returns the two interpolated columns."""
 
-    def __init__(self, spline, lo, hi):
-        self.spline = spline
-        self.lo = lo
-        self.hi = hi
-        self.eps = 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+    def __init__(self, xs, columns):
+        self.spline = CubicSpline(xs, np.stack(columns, axis=-1))
+        self.lo, self.hi = float(xs[0]), float(xs[-1])
+        self.eps = 4.0 * np.finfo(float).eps * max(1.0, abs(self.lo), abs(self.hi))
 
     def __call__(self, x):
         if not all_true((self.lo - self.eps <= x) & (x <= self.hi + self.eps)):
             raise OutOfDomain(f"x={x} outside Numerov table [{self.lo}, {self.hi}]")
-        return like(x, self.spline(x))
+        y = self.spline(x)
+        return like(x, y[..., 0]), like(x, y[..., 1])
 
 
-def _rk4_segment(coeff, x0, u, up, x1, nsub=32):
-    """March (u, u') across one grid cell with RK4 substeps.
+def _rk4_segment(factor, x0, u, up, x1):
+    """March (u, u') across one grid cell with RK4 substeps, where
+    factor(x) is the u''/u factor.
 
-    Only used to seed the neighbour of the anchor point; 32 substeps make
-    the seed error negligible against the Numerov truncation error.
+    Only used to seed the neighbour of the anchor point; RK4_SUBSTEPS
+    substeps make the seed error negligible against the Numerov truncation
+    error.
     """
-    h = (x1 - x0) / nsub
+    h = (x1 - x0) / RK4_SUBSTEPS
     x = x0
-    for _ in range(nsub):
-        k1u, k1p = up, coeff(x) * u
+    for _ in range(RK4_SUBSTEPS):
+        k1u, k1p = up, factor(x) * u
         k2u = up + 0.5 * h * k1p
-        k2p = coeff(x + 0.5 * h) * (u + 0.5 * h * k1u)
+        k2p = factor(x + 0.5 * h) * (u + 0.5 * h * k1u)
         k3u = up + 0.5 * h * k2p
-        k3p = coeff(x + 0.5 * h) * (u + 0.5 * h * k2u)
+        k3p = factor(x + 0.5 * h) * (u + 0.5 * h * k2u)
         k4u = up + h * k3p
-        k4p = coeff(x + h) * (u + h * k3u)
+        k4p = factor(x + h) * (u + h * k3u)
         u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         up = up + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         x += h
     return u, up
 
 
-def _numerov_fill(table, fvals, h, i0, overflow_limit, axis):
+def _numerov_fill(table, fvals, h, i0, axis):
     """Run the three-point recurrence outward from i0 in both directions.
 
     table[i0] and the immediate neighbours present in the table must
     already be seeded. w = 1 - (h^2/12) f is the Numerov weight. A value
-    past overflow_limit, or NaN after an overflow, raises Overflow. The
+    past OVERFLOW_LIMIT, or NaN after an overflow, raises Overflow. The
     recurrence runs on Python lists, where one step costs less than numpy
     element access, and the table is written back once.
     """
@@ -263,12 +265,12 @@ def _numerov_fill(table, fvals, h, i0, overflow_limit, axis):
     p = (2.0 + (5.0 * h * h / 6.0) * fvals).tolist()
     for i in range(i0 + 1, n - 1):
         u[i + 1] = (p[i] * u[i] - w[i - 1] * u[i - 1]) / w[i + 1]
-        if not abs(u[i + 1]) <= overflow_limit:
-            raise Overflow(f"axis {axis}: |u| exceeded {overflow_limit:g} during Numerov sweep")
+        if not abs(u[i + 1]) <= OVERFLOW_LIMIT:
+            raise Overflow(f"axis {axis}: |u| exceeded {OVERFLOW_LIMIT:g} during Numerov sweep")
     for i in range(i0 - 1, 0, -1):
         u[i - 1] = (p[i] * u[i] - w[i + 1] * u[i + 1]) / w[i - 1]
-        if not abs(u[i - 1]) <= overflow_limit:
-            raise Overflow(f"axis {axis}: |u| exceeded {overflow_limit:g} during Numerov sweep")
+        if not abs(u[i - 1]) <= OVERFLOW_LIMIT:
+            raise Overflow(f"axis {axis}: |u| exceeded {OVERFLOW_LIMIT:g} during Numerov sweep")
     table[:] = u
 
 
@@ -314,8 +316,7 @@ def numerov_grid(e_axis, domain, step, ic1, ic2, ic_at=None):
 
 
 def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
-                       m0=1.0, hbar=1.0, axis="x", ic_at=None,
-                       overflow_limit=1e300):
+                       m0=1.0, hbar=1.0, axis="x", ic_at=None):
     """Numerov solution pair for u'' = (2 m0/hbar^2)(V - E_axis) u.
 
     ic1 and ic2 are (value, slope) pairs anchored at ic_at (default: the
@@ -324,41 +325,34 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     into classically forbidden regions on either side.
 
     The table stores (x, u, u') with u' from O(h^4) five-point stencils;
-    off-grid values interpolate u and u' independently by cubic splines.
+    off-grid values come from two cubic splines, one over the stacked
+    (u1, u2) columns and one over (u1', u2').
     """
     x_lo, x_hi, n_int, i0, (v1, s1), (v2, s2) = numerov_grid(e_axis, domain, step, ic1, ic2, ic_at)
     h = (x_hi - x_lo) / n_int
     xs = np.linspace(x_lo, x_hi, n_int + 1)
 
-    def coeff(x):
-        return 2.0 * m0 / hbar**2 * (axis_potential(x) - e_axis)
-
-    fvals = coeff(xs)
+    factor = lambda x: _ode_factor(axis_potential(x), e_axis, m0, hbar)
+    fvals = factor(xs)
 
     tables = []
     for value, slope in ((v1, s1), (v2, s2)):
         u = np.zeros(n_int + 1)
         u[i0] = value
         if i0 + 1 <= n_int:
-            u[i0 + 1], _ = _rk4_segment(coeff, xs[i0], value, slope, xs[i0 + 1])
+            u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
         if i0 - 1 >= 0:
-            u[i0 - 1], _ = _rk4_segment(coeff, xs[i0], value, slope, xs[i0 - 1])
-        _numerov_fill(u, fvals, h, i0, overflow_limit, axis)
+            u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
+        _numerov_fill(u, fvals, h, i0, axis)
         tables.append(u)
 
-    sols = []
-    for u in tables:
-        up = _five_point_derivative(u, h)
-        val = _TableEval(CubicSpline(xs, u), x_lo, x_hi)
-        der = _TableEval(CubicSpline(xs, up), x_lo, x_hi)
-        sols.append(AxisSolution(val, der, coeff))
-
-    u1, u2 = sols
-    w_ref = u1.value(x_lo) * u2.derivative(x_lo) - u2.value(x_lo) * u1.derivative(x_lo)
+    basis = AxisSolution(
+        _TableEval(xs, tables),
+        _TableEval(xs, [_five_point_derivative(u, h) for u in tables]),
+    )
     return AxisSolutionPair(
-        axis=axis, e_axis=float(e_axis), u1=u1, u2=u2, potential=axis_potential,
+        axis=axis, e_axis=float(e_axis), basis=basis, potential=axis_potential,
         m0=m0, hbar=hbar, domain=(x_lo, x_hi), source="numerov",
-        wronskian_ref=w_ref,
     )
 
 
@@ -440,14 +434,12 @@ def _axis_eval(pairs, coords):
     for pair, x in zip(pairs, coords):
         ok = pair.contains(x)
         x = where(ok, x, pair.anchor)
-        c = pair.schrod_coeff(x)
-        v1 = pair.u1.value(x)
-        v2 = pair.u2.value(x)
-        cache.append({
-            "u1": (v1, pair.u1.derivative(x), c * v1),
-            "u2": (v2, pair.u2.derivative(x), c * v2),
-        })
-        v = v + pair.potential(x)
+        v_axis = pair.potential(x)
+        c = _ode_factor(v_axis, pair.e_axis, pair.m0, pair.hbar)
+        u1, u2 = pair.basis.value(x)
+        d1, d2 = pair.basis.derivative(x)
+        cache.append({"u1": (u1, d1, c * u1), "u2": (u2, d2, c * u2)})
+        v = v + v_axis
         inside = inside & ok
     return cache, v, inside
 
@@ -492,8 +484,7 @@ def evaluate_field(field: SolutionField3D, r) -> FieldSample:
     return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status)
 
 
-def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms,
-                   probe_points: int = 5) -> SolutionField3D:
+def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) -> SolutionField3D:
     """Build a 3D field and certify theta/phi independence on a probe grid.
 
     Raises ProportionalSolutions if max |phi grad(theta) - theta grad(phi)|
@@ -513,7 +504,7 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms,
     theta_terms = normalize_terms(theta_terms, "theta")
     phi_terms = normalize_terms(phi_terms, "phi")
 
-    probe = sparse_grid([p.probe_interval() for p in pairs], (probe_points,) * 3)
+    probe = sparse_grid([p.probe_interval() for p in pairs], (PROBE_POINTS,) * 3)
     cache, _, _ = _axis_eval(pairs, probe)
     th, gt, _ = _combine(theta_terms, cache)
     ph, gp, _ = _combine(phi_terms, cache)

@@ -240,14 +240,14 @@ def test_c9_schrodinger_backend():
     t0 = time.perf_counter()
     pair = solve_axis_numerov(Free(), 0.5, (0.0, 10.0), 1e-3, (1.0, 0.0), (0.0, 1.0))
     xs = np.linspace(0.0, 10.0, 501)
-    dev = max(max(abs(pair.u1.value(x) - math.cos(x)) for x in xs),
-              max(abs(pair.u2.value(x) - math.sin(x)) for x in xs))
+    dev = max(max(abs(pair.basis.value(x)[0] - math.cos(x)) for x in xs),
+              max(abs(pair.basis.value(x)[1] - math.sin(x)) for x in xs))
     assert dev < 1e-8
     drift = max(abs(wronskian(pair, x) - pair.wronskian_ref) for x in xs) / abs(pair.wronskian_ref)
     assert drift < 1e-9
     ho = HarmonicOscillator(omega=1.0, mass=1.0)
     ground = solve_axis_numerov(ho, 0.5, (-4.0, 4.0), 1e-3, (1.0, 0.0), (0.0, 1.0), ic_at=0.0)
-    rel = max(abs(ground.u1.value(x) / math.exp(-x * x / 2) - 1.0)
+    rel = max(abs(ground.basis.value(x)[0] / math.exp(-x * x / 2) - 1.0)
               for x in np.linspace(-3, 3, 601))
     assert rel < 1e-6
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhj3d import (
-    InconsistentInitialVelocity,
     IntegratorConfig,
     ReducedActionField,
     TrajectoryState,
@@ -186,18 +185,6 @@ def test_second_order_matches_first_2d():
     assert t1.termination.status == COMPLETED
     assert t2.termination.status == COMPLETED
     assert np.max(np.abs(t1.final_state.position - t2.final_state.position)) < 1e-5
-
-
-def test_second_order_rejects_inconsistent_v0(free_action_a2):
-    with pytest.raises(InconsistentInitialVelocity):
-        integrate_second_order(free_action_a2, (0.0, 0.0, 0.0), IntegratorConfig(t_end=1.0),
-                               v0=(0.6, 0.0, 0.0))
-
-
-def test_second_order_accepts_consistent_v0(free_action_a2):
-    v0 = velocity_field(free_action_a2, (0.0, 0.0, 0.0))
-    tr = integrate_second_order(free_action_a2, (0.0, 0.0, 0.0), IntegratorConfig(t_end=1.0), v0=v0)
-    assert tr.termination.status == COMPLETED
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from qhj3d.scenario import (
     CatalogSpec,
     NumerovSpec,
     build_action,
+    parse_grid,
     parse_scenario,
     serialize_scenario,
 )
@@ -295,13 +296,14 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     ("harmonic_numerov.scn", "qshje_tol = 1e-5", "qshje_tol = inf", "verify.qshje_tol"),
     ("box.scn", "t_end = 5.0", "t_end = inf", "trajectory.t_end"),
     ("box.scn", "points = 5, 0, 0", "points = nan, 0, 0", "metric.points"),
+    ("free_a2.scn", "grid = 21, 21, 21", "grid = 1e300, 2, 2", "verify.grid"),
 ], ids=["a-zero", "box-n-fractional", "box-n-zero", "box-L-negative", "free-k-zero",
         "free-energy-overflow", "e-axis-conflict", "numerov-too-few-steps", "numerov-too-many-steps",
         "numerov-domain-inf", "numerov-ic-at-outside", "numerov-parallel-ics", "numerov-e-axis-nan",
         "numerov-ic1-nan", "omega-inf", "omega-zero", "slope-nan", "tabulated-not-ascending",
         "potential-wrong-parameter", "a-nan", "a-inf", "coefficient-nan", "selector-unknown",
         "hbar-inf", "mass-nan", "verify-bound-inf", "tolerance-nan", "tolerance-inf", "t-end-inf",
-        "metric-point-nan"])
+        "metric-point-nan", "grid-huge"])
 def test_cli_validation_exit_two(name, old, new, field, tmp_path, capsys):
     """A broken rule exits 2 naming its field, before any file is written."""
     text = open(scenario_path(name)).read()
@@ -325,14 +327,23 @@ def test_cli_validation_exit_two(name, old, new, field, tmp_path, capsys):
     (["trajectory", "free_a2.scn", "--t-end", "nan"], "--t-end"),
     (["trajectory", "free_a2.scn", "--r0", "nan,0,0"], "--r0"),
     (["metric", "free_a2.scn", "--at", "0,0,0;inf,0,0"], "--at"),
+    (["verify", "free_a2.scn", "--grid", "100000,100000,2"], "--grid"),
 ], ids=["grid-not-numbers", "grid-zero", "grid-one", "t-end-negative", "r0-not-a-number",
-        "grid-inf", "t-end-inf", "t-end-inf-numerov", "t-end-nan", "r0-nan", "at-inf"])
+        "grid-inf", "t-end-inf", "t-end-inf-numerov", "t-end-nan", "r0-nan", "at-inf",
+        "grid-too-many-points"])
 def test_cli_bad_override_exit_two(argv, flag, tmp_path, capsys):
     command, name, *rest = argv
     code = main([command, scenario_path(name), *rest, "--out", str(tmp_path / "out")])
     assert code == 2
     assert flag in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_grid_ceiling_admits_100_cubed():
+    """The ceiling is 10^6 points: 100^3 parses (verify is not run on it)."""
+    assert parse_grid("100,100,100", "--grid") == (100, 100, 100)
+    with pytest.raises(ValidationError, match="--grid"):
+        parse_grid("101,100,100", "--grid")
 
 
 @pytest.mark.parametrize("old, new", [

@@ -18,9 +18,16 @@ from qhj3d import (
     wronskian,
 )
 from qhj3d.potentials import Free, HarmonicOscillator, LinearRamp
-from qhj3d.schrodinger import MAX_NUMEROV_STEPS, _numerov_fill, catalog_energy, numerov_grid
+from qhj3d.schrodinger import MAX_NUMEROV_STEPS, _numerov_fill, _ode_factor, catalog_energy, numerov_grid
 
 from conftest import make_field_2d, make_free_field, zero_pair
+
+
+def second_derivatives(pair, x):
+    """(u1'', u2'') as the field kernel forms them: the u''/u factor times u."""
+    factor = _ode_factor(pair.potential(x), pair.e_axis, pair.m0, pair.hbar)
+    u1, u2 = pair.basis.value(x)
+    return factor * u1, factor * u2
 
 
 # ---------------------------------------------------------------------------
@@ -30,16 +37,16 @@ from conftest import make_field_2d, make_free_field, zero_pair
 def test_free_catalog_values():
     pair = solve_axis_analytic("free", {"k": 1.0})
     assert pair.e_axis == pytest.approx(0.5)
-    assert pair.u1.value(math.pi / 2) == pytest.approx(1.0)
-    assert pair.u2.value(math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+    u1, u2 = pair.basis.value(math.pi / 2)
+    assert u1 == pytest.approx(1.0)
+    assert u2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zero_energy_catalog():
     pair = solve_axis_analytic("zero_energy_free")
-    assert pair.u1.value(3.7) == 1.0
-    assert pair.u2.value(3.7) == 3.7
-    assert pair.u2.derivative(-1.0) == 1.0
-    assert pair.u2.second_derivative(5.0) == 0.0
+    assert pair.basis.value(3.7) == (1.0, 3.7)
+    assert pair.basis.derivative(-1.0)[1] == 1.0
+    assert second_derivatives(pair, 5.0)[1] == 0.0
     assert pair.wronskian_ref == 1.0
 
 
@@ -53,7 +60,7 @@ def test_box_catalog():
     k = 2 * math.pi / 3
     assert pair.e_axis == pytest.approx(k * k / 2)
     assert pair.domain == (0.0, 3.0)
-    assert pair.u1.value(1.0) == pytest.approx(math.sin(k))
+    assert pair.basis.value(1.0)[0] == pytest.approx(math.sin(k))
 
 
 def test_unknown_catalog_entry():
@@ -118,11 +125,12 @@ def test_wronskian_out_of_domain():
 
 def test_numerov_free_matches_trig(numerov_free_pair):
     pair = numerov_free_pair
-    assert abs(pair.u1.value(1.0) - math.cos(1.0)) < 1e-8
-    assert abs(pair.u2.value(1.0) - math.sin(1.0)) < 1e-8
+    u1, u2 = pair.basis.value(1.0)
+    assert abs(u1 - math.cos(1.0)) < 1e-8
+    assert abs(u2 - math.sin(1.0)) < 1e-8
     xs = np.linspace(0.0, 10.0, 487)  # deliberately off-grid points
-    assert max(abs(pair.u1.value(x) - math.cos(x)) for x in xs) < 1e-8
-    assert max(abs(pair.u2.value(x) - math.sin(x)) for x in xs) < 1e-8
+    assert max(abs(pair.basis.value(x)[0] - math.cos(x)) for x in xs) < 1e-8
+    assert max(abs(pair.basis.value(x)[1] - math.sin(x)) for x in xs) < 1e-8
 
 
 def test_numerov_wronskian_drift(numerov_free_pair):
@@ -140,8 +148,8 @@ def test_numerov_wronskian_constant_at_specific_point(numerov_free_pair):
 
 def test_numerov_harmonic_ground_state(harmonic_pairs):
     """Center-anchored even solution tracks exp(-x^2/2) through the well."""
-    u1 = harmonic_pairs[0].u1
-    worst = max(abs(u1.value(x) / math.exp(-x * x / 2) - 1.0)
+    basis = harmonic_pairs[0].basis
+    worst = max(abs(basis.value(x)[0] / math.exp(-x * x / 2) - 1.0)
                 for x in np.linspace(-3, 3, 601))
     assert worst < 1e-6
 
@@ -154,17 +162,18 @@ def test_numerov_ode_residual_by_finite_differences(numerov_free_pair, harmonic_
     h = 1e-3
     for pair, xs in ((numerov_free_pair, np.linspace(0.5, 9.5, 41)),
                      (harmonic_pairs[0], np.linspace(-3.5, 3.5, 41))):
-        for sol in (pair.u1, pair.u2):
+        u = lambda x, j: pair.basis.value(x)[j]
+        for j in (0, 1):
             for x in xs:
-                fd = (-sol.value(x + 2 * h) + 16 * sol.value(x + h) - 30 * sol.value(x)
-                      + 16 * sol.value(x - h) - sol.value(x - 2 * h)) / (12 * h**2)
-                assert abs(fd - sol.second_derivative(x)) < 1e-6 * max(1.0, abs(sol.value(x)))
+                fd = (-u(x + 2 * h, j) + 16 * u(x + h, j) - 30 * u(x, j)
+                      + 16 * u(x - h, j) - u(x - 2 * h, j)) / (12 * h**2)
+                assert abs(fd - second_derivatives(pair, x)[j]) < 1e-6 * max(1.0, abs(u(x, j)))
 
 
 def test_catalog_ode_residual_exact():
     pair = solve_axis_analytic("free", {"k": 2.0})
     for x in np.linspace(-3, 3, 25):
-        assert abs(pair.u1.second_derivative(x) + 4.0 * pair.u1.value(x)) < 1e-12
+        assert abs(second_derivatives(pair, x)[0] + 4.0 * pair.basis.value(x)[0]) < 1e-12
 
 
 def test_numerov_degenerate_ics():
@@ -201,7 +210,7 @@ def test_numerov_overflow_in_forbidden_region():
 
 def test_numerov_out_of_domain(numerov_free_pair):
     with pytest.raises(OutOfDomain):
-        numerov_free_pair.u1.value(10.5)
+        numerov_free_pair.basis.value(10.5)
 
 
 def test_numerov_fill_matches_elementwise_recurrence():
@@ -219,7 +228,7 @@ def test_numerov_fill_matches_elementwise_recurrence():
         ref[i + 1] = (p[i] * ref[i] - w[i - 1] * ref[i - 1]) / w[i + 1]
     for i in range(i0 - 1, 0, -1):
         ref[i - 1] = (p[i] * ref[i] - w[i + 1] * ref[i + 1]) / w[i - 1]
-    _numerov_fill(table, fvals, h, i0, 1e300, "x")
+    _numerov_fill(table, fvals, h, i0, "x")
     assert np.array_equal(table, ref)
 
 
@@ -234,7 +243,7 @@ def test_numerov_linear_ramp_against_dense_reference():
     coarse = solve_axis_numerov(ramp, 1.0, (0.0, 2.0), 1e-3, (1.0, 0.0), (0.0, 1.0))
     fine = solve_axis_numerov(ramp, 1.0, (0.0, 2.0), 2.5e-4, (1.0, 0.0), (0.0, 1.0))
     for x in np.linspace(0.1, 1.9, 19):
-        assert coarse.u1.value(x) == pytest.approx(fine.u1.value(x), abs=1e-10)
+        assert coarse.basis.value(x)[0] == pytest.approx(fine.basis.value(x)[0], abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
