@@ -65,11 +65,11 @@ from .metric import (
 from .scenario import (
     Scenario,
     build_action,
-    check_positive,
     parse_grid,
     parse_point,
     parse_point_list,
     parse_scenario,
+    trajectory_setting,
 )
 from .schrodinger import wronskian
 
@@ -366,7 +366,7 @@ def _overrides(args) -> dict:
         return {"grid": parse_grid(args.grid, "--grid") if args.grid else None}
     if args.command == "trajectory":
         return {"r0": parse_point(args.r0, "--r0") if args.r0 else None,
-                "t_end": None if args.t_end is None else check_positive(args.t_end, "--t-end")}
+                "t_end": None if args.t_end is None else trajectory_setting("t_end", args.t_end, "--t-end")}
     return {"points": parse_point_list(args.at, "--at")}
 
 

@@ -18,6 +18,7 @@ trail stops there rather than inventing a node-crossing rule.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -71,9 +72,19 @@ class IntegratorConfig:
     singularity_eps: float = 1e-10
 
     def __post_init__(self):
-        if not (0 < self.t_end < math.inf and self.rel_tol > 0 and self.abs_tol > 0
-                and self.max_step > 0 and self.singularity_eps > 0):
-            raise ValueError("tolerances, max_step and t_end must all be positive, t_end finite")
+        for f in dataclasses.fields(self):
+            check_setting(f.name, getattr(self, f.name))
+
+
+def check_setting(name, value):
+    """value, if it is legal for the IntegratorConfig field name: positive
+    and finite, except that max_step may be inf (no step limit); else
+    ValueError."""
+    if name == "max_step" and value == math.inf:
+        return value
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .arrays import all_true, as_coords, like, zeros_like
 from .errors import OutOfDomain
@@ -83,6 +82,13 @@ class HarmonicOscillator(AxisPotential):
             raise ValueError("omega must be positive")
         if not check_finite(self.mass, "mass") > 0:
             raise ValueError("mass must be positive")
+        try:
+            stiffness = self.mass * self.omega**2
+        except OverflowError:
+            stiffness = math.inf
+        if not (math.isfinite(stiffness) and stiffness != 0.0):
+            raise ValueError(f"m omega^2 must be finite and nonzero, got {stiffness!r} "
+                             f"(mass = {self.mass!r}, omega = {self.omega!r})")
 
     def __call__(self, x: float) -> float:
         return 0.5 * self.mass * self.omega**2 * x * x
@@ -120,12 +126,16 @@ class Tabulated(AxisPotential):
 
     grid: tuple[float, ...]
     values: tuple[float, ...]
-    _spline: CubicSpline = dc_field(init=False, repr=False, compare=False, default=None)
-    _dspline: CubicSpline = dc_field(init=False, repr=False, compare=False, default=None)
+    _spline: object = dc_field(init=False, repr=False, compare=False, default=None)
+    _dspline: object = dc_field(init=False, repr=False, compare=False, default=None)
 
     kind = "tabulated"
 
     def __post_init__(self):
+        # scipy is imported here, and only for a tabulated potential: its
+        # import costs more than the rest of the package together
+        from scipy.interpolate import CubicSpline
+
         grid = tuple(check_finite(g, "grid") for g in np.atleast_1d(self.grid))
         values = tuple(check_finite(v, "values") for v in np.atleast_1d(self.values))
         object.__setattr__(self, "grid", grid)

@@ -25,11 +25,13 @@ from .schrodinger import (
     CATALOG,
     assemble_field,
     catalog_energy,
+    check_ode_scale,
     normalize_terms,
     numerov_grid,
     solve_axis_analytic,
     solve_axis_numerov,
 )
+from .dynamics import check_setting
 from .hj_core import ReducedActionField, check_mixing
 
 _KNOWN_SECTIONS = ("physics", "potential", "solutions.x", "solutions.y", "solutions.z",
@@ -198,6 +200,12 @@ def check_positive(value, field):
     return value
 
 
+def trajectory_setting(key, value, field):
+    """A [trajectory] number by the integrator's rule for key, a broken
+    rule reported against field."""
+    return _owned(field, check_setting, key, value)
+
+
 _POTENTIAL_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
 
 
@@ -279,6 +287,9 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError("physics", "needs exactly hbar = ... and mass = ...")
     hbar = check_positive(_float(phys["hbar"], "physics.hbar"), "physics.hbar")
     mass = check_positive(_float(phys["mass"], "physics.mass"), "physics.mass")
+    # hbar first at unit mass, so that a scale hbar alone breaks names hbar
+    _owned("physics.hbar", check_ode_scale, 1.0, hbar)
+    _owned("physics.mass", check_ode_scale, mass, hbar)
 
     pot = _as_dict(sections["potential"])
     if set(pot) != set(AXES):
@@ -340,9 +351,7 @@ def parse_scenario(text: str) -> Scenario:
         for key in ("t_end", "rel_tol", "abs_tol", "max_step", "singularity_eps"):
             if key in t:
                 name = f"trajectory.{key}"
-                value = _float(t.pop(key), name, inf_ok=key == "max_step")
-                # max_step = inf, the default, means no step limit
-                kwargs[key] = value if value == math.inf else check_positive(value, name)
+                kwargs[key] = trajectory_setting(key, _float(t.pop(key), name, inf_ok=True), name)
         if t:
             raise ValidationError("trajectory", f"unexpected keys {sorted(t)}")
         trajectory = TrajectorySpec(**kwargs)

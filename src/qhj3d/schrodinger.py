@@ -19,13 +19,13 @@ forms the 3D products by broadcasting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .arrays import all_true, as_coords, at_point, cos, like, maximum, sin, sparse_grid, where, zeros_like
+from .arrays import all_true, as_coords, at_point, cos, maximum, sin, sparse_grid, where, zeros_like
 from .errors import (
     OK,
     OUT_OF_DOMAIN,
@@ -60,6 +60,19 @@ def _ode_factor(v, e_axis, m0, hbar):
     """(2 m0/hbar^2)(v - E_axis) at the potential value v: the u''/u factor
     that the field kernel and the Numerov recurrence both use."""
     return 2.0 * m0 / hbar**2 * (v - e_axis)
+
+
+def check_ode_scale(m0, hbar):
+    """ValueError unless the prefactor 2 m0/hbar^2 of _ode_factor is a
+    finite normal float: neither it nor its reciprocal hbar^2/2 m0, which
+    the quantum potential uses, may overflow or vanish."""
+    try:
+        scale = _ode_factor(1.0, 0.0, m0, hbar)
+    except ArithmeticError:  # hbar^2 overflowed, or underflowed to 0
+        scale = math.nan
+    if not (math.isfinite(scale) and scale >= sys.float_info.min):
+        raise ValueError(f"2 m0 / hbar^2 must be finite and nonzero, got {scale!r} "
+                         f"(m0 = {m0!r}, hbar = {hbar!r})")
 
 
 @dataclass(frozen=True)
@@ -210,20 +223,65 @@ def solve_axis_analytic(kind, params=None, e_axis=None, *, m0=1.0, hbar=1.0, axi
 # Numerov backend
 # ---------------------------------------------------------------------------
 
-class _TableEval:
-    """One cubic spline over two stacked Numerov columns, with domain guard;
-    a call returns the two interpolated columns."""
+class _QuinticTable:
+    """Quintic Hermite interpolant of two stacked Numerov columns, with
+    domain guard.
 
-    def __init__(self, xs, columns):
-        self.spline = CubicSpline(xs, np.stack(columns, axis=-1))
-        self.lo, self.hi = float(xs[0]), float(xs[-1])
+    On each cell [x_i, x_i + h] a column is sum_k c_k t^k in t = (x - x_i)/h,
+    matching u, u' and u'' at both ends of the cell: the interpolant is C^2
+    and satisfies the ODE at every node. The grid is uniform, so a point
+    finds its cell without a search. value(x) and derivative(x) evaluate
+    the same coefficients and return the two columns.
+    """
+
+    def __init__(self, lo, hi, u, du, ddu):
+        """u, du, ddu: u, u' and u'' of the two columns at the n + 1 uniform
+        nodes spanning [lo, hi], each of shape (n + 1, 2)."""
+        self.lo, self.hi = float(lo), float(hi)
+        self.h = h = (self.hi - self.lo) / (len(u) - 1)
         self.eps = 4.0 * np.finfo(float).eps * max(1.0, abs(self.lo), abs(self.hi))
+        y0, y1 = u[:-1], u[1:]
+        d0, d1 = h * du[:-1], h * du[1:]
+        s0, s1 = h * h * ddu[:-1], h * h * ddu[1:]
+        # c3 + c4 + c5 = a, 3 c3 + 4 c4 + 5 c5 = b, 6 c3 + 12 c4 + 20 c5 = c
+        a = y1 - y0 - d0 - 0.5 * s0
+        b = d1 - d0 - s0
+        c = s1 - s0
+        # shape (cell, column, power), one cell's 12 coefficients contiguous
+        self.coef = np.ascontiguousarray(np.stack(
+            (y0, d0, 0.5 * s0, 10.0 * a - 4.0 * b + 0.5 * c, -15.0 * a + 7.0 * b - c,
+             6.0 * a - 3.0 * b + 0.5 * c), axis=-1))
 
-    def __call__(self, x):
+    def _cell(self, x):
+        """The two columns' coefficients of the cell holding x, indexed
+        [column][power], and t in that cell."""
         if not all_true((self.lo - self.eps <= x) & (x <= self.hi + self.eps)):
             raise OutOfDomain(f"x={x} outside Numerov table [{self.lo}, {self.hi}]")
-        y = self.spline(x)
-        return like(x, y[..., 0]), like(x, y[..., 1])
+        s = (x - self.lo) / self.h
+        last = len(self.coef) - 1
+        if isinstance(x, np.ndarray):
+            i = np.minimum(s.astype(np.intp), last)
+            return np.moveaxis(self.coef[i], (-2, -1), (0, 1)), s - i
+        i = min(int(s), last)
+        return self.coef[i].tolist(), s - i
+
+    def value(self, x):
+        (c1, c2), t = self._cell(x)
+        return _horner(c1, t), _horner(c2, t)
+
+    def derivative(self, x):
+        (c1, c2), t = self._cell(x)
+        return _horner_slope(c1, t) / self.h, _horner_slope(c2, t) / self.h
+
+
+def _horner(c, t):
+    """sum_k c[k] t^k for k = 0..5."""
+    return ((((c[5] * t + c[4]) * t + c[3]) * t + c[2]) * t + c[1]) * t + c[0]
+
+
+def _horner_slope(c, t):
+    """d/dt of sum_k c[k] t^k for k = 0..5."""
+    return (((5.0 * c[5] * t + 4.0 * c[4]) * t + 3.0 * c[3]) * t + 2.0 * c[2]) * t + c[1]
 
 
 def _rk4_segment(factor, x0, u, up, x1):
@@ -324,9 +382,10 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     directions, which is the stable way to follow a solution that decays
     into classically forbidden regions on either side.
 
-    The table stores (x, u, u') with u' from O(h^4) five-point stencils;
-    off-grid values come from two cubic splines, one over the stacked
-    (u1, u2) columns and one over (u1', u2').
+    Each node carries u, u' from O(h^4) five-point stencils, and
+    u'' = f u with the factor f the recurrence used; values and derivatives
+    between the nodes come from one quintic Hermite table over the two
+    solutions (_QuinticTable).
     """
     x_lo, x_hi, n_int, i0, (v1, s1), (v2, s2) = numerov_grid(e_axis, domain, step, ic1, ic2, ic_at)
     h = (x_hi - x_lo) / n_int
@@ -335,21 +394,18 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     factor = lambda x: _ode_factor(axis_potential(x), e_axis, m0, hbar)
     fvals = factor(xs)
 
-    tables = []
-    for value, slope in ((v1, s1), (v2, s2)):
-        u = np.zeros(n_int + 1)
+    tables = np.zeros((2, n_int + 1))
+    for u, (value, slope) in zip(tables, ((v1, s1), (v2, s2))):
         u[i0] = value
         if i0 + 1 <= n_int:
             u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
         if i0 - 1 >= 0:
             u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
         _numerov_fill(u, fvals, h, i0, axis)
-        tables.append(u)
 
-    basis = AxisSolution(
-        _TableEval(xs, tables),
-        _TableEval(xs, [_five_point_derivative(u, h) for u in tables]),
-    )
+    du = np.array([_five_point_derivative(u, h) for u in tables])
+    table = _QuinticTable(x_lo, x_hi, tables.T, du.T, (fvals * tables).T)
+    basis = AxisSolution(table.value, table.derivative)
     return AxisSolutionPair(
         axis=axis, e_axis=float(e_axis), basis=basis, potential=axis_potential,
         m0=m0, hbar=hbar, domain=(x_lo, x_hi), source="numerov",

@@ -5,14 +5,14 @@ Each example takes the text of a shipped scenario and replaces one token
 edge value. parse_scenario must either return a Scenario or raise
 ScenarioError, and a parsed Scenario builds or fails numerically (a
 QhjError such as Overflow, or a float overflow at extreme but finite
-scales such as hbar = 1e300). The CLI must exit 0, 2, 3 or 4 and write
+values). The CLI must exit 0, 2, 3 or 4 and write
 only strict JSON. The trajectory command is left out: a mutated but
 finite t_end can legitimately integrate for a long time.
 """
 
 import json
-import os
 import re
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -20,8 +20,8 @@ from qhj3d import QhjError, ScenarioError
 from qhj3d.cli import main
 from qhj3d.scenario import build_action, parse_scenario
 
-SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-TEXTS = {name: open(os.path.join(SCENARIOS, name)).read() for name in sorted(os.listdir(SCENARIOS))}
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+TEXTS = {path.name: path.read_text() for path in sorted(SCENARIOS.iterdir())}
 
 # A token: anything between the separators of the scenario format.
 TOKEN = re.compile(r"[^\s,=*;:()\[\]#]+")

@@ -18,7 +18,14 @@ from qhj3d import (
     wronskian,
 )
 from qhj3d.potentials import Free, HarmonicOscillator, LinearRamp
-from qhj3d.schrodinger import MAX_NUMEROV_STEPS, _numerov_fill, _ode_factor, catalog_energy, numerov_grid
+from qhj3d.schrodinger import (
+    MAX_NUMEROV_STEPS,
+    _numerov_fill,
+    _ode_factor,
+    _QuinticTable,
+    catalog_energy,
+    numerov_grid,
+)
 
 from conftest import make_field_2d, make_free_field, zero_pair
 
@@ -244,6 +251,98 @@ def test_numerov_linear_ramp_against_dense_reference():
     fine = solve_axis_numerov(ramp, 1.0, (0.0, 2.0), 2.5e-4, (1.0, 0.0), (0.0, 1.0))
     for x in np.linspace(0.1, 1.9, 19):
         assert coarse.basis.value(x)[0] == pytest.approx(fine.basis.value(x)[0], abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Numerov interpolant: one quintic Hermite table per axis
+# ---------------------------------------------------------------------------
+
+def table_of(pair):
+    return pair.basis._value.__self__
+
+
+def table_second_derivative(table, x):
+    """(u1'', u2'') of the interpolant itself, from its coefficients."""
+    (c1, c2), t = table._cell(x)
+    d2 = lambda c: ((20.0 * c[5] * t + 12.0 * c[4]) * t + 6.0 * c[3]) * t + 2.0 * c[2]
+    return d2(c1) / table.h**2, d2(c2) / table.h**2
+
+
+def test_quintic_table_matches_its_nodes():
+    """Arbitrary node data on a coarse grid (h = 0.1), so that every
+    coefficient of the cell polynomials is of the size of the data. A node
+    may land at t = 1 - 1e-15 of the cell before it, and the k-th
+    derivative divides that rounding by h^k."""
+    rng = np.random.default_rng(5)
+    u, du, ddu = rng.normal(size=(3, 41, 2))
+    table = _QuinticTable(-1.0, 3.0, u, du, ddu)
+    nodes = np.linspace(-1.0, 3.0, 41)
+    for order, (got, want) in enumerate(((table.value(nodes), u), (table.derivative(nodes), du),
+                                         (table_second_derivative(table, nodes), ddu))):
+        assert np.max(np.abs(np.array(got).T - want)) < 1e-12 / table.h**order
+
+
+def test_numerov_table_reproduces_the_ode_at_nodes(harmonic_pairs):
+    """At every node the interpolant's own u'' is f u to rounding, and its
+    u' agrees with the five-point derivative of its node values."""
+    pair = harmonic_pairs[0]
+    table = table_of(pair)
+    nodes = table.lo + table.h * np.arange(len(table.coef) + 1)
+    u = np.array(pair.basis.value(nodes))
+    fu = _ode_factor(pair.potential(nodes), pair.e_axis, pair.m0, pair.hbar) * u
+    assert np.max(np.abs(np.array(table_second_derivative(table, nodes)) - fu)) < 1e-14 * np.max(np.abs(fu))
+    h = table.h
+    five_point = (-u[:, 4:] + 8.0 * u[:, 3:-1] - 8.0 * u[:, 1:-3] + u[:, :-4]) / (12.0 * h)
+    du = np.array(pair.basis.derivative(nodes))[:, 2:-2]
+    assert np.max(np.abs(du - five_point)) < 1e-12 * np.max(np.abs(u))
+
+
+def test_numerov_table_is_c2_across_cell_edges(harmonic_pairs):
+    """The end of each cell polynomial (t = 1) meets the start of the next
+    (t = 0) in value, first and second t-derivative, up to the rounding of
+    the sums that form them."""
+    c, k = table_of(harmonic_pairs[0]).coef, np.arange(6)
+    for weight in (np.ones(6), k, k * (k - 1)):
+        left, right = (weight * c[:-1]).sum(-1), (weight * c[1:])[:, :, np.argmax(weight > 0)]
+        rounding = 8.0 * np.finfo(float).eps * ((weight * np.abs(c[:-1])).sum(-1) + np.abs(right))
+        assert np.all(np.abs(left - right) <= rounding)
+
+
+def test_numerov_interpolant_ode_residual_mid_cell(harmonic_pairs):
+    """Between the nodes the interpolant's own u'' - f u measures the
+    solution, not the algebra: on the harmonic axis it reads 5.0e-7 of
+    max |u| (worst at the table edges, where the derivative stencils are
+    one-sided; 1.8e-7 absolute inside |x| < 3.9)."""
+    pair = harmonic_pairs[0]
+    table = table_of(pair)
+    mids = table.lo + table.h * (np.arange(len(table.coef)) + 0.5)
+    u = np.array(pair.basis.value(mids))
+    f = _ode_factor(pair.potential(mids), pair.e_axis, pair.m0, pair.hbar)
+    residual = np.abs(np.array(table_second_derivative(table, mids)) - f * u)
+    assert np.max(residual) < 1e-6 * np.max(np.abs(u))
+    assert np.max(residual[:, np.abs(mids) < 3.9]) < 1e-6
+
+
+def test_numerov_table_ends(harmonic_pairs):
+    basis = harmonic_pairs[0].basis
+    table = table_of(harmonic_pairs[0])
+    for x in (table.lo - table.eps, table.lo, table.hi, table.hi + table.eps):
+        assert all(math.isfinite(v) for v in (*basis.value(x), *basis.derivative(x)))
+    for x in (table.lo - 2 * table.eps, table.hi + 2 * table.eps, np.array([0.0, table.hi + 1e-3])):
+        with pytest.raises(OutOfDomain, match="outside Numerov table"):
+            basis.value(x)
+        with pytest.raises(OutOfDomain, match="outside Numerov table"):
+            basis.derivative(x)
+
+
+def test_numerov_point_and_one_element_array_agree(harmonic_pairs):
+    basis = harmonic_pairs[0].basis
+    table = table_of(harmonic_pairs[0])
+    for x in (table.lo, -1.2345, 0.0, table.lo + 17 * table.h, 2.71828, table.hi):
+        for method in (basis.value, basis.derivative):
+            point, array = method(x), method(np.array([x]))
+            assert all(type(v) is float for v in point)
+            assert list(point) == np.ravel(array).tolist()
 
 
 # ---------------------------------------------------------------------------
