@@ -236,21 +236,21 @@ class _QuinticTable:
 
     def __init__(self, lo, hi, u, du, ddu):
         """u, du, ddu: u, u' and u'' of the two columns at the n + 1 uniform
-        nodes spanning [lo, hi], each of shape (n + 1, 2)."""
+        nodes spanning [lo, hi], each of shape (2, n + 1)."""
         self.lo, self.hi = float(lo), float(hi)
-        self.h = h = (self.hi - self.lo) / (len(u) - 1)
+        self.h = h = (self.hi - self.lo) / (u.shape[1] - 1)
         self.eps = 4.0 * np.finfo(float).eps * max(1.0, abs(self.lo), abs(self.hi))
-        y0, y1 = u[:-1], u[1:]
-        d0, d1 = h * du[:-1], h * du[1:]
-        s0, s1 = h * h * ddu[:-1], h * h * ddu[1:]
+        y0, y1 = u[:, :-1], u[:, 1:]
+        d0, d1 = h * du[:, :-1], h * du[:, 1:]
+        s0, s1 = h * h * ddu[:, :-1], h * h * ddu[:, 1:]
         # c3 + c4 + c5 = a, 3 c3 + 4 c4 + 5 c5 = b, 6 c3 + 12 c4 + 20 c5 = c
         a = y1 - y0 - d0 - 0.5 * s0
         b = d1 - d0 - s0
         c = s1 - s0
-        # shape (cell, column, power), one cell's 12 coefficients contiguous
-        self.coef = np.ascontiguousarray(np.stack(
-            (y0, d0, 0.5 * s0, 10.0 * a - 4.0 * b + 0.5 * c, -15.0 * a + 7.0 * b - c,
-             6.0 * a - 3.0 * b + 0.5 * c), axis=-1))
+        # shape (column, power, cell): a gather over cells keeps each
+        # coefficient of each column contiguous
+        self.coef = np.stack((y0, d0, 0.5 * s0, 10.0 * a - 4.0 * b + 0.5 * c,
+                              -15.0 * a + 7.0 * b - c, 6.0 * a - 3.0 * b + 0.5 * c), axis=1)
 
     def _cell(self, x):
         """The two columns' coefficients of the cell holding x, indexed
@@ -258,12 +258,12 @@ class _QuinticTable:
         if not all_true((self.lo - self.eps <= x) & (x <= self.hi + self.eps)):
             raise OutOfDomain(f"x={x} outside Numerov table [{self.lo}, {self.hi}]")
         s = (x - self.lo) / self.h
-        last = len(self.coef) - 1
+        last = self.coef.shape[2] - 1
         if isinstance(x, np.ndarray):
             i = np.minimum(s.astype(np.intp), last)
-            return np.moveaxis(self.coef[i], (-2, -1), (0, 1)), s - i
+            return np.take(self.coef, i, axis=2), s - i
         i = min(int(s), last)
-        return self.coef[i].tolist(), s - i
+        return self.coef[:, :, i].tolist(), s - i
 
     def value(self, x):
         (c1, c2), t = self._cell(x)
@@ -404,7 +404,7 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
         _numerov_fill(u, fvals, h, i0, axis)
 
     du = np.array([_five_point_derivative(u, h) for u in tables])
-    table = _QuinticTable(x_lo, x_hi, tables.T, du.T, (fvals * tables).T)
+    table = _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)
     basis = AxisSolution(table.value, table.derivative)
     return AxisSolutionPair(
         axis=axis, e_axis=float(e_axis), basis=basis, potential=axis_potential,

@@ -274,12 +274,12 @@ def test_quintic_table_matches_its_nodes():
     may land at t = 1 - 1e-15 of the cell before it, and the k-th
     derivative divides that rounding by h^k."""
     rng = np.random.default_rng(5)
-    u, du, ddu = rng.normal(size=(3, 41, 2))
+    u, du, ddu = rng.normal(size=(3, 2, 41))
     table = _QuinticTable(-1.0, 3.0, u, du, ddu)
     nodes = np.linspace(-1.0, 3.0, 41)
     for order, (got, want) in enumerate(((table.value(nodes), u), (table.derivative(nodes), du),
                                          (table_second_derivative(table, nodes), ddu))):
-        assert np.max(np.abs(np.array(got).T - want)) < 1e-12 / table.h**order
+        assert np.max(np.abs(np.array(got) - want)) < 1e-12 / table.h**order
 
 
 def test_numerov_table_reproduces_the_ode_at_nodes(harmonic_pairs):
@@ -287,7 +287,7 @@ def test_numerov_table_reproduces_the_ode_at_nodes(harmonic_pairs):
     u' agrees with the five-point derivative of its node values."""
     pair = harmonic_pairs[0]
     table = table_of(pair)
-    nodes = table.lo + table.h * np.arange(len(table.coef) + 1)
+    nodes = table.lo + table.h * np.arange(table.coef.shape[2] + 1)
     u = np.array(pair.basis.value(nodes))
     fu = _ode_factor(pair.potential(nodes), pair.e_axis, pair.m0, pair.hbar) * u
     assert np.max(np.abs(np.array(table_second_derivative(table, nodes)) - fu)) < 1e-14 * np.max(np.abs(fu))
@@ -301,10 +301,11 @@ def test_numerov_table_is_c2_across_cell_edges(harmonic_pairs):
     """The end of each cell polynomial (t = 1) meets the start of the next
     (t = 0) in value, first and second t-derivative, up to the rounding of
     the sums that form them."""
-    c, k = table_of(harmonic_pairs[0]).coef, np.arange(6)
+    coef = table_of(harmonic_pairs[0]).coef  # (column, power, cell)
+    c, k = np.moveaxis(coef, 1, -1), np.arange(6)  # (column, cell, power)
     for weight in (np.ones(6), k, k * (k - 1)):
-        left, right = (weight * c[:-1]).sum(-1), (weight * c[1:])[:, :, np.argmax(weight > 0)]
-        rounding = 8.0 * np.finfo(float).eps * ((weight * np.abs(c[:-1])).sum(-1) + np.abs(right))
+        left, right = (weight * c[:, :-1]).sum(-1), (weight * c[:, 1:])[..., np.argmax(weight > 0)]
+        rounding = 8.0 * np.finfo(float).eps * ((weight * np.abs(c[:, :-1])).sum(-1) + np.abs(right))
         assert np.all(np.abs(left - right) <= rounding)
 
 
@@ -315,7 +316,7 @@ def test_numerov_interpolant_ode_residual_mid_cell(harmonic_pairs):
     one-sided; 1.8e-7 absolute inside |x| < 3.9)."""
     pair = harmonic_pairs[0]
     table = table_of(pair)
-    mids = table.lo + table.h * (np.arange(len(table.coef)) + 0.5)
+    mids = table.lo + table.h * (np.arange(table.coef.shape[2]) + 0.5)
     u = np.array(pair.basis.value(mids))
     f = _ode_factor(pair.potential(mids), pair.e_axis, pair.m0, pair.hbar)
     residual = np.abs(np.array(table_second_derivative(table, mids)) - f * u)
