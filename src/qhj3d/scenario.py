@@ -443,16 +443,23 @@ def build_potential(s: Scenario) -> SeparablePotential:
 
 
 def build_field(s: Scenario):
+    """The scenario's 3D field. Axes with the same potential and solution
+    spec share one solved pair, relabelled per axis, so identical Numerov
+    axes run one recurrence."""
+    built = {}
     pairs = []
-    for ax, spec, potential in zip(AXES, s.solutions, build_potential(s).axes):
-        if isinstance(spec, CatalogSpec):
-            pairs.append(solve_axis_analytic(spec.entry, dict(spec.params),
-                                             m0=s.mass, hbar=s.hbar, axis=ax))
-        else:
-            pairs.append(solve_axis_numerov(
-                potential, spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
-                m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at,
-            ))
+    for ax, pot_spec, spec, potential in zip(AXES, s.potentials, s.solutions, build_potential(s).axes):
+        key = (pot_spec, spec)
+        if key not in built:
+            if isinstance(spec, CatalogSpec):
+                built[key] = solve_axis_analytic(spec.entry, dict(spec.params),
+                                                 m0=s.mass, hbar=s.hbar, axis=ax)
+            else:
+                built[key] = solve_axis_numerov(
+                    potential, spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
+                    m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at,
+                )
+        pairs.append(dataclasses.replace(built[key], axis=ax))
     return assemble_field(pairs, s.theta_terms, s.phi_terms)
 
 

@@ -309,27 +309,32 @@ def _rk4_segment(factor, x0, u, up, x1):
 
 
 def _numerov_fill(table, fvals, h, i0, axis):
-    """Run the three-point recurrence outward from i0 in both directions.
+    """Run the three-point recurrence outward from i0 in both directions,
+    on both columns of the (2, n) table at once.
 
-    table[i0] and the immediate neighbours present in the table must
-    already be seeded. w = 1 - (h^2/12) f is the Numerov weight. A value
-    past OVERFLOW_LIMIT, or NaN after an overflow, raises Overflow. The
-    recurrence runs on Python lists, where one step costs less than numpy
-    element access, and the table is written back once.
+    Each column's entry i0 and its immediate neighbours present in the
+    table must already be seeded. w = 1 - (h^2/12) f is the Numerov
+    weight; the two columns share each step's p and w. The recurrence runs
+    on Python lists, where one step costs less than numpy element access,
+    and the table is written back once. The finished table is then checked
+    in one vectorized pass: a value past OVERFLOW_LIMIT, or NaN after an
+    overflow, raises Overflow.
     """
-    n = len(table)
-    u = table.tolist()
+    n = table.shape[1]
+    a, b = table.tolist()
     w = (1.0 - (h * h / 12.0) * fvals).tolist()
     p = (2.0 + (5.0 * h * h / 6.0) * fvals).tolist()
     for i in range(i0 + 1, n - 1):
-        u[i + 1] = (p[i] * u[i] - w[i - 1] * u[i - 1]) / w[i + 1]
-        if not abs(u[i + 1]) <= OVERFLOW_LIMIT:
-            raise Overflow(f"axis {axis}: |u| exceeded {OVERFLOW_LIMIT:g} during Numerov sweep")
+        pi, wl, wr = p[i], w[i - 1], w[i + 1]
+        a[i + 1] = (pi * a[i] - wl * a[i - 1]) / wr
+        b[i + 1] = (pi * b[i] - wl * b[i - 1]) / wr
     for i in range(i0 - 1, 0, -1):
-        u[i - 1] = (p[i] * u[i] - w[i + 1] * u[i + 1]) / w[i - 1]
-        if not abs(u[i - 1]) <= OVERFLOW_LIMIT:
-            raise Overflow(f"axis {axis}: |u| exceeded {OVERFLOW_LIMIT:g} during Numerov sweep")
-    table[:] = u
+        pi, wl, wr = p[i], w[i - 1], w[i + 1]
+        a[i - 1] = (pi * a[i] - wr * a[i + 1]) / wl
+        b[i - 1] = (pi * b[i] - wr * b[i + 1]) / wl
+    table[:] = (a, b)
+    if not np.all(np.abs(table) <= OVERFLOW_LIMIT):
+        raise Overflow(f"axis {axis}: |u| exceeded {OVERFLOW_LIMIT:g} during Numerov sweep")
 
 
 def _five_point_derivative(u, h):
@@ -401,7 +406,7 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
             u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
         if i0 - 1 >= 0:
             u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
-        _numerov_fill(u, fvals, h, i0, axis)
+    _numerov_fill(tables, fvals, h, i0, axis)
 
     du = np.array([_five_point_derivative(u, h) for u in tables])
     table = _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)

@@ -10,11 +10,15 @@ import pytest
 
 import qhj3d
 from qhj3d import ParseError, ProportionalSolutions, ValidationError
+from qhj3d import assemble_field, evaluate_field, scenario, solve_axis_numerov
+from qhj3d.arrays import sparse_grid
 from qhj3d.cli import CSV_HEADER, main, run_metric, run_trajectory, run_verify
 from qhj3d.scenario import (
     CatalogSpec,
     NumerovSpec,
     build_action,
+    build_field,
+    build_potential,
     parse_grid,
     parse_scenario,
     serialize_scenario,
@@ -128,6 +132,61 @@ def test_numerov_scenario_spec_fields():
     assert isinstance(spec, NumerovSpec)
     assert spec.ic_at == 0.0
     assert s.energy == pytest.approx(1.5)
+
+
+def _counted_numerov(monkeypatch):
+    """Count scenario.build_field's calls of solve_axis_numerov."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["axis"])
+        return solve_axis_numerov(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "solve_axis_numerov", counting)
+    return calls
+
+
+Y_NUMEROV = "[solutions.y]\nsource = numerov\ne_axis = 0.5\ndomain = -4, 4\nstep = 1e-3"
+
+
+@pytest.mark.parametrize("old, new, solved", [
+    (None, None, ["x"]),
+    ("y = harmonic(omega = 1.0)", "y = harmonic(omega = 2.0)", ["x", "y"]),
+    (Y_NUMEROV, Y_NUMEROV.replace("e_axis = 0.5", "e_axis = 1.0"), ["x", "y"]),
+    (Y_NUMEROV, Y_NUMEROV.replace("step = 1e-3", "step = 2e-3"), ["x", "y"]),
+], ids=["shipped", "y-omega", "y-e-axis", "y-step"])
+def test_build_field_solves_each_distinct_numerov_axis_once(old, new, solved, monkeypatch):
+    text = scenario_text("harmonic_numerov.scn")
+    if old is not None:
+        assert old in text
+        text = text.replace(old, new, 1)
+    s = parse_scenario(text)
+    calls = _counted_numerov(monkeypatch)
+    field = build_field(s)
+    assert calls == solved
+    assert [p.axis for p in field.pairs] == ["x", "y", "z"]
+    assert field.pairs[2].basis is field.pairs[0].basis
+
+
+def test_shared_numerov_axes_evaluate_as_independent_builds():
+    """The field with one shared table is bitwise the field built from
+    three independent solves, on the verify grid and at the metric points."""
+    s = parse_scenario(scenario_text("harmonic_numerov.scn"))
+    shared = build_field(s)
+    independent = assemble_field(
+        [solve_axis_numerov(potential, spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
+                            m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at)
+         for ax, spec, potential in zip("xyz", s.solutions, build_potential(s).axes)],
+        s.theta_terms, s.phi_terms)
+    assert shared.pairs[1].basis is shared.pairs[0].basis
+    assert independent.pairs[1].basis is not independent.pairs[0].basis
+    assert shared.active_axes == independent.active_axes
+    assert shared.length_scale == independent.length_scale
+    grid = sparse_grid(s.verify.bounds, s.verify.grid)
+    for r in (grid, *s.metric_points):
+        got, want = evaluate_field(shared, r), evaluate_field(independent, r)
+        for name in ("theta", "phi", "grad_theta", "grad_phi", "second_theta", "second_phi", "v", "status"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # ---------------------------------------------------------------------------

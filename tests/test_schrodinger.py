@@ -20,6 +20,7 @@ from qhj3d import (
 from qhj3d.potentials import Free, HarmonicOscillator, LinearRamp
 from qhj3d.schrodinger import (
     MAX_NUMEROV_STEPS,
+    OVERFLOW_LIMIT,
     _numerov_fill,
     _ode_factor,
     _QuinticTable,
@@ -203,7 +204,7 @@ def test_numerov_grid_checks_arguments():
 
 def test_numerov_overflow_to_nan_raises_overflow():
     """A huge energy drives the seed and the sweep through inf to NaN, which
-    is an overflow too rather than a table the splines refuse."""
+    is an overflow too rather than a table the interpolant would carry."""
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(Overflow):
             solve_axis_numerov(Free(), 1e100, (0.0, 1.0), 0.01, (1.0, 0.0), (0.0, 1.0))
@@ -220,23 +221,49 @@ def test_numerov_out_of_domain(numerov_free_pair):
         numerov_free_pair.basis.value(10.5)
 
 
-def test_numerov_fill_matches_elementwise_recurrence():
-    """The list-based sweep takes the same steps as the recurrence written
-    on numpy elements, so the tables agree bit for bit."""
-    rng = np.random.default_rng(7)
-    n, h, i0 = 200, 1e-2, 60
-    fvals = rng.uniform(-3.0, 3.0, n)
-    table = np.zeros(n)
-    table[i0 - 1:i0 + 2] = rng.uniform(-1.0, 1.0, 3)
-    ref = table.copy()
+def _elementwise_recurrence(column, fvals, h, i0):
+    """The Numerov recurrence on numpy elements, one column at a time."""
+    ref = column.copy()
     w = 1.0 - (h * h / 12.0) * fvals
     p = 2.0 + (5.0 * h * h / 6.0) * fvals
-    for i in range(i0 + 1, n - 1):
+    for i in range(i0 + 1, len(ref) - 1):
         ref[i + 1] = (p[i] * ref[i] - w[i - 1] * ref[i - 1]) / w[i + 1]
     for i in range(i0 - 1, 0, -1):
         ref[i - 1] = (p[i] * ref[i] - w[i + 1] * ref[i + 1]) / w[i - 1]
+    return ref
+
+
+def test_numerov_fill_matches_elementwise_recurrence():
+    """The two-column list sweep takes, in each column, the same steps as
+    the recurrence written on numpy elements, so the tables agree bit for
+    bit."""
+    rng = np.random.default_rng(7)
+    n, h, i0 = 200, 1e-2, 60
+    fvals = rng.uniform(-3.0, 3.0, n)
+    table = np.zeros((2, n))
+    table[0, i0 - 1:i0 + 2] = rng.uniform(-1.0, 1.0, 3)
+    table[1, i0 - 1:i0 + 2] = rng.uniform(-5.0, 5.0, 3)
+    refs = [_elementwise_recurrence(column, fvals, h, i0) for column in table]
     _numerov_fill(table, fvals, h, i0, "x")
-    assert np.array_equal(table, ref)
+    assert not np.array_equal(table[0], table[1])
+    for column, ref in zip(table, refs):
+        assert np.array_equal(column, ref)
+
+
+def test_numerov_fill_overflow_in_one_column_names_axis():
+    """One column growing past OVERFLOW_LIMIT fails the whole table, even
+    while the other stays small."""
+    n, h, i0 = 200, 1e-2, 100
+    fvals = np.full(n, 4.0)  # growth e^{2|x|} on either side of i0
+    table = np.zeros((2, n))
+    table[0, i0 - 1:i0 + 2] = (1.0, 1.0, 1.0)
+    table[1, i0 - 1:i0 + 2] = (OVERFLOW_LIMIT / 2.0,) * 3
+    small = table.copy()
+    small[1] = small[0]
+    _numerov_fill(small, fvals, h, i0, "y")
+    assert np.max(np.abs(small)) < 100.0
+    with pytest.raises(Overflow, match="axis y"):
+        _numerov_fill(table, fvals, h, i0, "y")
 
 
 def test_numerov_step_validation():
