@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 import qhj3d
-from qhj3d import ParseError, ProportionalSolutions, ValidationError
-from qhj3d import assemble_field, evaluate_field, scenario, solve_axis_numerov
+from qhj3d import (
+    ParseError,
+    ProportionalSolutions,
+    ValidationError,
+    assemble_field,
+    evaluate_field,
+    scenario,
+    solve_axis_numerov,
+)
 from qhj3d.arrays import sparse_grid
 from qhj3d.cli import CSV_HEADER, main, run_metric, run_trajectory, run_verify
 from qhj3d.scenario import (
@@ -134,18 +141,6 @@ def test_numerov_scenario_spec_fields():
     assert s.energy == pytest.approx(1.5)
 
 
-def _counted_numerov(monkeypatch):
-    """Count scenario.build_field's calls of solve_axis_numerov."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["axis"])
-        return solve_axis_numerov(*args, **kwargs)
-
-    monkeypatch.setattr(scenario, "solve_axis_numerov", counting)
-    return calls
-
-
 Y_NUMEROV = "[solutions.y]\nsource = numerov\ne_axis = 0.5\ndomain = -4, 4\nstep = 1e-3"
 
 
@@ -160,9 +155,14 @@ def test_build_field_solves_each_distinct_numerov_axis_once(old, new, solved, mo
     if old is not None:
         assert old in text
         text = text.replace(old, new, 1)
-    s = parse_scenario(text)
-    calls = _counted_numerov(monkeypatch)
-    field = build_field(s)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["axis"])
+        return solve_axis_numerov(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "solve_axis_numerov", counting)
+    field = build_field(parse_scenario(text))
     assert calls == solved
     assert [p.axis for p in field.pairs] == ["x", "y", "z"]
     assert field.pairs[2].basis is field.pairs[0].basis
