@@ -200,11 +200,10 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
 # trajectory
 # ---------------------------------------------------------------------------
 
-def _trajectory_csv(action, trajectory: Trajectory) -> str:
+def _trajectory_csv(trajectory: Trajectory) -> str:
     lines = [CSV_HEADER]
     for i, st in enumerate(trajectory.states):
-        s = sample(action, st.position)
-        row = [st.t, *st.position, *st.velocity, *s.grad_s0,
+        row = [st.t, *st.position, *st.velocity, *trajectory.grad_s0[i],
                trajectory.law_residuals[i], trajectory.energy_residuals[i]]
         lines.append(",".join(_g17(v) for v in row))
     return "\n".join(lines) + "\n"
@@ -219,15 +218,27 @@ def _termination_dict(term: Termination):
     }
 
 
+def _check_start(field, r0, name):
+    """ValidationError naming name unless every coordinate of r0 lies in
+    its axis domain."""
+    for pair, x in zip(field.pairs, r0):
+        if not pair.contains(x):
+            raise ValidationError(name, f"{x!r} lies outside the axis {pair.axis} domain {pair.domain}")
+
+
 def run_trajectory(scenario: Scenario, r0=None, t_end=None, out="trajectory.csv",
                    plot_script=None) -> Trajectory:
     """Integrate the scenario trajectory and write CSV + termination sidecar.
 
-    A starting point on a node (or momentum singularity) yields an empty
-    trajectory whose termination records a singularity event at t = 0."""
+    A start outside the domain raises ValidationError naming --r0 when r0
+    is given, else trajectory.r0, and writes nothing. A starting point on a
+    node (or momentum singularity) yields an empty trajectory whose
+    termination records a singularity event at t = 0."""
     action = build_action(scenario)
     spec = scenario.trajectory
+    name = "--r0" if r0 is not None else "trajectory.r0"
     r0 = tuple(r0) if r0 is not None else spec.r0
+    _check_start(action.field, r0, name)
     config = IntegratorConfig(
         t_end=float(t_end) if t_end is not None else spec.t_end,
         rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
@@ -239,10 +250,11 @@ def run_trajectory(scenario: Scenario, r0=None, t_end=None, out="trajectory.csv"
         kind = "amplitude" if isinstance(exc, NodalPoint) else "node"
         trajectory = Trajectory(
             states=[], law_residuals=np.array([]), energy_residuals=np.array([]),
+            grad_s0=np.empty((0, 3)),
             termination=Termination(SINGULARITY, kind=kind, t=0.0, position=tuple(r0)),
         )
 
-    _atomic_write(out, _trajectory_csv(action, trajectory))
+    _atomic_write(out, _trajectory_csv(trajectory))
     sidecar = os.path.splitext(out)[0] + ".json"
     payload = {
         "termination": _termination_dict(trajectory.termination),
@@ -417,7 +429,8 @@ def main(argv=None) -> int:
             _print_metric_report(report)
             return 0
     except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+        flag = getattr(exc, "field", "").startswith("--")
+        print(f"{'invalid argument' if flag else 'scenario error'}: {exc}", file=sys.stderr)
         return 2
     except (QhjError, ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import NodalPoint, NodeSingularity, OutOfDomain
 from .hj_core import ReducedActionField, sample, _require_1d
 from .metric import a_upper_from_sample, metric_at
-from .potentials import evaluate as evaluate_potential
 
 _FIELD_SINGULAR = (NodalPoint, NodeSingularity)
 
@@ -97,10 +96,14 @@ class Termination:
 
 @dataclass
 class Trajectory:
+    """Accepted states and, per state, the law residual, the energy
+    residual and grad S0, each taken from the field sample of the state."""
+
     states: list[TrajectoryState]
     termination: Termination
     law_residuals: np.ndarray
     energy_residuals: np.ndarray
+    grad_s0: np.ndarray  # (len(states), 3)
 
     @property
     def final_state(self) -> TrajectoryState:
@@ -115,41 +118,59 @@ class Trajectory:
         return float(np.max(np.abs(self.energy_residuals)))
 
 
-def velocity_field(action: ReducedActionField, r) -> np.ndarray:
-    """v^mu = a^{mumu} d_mu S0 / m0; satisfies v . grad S0 = 2 (E - V)."""
+def velocity_field(action: ReducedActionField, r, with_sample=False):
+    """v^mu = a^{mumu} d_mu S0 / m0 at the point r; satisfies
+    v . grad S0 = 2 (E - V).
+
+    with_sample returns (v, s) instead, s being the ActionSample at r that
+    v was computed from."""
     s = sample(action, r)
     a_upper, _ = a_upper_from_sample(action, s)
-    return np.array([a * ds / action.m0 for a, ds in zip(a_upper, s.grad_s0)])
+    v = np.array([a * ds / action.m0 for a, ds in zip(a_upper, s.grad_s0)])
+    return (v, s) if with_sample else v
+
+
+def _law(action, velocity, s) -> float:
+    return float(velocity @ s.grad_s0) - 2.0 * (action.e - s.v)
 
 
 def law_residual(action: ReducedActionField, state: TrajectoryState) -> float:
     """v . grad S0 - 2 (E - V) at the state."""
-    s = sample(action, state.position)
-    return float(state.velocity @ s.grad_s0) - 2.0 * (action.e - s.v)
+    return _law(action, state.velocity, sample(action, state.position))
 
 
-def _kinetic(action: ReducedActionField, state: TrajectoryState) -> float:
-    """(m0/2) sum a_{mumu} v_mu^2 at the state.
+def _a_lower(action, s) -> np.ndarray:
+    """a_{mumu} = 1/a^{mumu} from the sample s; inf where a^{mumu} = 0."""
+    a_upper, _ = a_upper_from_sample(action, s)
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.array(a_upper)
+
+
+def _kinetic(action, velocity, s) -> float:
+    """(m0/2) sum a_{mumu} v_mu^2 from the sample s at the state.
 
     A term with v_mu = 0 counts as 0: where a^{mumu} = 0 the velocity
     component vanishes with it and a_{mumu} is infinite.
     """
-    met = metric_at(action, state.position)
-    v = np.asarray(state.velocity)
+    a_lower = _a_lower(action, s)
+    v = np.asarray(velocity)
     moving = v != 0.0
-    return 0.5 * action.m0 * float(np.sum(met.a_lower[moving] * v[moving]**2))
+    return 0.5 * action.m0 * float(np.sum(a_lower[moving] * v[moving]**2))
+
+
+def _energy(action, velocity, s) -> float:
+    return _kinetic(action, velocity, s) + s.v - action.e
 
 
 def energy_residual(action: ReducedActionField, state: TrajectoryState) -> float:
     """(m0/2) sum a_{mumu} v_mu^2 + V - E; an exact first integral."""
-    v_total, _ = evaluate_potential(action.field.potential, state.position)
-    return _kinetic(action, state) + v_total - action.e
+    return _energy(action, state.velocity, sample(action, state.position))
 
 
 def quantum_lagrangian(action: ReducedActionField, state: TrajectoryState) -> float:
     """(m0/2) sum a_{mumu} v_mu^2 - V."""
-    v_total, _ = evaluate_potential(action.field.potential, state.position)
-    return _kinetic(action, state) - v_total
+    s = sample(action, state.position)
+    return _kinetic(action, state.velocity, s) - s.v
 
 
 def reduce_1d_check(action: ReducedActionField, trajectory: Trajectory) -> float:
@@ -166,22 +187,28 @@ def reduce_1d_check(action: ReducedActionField, trajectory: Trajectory) -> float
 # Integration machinery
 # ---------------------------------------------------------------------------
 
+def _active_momenta(action, s):
+    return [abs(s.grad_s0[mu]) for mu in range(3) if action.field.active_axes[mu]]
+
+
+def _margin(action, s, eps):
+    """min(min over active axes |d_mu S0|, R) - eps from the sample s."""
+    return min(min(_active_momenta(action, s)), s.amplitude) - eps
+
+
 def _event_margin(action, r, eps):
-    """min(min over active axes |d_mu S0|, R) - eps; -inf when unevaluable."""
+    """The margin at r, sampled there; -inf when r is unevaluable."""
     try:
         s = sample(action, r)
     except (NodalPoint, OutOfDomain):
         return -math.inf
-    momenta = [abs(s.grad_s0[mu]) for mu in range(3) if action.field.active_axes[mu]]
-    return min(min(momenta), s.amplitude) - eps
+    return _margin(action, s, eps)
 
 
-def _classify_event(action, r):
-    """Which margin ran out at r, a point the right-hand side has just
-    evaluated (so sampling it succeeds)."""
-    s = sample(action, r)
-    momenta = [abs(s.grad_s0[mu]) for mu in range(3) if action.field.active_axes[mu]]
-    return "amplitude" if s.amplitude <= min(momenta) else "node"
+def _classify_event(action, s):
+    """Which margin ran out in s, the sample of a point the right-hand side
+    has just evaluated."""
+    return "amplitude" if s.amplitude <= min(_active_momenta(action, s)) else "node"
 
 
 def _hermite(y0, f0, y1, f1, h, s):
@@ -206,47 +233,63 @@ def _locate_event(action, position_of, y, f, y_new, f_new, h, eps):
     return s_lo, s_hi
 
 
-def _integrate(action, rhs, y0, config, position_of):
+def _integrate(action, rhs, y0, config, position_of, state_of):
     """Adaptive DP54 loop shared by both trajectory routes.
 
-    Returns (samples, termination) with samples = [(t, y, rhs(y)), ...] for
-    every accepted step, the initial state included.
+    rhs(y) returns (dy/dt, s), with s the ActionSample at position_of(y)
+    that dy/dt was computed from. Every accepted step, the initial state
+    included, becomes the state state_of(t, y, dy/dt); its law residual,
+    energy residual and grad S0 are computed from that s when the step is
+    accepted, and s is dropped with the step. The event check reads the
+    same s. Returns the Trajectory.
     """
     t_end = config.t_end
     eps = config.singularity_eps
     h_floor = 1e-14 * t_end
+    states, law, energy, grad = [], [], [], []
 
-    f0 = rhs(y0)
-    samples = [(0.0, y0.copy(), f0.copy())]
-    if _event_margin(action, position_of(y0), eps) < 0.0:
-        kind = _classify_event(action, position_of(y0))
-        return samples, Termination(SINGULARITY, kind=kind, t=0.0,
-                                    position=tuple(position_of(y0)))
+    def record(t, y, f, s):
+        st = state_of(t, y, f)
+        states.append(st)
+        law.append(_law(action, st.velocity, s))
+        energy.append(_energy(action, st.velocity, s))
+        grad.append(s.grad_s0)
 
-    t, y, f = 0.0, y0.copy(), f0
+    def finish(termination):
+        return Trajectory(states=states, termination=termination, law_residuals=np.array(law),
+                          energy_residuals=np.array(energy), grad_s0=np.array(grad))
+
+    f, smp = rhs(y0)
+    record(0.0, y0, f, smp)
+    if _margin(action, smp, eps) < 0.0:
+        return finish(Termination(SINGULARITY, kind=_classify_event(action, smp), t=0.0,
+                                  position=tuple(position_of(y0))))
+
+    t, y = 0.0, y0
     h = min(config.max_step, 1e-3 * t_end)
     while t < t_end:
         h = min(h, t_end - t, config.max_step)
         if h < h_floor:
-            return samples, Termination(SINGULARITY, kind="step_underflow", t=t,
-                                        position=tuple(position_of(y)))
+            return finish(Termination(SINGULARITY, kind="step_underflow", t=t,
+                                      position=tuple(position_of(y))))
         try:
             ks = [f]
             for i in range(1, 7):
-                yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-                ks.append(rhs(yi))
+                y_stage = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
+                k, smp_new = rhs(y_stage)
+                ks.append(k)
         except _FIELD_SINGULAR:
             h *= 0.5
             continue
         except OutOfDomain:
             if h * 0.5 < h_floor:
-                return samples, Termination(DOMAIN_EXIT, t=t,
-                                            position=tuple(position_of(y)))
+                return finish(Termination(DOMAIN_EXIT, t=t, position=tuple(position_of(y))))
             h *= 0.5
             continue
 
-        y_new = y + h * sum(b * k for b, k in zip(_DP_B5[:6], ks[:6]))
-        f_new = ks[6]  # FSAL: row 7 of A equals b5, so stage 7 sits at y_new
+        # FSAL: row 7 of A equals b5, so the last stage point is the
+        # fifth-order solution, and f_new and smp_new are taken there.
+        y_new, f_new = y_stage, ks[6]
 
         err_vec = h * sum(e * k for e, k in zip(_DP_E, ks))
         scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -255,33 +298,24 @@ def _integrate(action, rhs, y0, config, position_of):
             h *= max(0.2, 0.9 * err**-0.2)
             continue
 
-        if _event_margin(action, position_of(y_new), eps) < 0.0:
+        if _margin(action, smp_new, eps) < 0.0:
             s_safe, _ = _locate_event(action, position_of, y, f, y_new, f_new, h, eps)
             y_ev = _hermite(y, f, y_new, f_new, h, s_safe)
             t_ev = t + s_safe * h
             try:
-                f_ev = rhs(y_ev)
+                f_ev, smp_ev = rhs(y_ev)
                 if s_safe > 0.0:
-                    samples.append((t_ev, y_ev, f_ev))
+                    record(t_ev, y_ev, f_ev, smp_ev)
             except (NodalPoint, NodeSingularity, OutOfDomain):
                 pass
-            kind = _classify_event(action, position_of(y_new))
-            return samples, Termination(SINGULARITY, kind=kind, t=t_ev,
-                                        position=tuple(position_of(y_ev)))
+            return finish(Termination(SINGULARITY, kind=_classify_event(action, smp_new), t=t_ev,
+                                      position=tuple(position_of(y_ev))))
 
         t, y, f = t + h, y_new, f_new
-        samples.append((t, y.copy(), f.copy()))
+        record(t, y, f, smp_new)
         h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
 
-    return samples, Termination(COMPLETED, t=t, position=tuple(position_of(y)))
-
-
-def _wrap_trajectory(action, samples, termination, state_of):
-    states = [state_of(t, y, f) for t, y, f in samples]
-    law = np.array([law_residual(action, st) for st in states])
-    energy = np.array([energy_residual(action, st) for st in states])
-    return Trajectory(states=states, termination=termination,
-                      law_residuals=law, energy_residuals=energy)
+    return finish(Termination(COMPLETED, t=t, position=tuple(position_of(y))))
 
 
 def integrate_first_order(action: ReducedActionField, r0, config: IntegratorConfig) -> Trajectory:
@@ -290,20 +324,18 @@ def integrate_first_order(action: ReducedActionField, r0, config: IntegratorConf
     The velocity of every produced state is the velocity field at its
     position by construction (FSAL derivative storage)."""
     y0 = np.asarray(r0, dtype=float)
-    rhs = lambda y: velocity_field(action, y)
-    samples, term = _integrate(action, rhs, y0, config, position_of=lambda y: y)
-    return _wrap_trajectory(
-        action, samples, term,
-        state_of=lambda t, y, f: TrajectoryState(t, y.copy(), f.copy()),
-    )
+    rhs = lambda y: velocity_field(action, y, with_sample=True)
+    return _integrate(action, rhs, y0, config, position_of=lambda y: y,
+                      state_of=lambda t, y, f: TrajectoryState(t, y.copy(), f.copy()))
 
 
 def integrate_second_order(action: ReducedActionField, r0, config: IntegratorConfig) -> Trajectory:
     """Integrate the Euler-Lagrange equations as a 6D first-order system.
 
     The initial velocity is pinned to the velocity field (the law of motion
-    leaves no freedom); metric gradients come from central differences with
-    step 1e-6 times the field's length scale.
+    leaves no freedom). The right-hand side takes a_{mumu} at r from its own
+    sample, which it returns, and the metric gradients from central
+    differences of metric_at with step 1e-6 times the field's length scale.
     """
     r0 = np.asarray(r0, dtype=float)
     v0 = velocity_field(action, r0)
@@ -315,7 +347,8 @@ def integrate_second_order(action: ReducedActionField, r0, config: IntegratorCon
 
     def rhs(y):
         r, v = y[:3], y[3:]
-        met = metric_at(action, r)
+        s = sample(action, r)
+        a_lower = _a_lower(action, s)
         grad_al = np.zeros((3, 3))  # grad_al[nu, mu] = d a_{nunu} / d x_mu
         for mu in range(3):
             if not active[mu]:
@@ -330,12 +363,9 @@ def integrate_second_order(action: ReducedActionField, r0, config: IntegratorCon
         for mu in range(3):
             dal_dt = float(grad_al[mu] @ v)
             quad = 0.5 * float(np.sum(v * v * grad_al[:, mu]))
-            accel[mu] = (m0 * quad - grad_v[mu] - m0 * v[mu] * dal_dt) / (m0 * met.a_lower[mu])
-        return np.concatenate((v, accel))
+            accel[mu] = (m0 * quad - grad_v[mu] - m0 * v[mu] * dal_dt) / (m0 * a_lower[mu])
+        return np.concatenate((v, accel)), s
 
     y0 = np.concatenate((r0, v0))
-    samples, term = _integrate(action, rhs, y0, config, position_of=lambda y: y[:3])
-    return _wrap_trajectory(
-        action, samples, term,
-        state_of=lambda t, y, f: TrajectoryState(t, y[:3].copy(), y[3:].copy()),
-    )
+    return _integrate(action, rhs, y0, config, position_of=lambda y: y[:3],
+                      state_of=lambda t, y, f: TrajectoryState(t, y[:3].copy(), y[3:].copy()))

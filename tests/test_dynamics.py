@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from qhj3d import (
     sample,
     velocity_field,
 )
+from qhj3d import dynamics
 from qhj3d.dynamics import COMPLETED, DOMAIN_EXIT, SINGULARITY
+from qhj3d.scenario import build_action, parse_scenario
 
 from conftest import make_box_field, make_field_2d
 
@@ -224,3 +228,93 @@ def test_energy_residual_finite_where_metric_component_vanishes(harmonic_action)
                                IntegratorConfig(t_end=5.0, singularity_eps=1e-3))
     assert np.all(np.isfinite(tr.energy_residuals))
     assert tr.max_energy_residual < 1e-8 * max(1.0, harmonic_action.e)
+
+
+# ---------------------------------------------------------------------------
+# per-state columns from the step's own field sample
+# ---------------------------------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def shipped_route_case(name, mixing=None, r0=None):
+    """(action, start, config) of a shipped scenario, optionally with other
+    mixing constants or another start."""
+    scenario = parse_scenario((SCENARIOS / name).read_text())
+    if mixing is not None:
+        scenario = dataclasses.replace(scenario, a=mixing[0], b=mixing[1])
+    spec = scenario.trajectory
+    config = IntegratorConfig(t_end=spec.t_end, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
+                              max_step=spec.max_step, singularity_eps=spec.singularity_eps)
+    return build_action(scenario), r0 if r0 is not None else spec.r0, config
+
+
+# The five shipped scenarios (field2d ends in an amplitude event), plus a
+# node event and a domain exit.
+COLUMN_CASES = {
+    "free_classical": ("free_classical.scn", None, None, (COMPLETED, None)),
+    "free_a2": ("free_a2.scn", None, None, (COMPLETED, None)),
+    "field2d": ("field2d.scn", None, None, (SINGULARITY, "amplitude")),
+    "box": ("box.scn", None, None, (COMPLETED, None)),
+    "harmonic_numerov": ("harmonic_numerov.scn", None, None, (COMPLETED, None)),
+    "harmonic_node": ("harmonic_numerov.scn", None, (0.5, 0.3, 0.5), (SINGULARITY, "node")),
+    "box_exit": ("box.scn", (0.5, 2.0), (18.0, 0.0, 0.0), (DOMAIN_EXIT, None)),
+}
+
+
+@pytest.mark.parametrize("route", [integrate_first_order, integrate_second_order],
+                         ids=["first", "second"])
+@pytest.mark.parametrize("case", list(COLUMN_CASES))
+def test_stored_columns_equal_recomputation(case, route):
+    """Every stored column equals the public recomputation at its state,
+    bit for bit."""
+    name, mixing, r0, ended = COLUMN_CASES[case]
+    action, start, config = shipped_route_case(name, mixing, r0)
+    tr = route(action, start, config)
+    assert (tr.termination.status, tr.termination.kind) == ended
+    law = np.array([law_residual(action, st) for st in tr.states])
+    energy = np.array([energy_residual(action, st) for st in tr.states])
+    grad = np.array([sample(action, st.position).grad_s0 for st in tr.states])
+    assert tr.grad_s0.shape == (len(tr.states), 3)
+    for stored, recomputed in ((tr.law_residuals, law), (tr.energy_residuals, energy),
+                               (tr.grad_s0, grad)):
+        assert stored.dtype == recomputed.dtype
+        assert stored.tobytes() == recomputed.tobytes()
+
+
+def count_calls(monkeypatch, module, name):
+    calls = [0]
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_first_route_samples_once_per_rhs(monkeypatch):
+    """Without an event, each right-hand side (one velocity_field call)
+    makes the only sample call: the event check and the columns reuse it."""
+    action, start, config = shipped_route_case("free_a2.scn")
+    samples = count_calls(monkeypatch, dynamics, "sample")
+    rhs = count_calls(monkeypatch, dynamics, "velocity_field")
+    tr = integrate_first_order(action, start, config)
+    assert tr.termination.status == COMPLETED
+    assert rhs[0] >= 6 * (len(tr.states) - 1) + 1
+    assert samples[0] == rhs[0]
+
+
+@pytest.mark.parametrize("case", ["field2d", "harmonic_node"])
+def test_first_route_extra_samples_are_bisection_probes(case, monkeypatch):
+    """An event adds only the bisection probes, ten halvings of the step."""
+    name, mixing, r0, ended = COLUMN_CASES[case]
+    action, start, config = shipped_route_case(name, mixing, r0)
+    samples = count_calls(monkeypatch, dynamics, "sample")
+    rhs = count_calls(monkeypatch, dynamics, "velocity_field")
+    probes = count_calls(monkeypatch, dynamics, "_event_margin")
+    tr = integrate_first_order(action, start, config)
+    assert (tr.termination.status, tr.termination.kind) == ended
+    assert probes[0] == 10
+    assert samples[0] == rhs[0] + probes[0]

@@ -370,6 +370,7 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     ("box.scn", "t_end = 5.0", "t_end = inf", "trajectory.t_end"),
     ("box.scn", "points = 5, 0, 0", "points = nan, 0, 0", "metric.points"),
     ("free_a2.scn", "grid = 21, 21, 21", "grid = 1e300, 2, 2", "verify.grid"),
+    ("box.scn", "r0 = 5, 0, 0", "r0 = 25, 0, 0", "trajectory.r0"),
 ], ids=["a-zero", "box-n-fractional", "box-n-zero", "box-L-negative", "free-k-zero",
         "free-energy-overflow", "e-axis-conflict", "numerov-too-few-steps", "numerov-too-many-steps",
         "numerov-domain-inf", "numerov-ic-at-outside", "numerov-parallel-ics", "numerov-e-axis-nan",
@@ -377,14 +378,17 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
         "potential-wrong-parameter", "a-nan", "a-inf", "coefficient-nan", "selector-unknown",
         "hbar-inf", "mass-nan", "hbar-huge", "hbar-tiny", "mass-huge", "mass-tiny", "omega-huge",
         "omega-tiny", "verify-bound-inf", "tolerance-nan", "tolerance-inf", "t-end-inf",
-        "metric-point-nan", "grid-huge"])
+        "metric-point-nan", "grid-huge", "r0-outside-domain"])
 def test_cli_validation_exit_two(name, old, new, field, tmp_path, capsys):
-    """A broken rule exits 2 naming its field, before any file is written."""
+    """A broken rule exits 2 naming its field, before any file is written.
+    The start point is checked against the built domain by the command that
+    reads it, trajectory; every other rule by verify."""
     text = scenario_text(name)
     assert old in text
     bad = tmp_path / "bad.scn"
     bad.write_text(text.replace(old, new, 1))
-    assert main(["verify", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+    command = "trajectory" if field == "trajectory.r0" else "verify"
+    assert main([command, str(bad), "--out", str(tmp_path / "r.json")]) == 2
     assert f"scenario error: {field}:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.scn"]
 
@@ -402,9 +406,11 @@ def test_cli_validation_exit_two(name, old, new, field, tmp_path, capsys):
     (["trajectory", "free_a2.scn", "--r0", "nan,0,0"], "--r0"),
     (["metric", "free_a2.scn", "--at", "0,0,0;inf,0,0"], "--at"),
     (["verify", "free_a2.scn", "--grid", "100000,100000,2"], "--grid"),
+    (["trajectory", "box.scn", "--r0", "25,0,0"], "--r0"),
+    (["trajectory", "harmonic_numerov.scn", "--r0", "0,0,4.5"], "--r0"),
 ], ids=["grid-not-numbers", "grid-zero", "grid-one", "t-end-negative", "r0-not-a-number",
         "grid-inf", "t-end-inf", "t-end-inf-numerov", "t-end-nan", "r0-nan", "at-inf",
-        "grid-too-many-points"])
+        "grid-too-many-points", "r0-outside-domain", "r0-outside-numerov-domain"])
 def test_cli_bad_override_exit_two(argv, flag, tmp_path, capsys):
     command, name, *rest = argv
     code = main([command, scenario_path(name), *rest, "--out", str(tmp_path / "out")])
@@ -459,6 +465,16 @@ def test_cli_unwritable_out_exit_four(tmp_path, capsys):
     code = main(["verify", scenario_path("free_classical.scn"),
                  "--grid", "3,3,3", "--out", "/nonexistent-dir-qhj/r.json"])
     assert code == 4
+
+
+def test_cli_trajectory_from_node_exit_three(tmp_path, capsys):
+    """A start on a node lies inside the domain: exit 3, no state."""
+    out = tmp_path / "t.csv"
+    code = main(["trajectory", scenario_path("field2d.scn"), "--r0", f"{math.pi / 2},{math.pi / 2},0",
+                 "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().out.startswith("0 states")
+    assert out.read_text().strip() == CSV_HEADER
 
 
 def test_cli_trajectory_singularity_exit_three(tmp_path, capsys):
