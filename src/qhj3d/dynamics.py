@@ -4,10 +4,18 @@ The primary route integrates the first-order velocity field
 
     dx^mu/dt = a^{mumu} d_mu S0 / m0,
 
-which satisfies the law identically. The second-order route integrates the
-Euler-Lagrange equations of the quantum Lagrangian instead and exists as an
-independent verification of the conservation-law chain: both flows coincide
-in exact arithmetic.
+which satisfies the law identically. The second route is an independent
+check of it: Hamilton's equations of the quantum Hamiltonian
+H = sum_mu a^{mumu} p_mu^2 / 2 m0 + V in canonical form,
+
+    dx^mu/dt = a^{mumu} p_mu / m0,
+    dp_mu/dt = -sum_nu (d_mu a^{nunu}) p_nu^2 / 2 m0 - d_mu V,
+
+from p = grad S0(r0). Both flows coincide in exact arithmetic, where p stays
+equal to grad S0 along the route; H - E (the energy residual) and
+|p - grad S0| are the route's residuals. They use only the upper metric,
+whose exact gradient comes from one order-3 field evaluation per
+right-hand side (metric.a_upper_gradient).
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI-free step
 control. Singularities (a conjugate-momentum component or the amplitude R
@@ -26,7 +34,8 @@ import numpy as np
 
 from .errors import NodalPoint, NodeSingularity, OutOfDomain
 from .hj_core import ReducedActionField, sample, _require_1d
-from .metric import a_upper_from_sample, metric_at
+from .metric import a_upper_from_sample, a_upper_gradient
+from .schrodinger import evaluate_field
 
 _FIELD_SINGULAR = (NodalPoint, NodeSingularity)
 
@@ -51,9 +60,13 @@ DOMAIN_EXIT = "domain_exit"
 
 @dataclass(frozen=True)
 class TrajectoryState:
+    """One accepted state; momentum is the canonical momentum p of the
+    second route, None on the first, whose momentum is grad S0."""
+
     t: float
     position: np.ndarray
     velocity: np.ndarray
+    momentum: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -122,12 +135,12 @@ def velocity_field(action: ReducedActionField, r, with_sample=False):
     """v^mu = a^{mumu} d_mu S0 / m0 at the point r; satisfies
     v . grad S0 = 2 (E - V).
 
-    with_sample returns (v, s) instead, s being the ActionSample at r that
-    v was computed from."""
+    with_sample returns (v, s, a_upper) instead: the ActionSample at r and
+    the a^{mumu} that v was computed from."""
     s = sample(action, r)
     a_upper, _ = a_upper_from_sample(action, s)
     v = np.array([a * ds / action.m0 for a, ds in zip(a_upper, s.grad_s0)])
-    return (v, s) if with_sample else v
+    return (v, s, a_upper) if with_sample else v
 
 
 def _law(action, velocity, s) -> float:
@@ -139,38 +152,38 @@ def law_residual(action: ReducedActionField, state: TrajectoryState) -> float:
     return _law(action, state.velocity, sample(action, state.position))
 
 
-def _a_lower(action, s) -> np.ndarray:
-    """a_{mumu} = 1/a^{mumu} from the sample s; inf where a^{mumu} = 0."""
-    a_upper, _ = a_upper_from_sample(action, s)
-    with np.errstate(divide="ignore"):
-        return 1.0 / np.array(a_upper)
-
-
-def _kinetic(action, velocity, s) -> float:
-    """(m0/2) sum a_{mumu} v_mu^2 from the sample s at the state.
+def _kinetic(action, velocity, a_upper) -> float:
+    """(m0/2) sum a_{mumu} v_mu^2 with a_{mumu} = 1/a^{mumu} at the state.
 
     A term with v_mu = 0 counts as 0: where a^{mumu} = 0 the velocity
     component vanishes with it and a_{mumu} is infinite.
     """
-    a_lower = _a_lower(action, s)
+    with np.errstate(divide="ignore"):
+        a_lower = 1.0 / np.array(a_upper)
     v = np.asarray(velocity)
     moving = v != 0.0
     return 0.5 * action.m0 * float(np.sum(a_lower[moving] * v[moving]**2))
 
 
-def _energy(action, velocity, s) -> float:
-    return _kinetic(action, velocity, s) + s.v - action.e
+def _energy(action, velocity, s, a_upper) -> float:
+    return _kinetic(action, velocity, a_upper) + s.v - action.e
+
+
+def _sampled(action, state):
+    """The ActionSample at the state and a^{mumu} from it."""
+    s = sample(action, state.position)
+    return s, a_upper_from_sample(action, s)[0]
 
 
 def energy_residual(action: ReducedActionField, state: TrajectoryState) -> float:
     """(m0/2) sum a_{mumu} v_mu^2 + V - E; an exact first integral."""
-    return _energy(action, state.velocity, sample(action, state.position))
+    return _energy(action, state.velocity, *_sampled(action, state))
 
 
 def quantum_lagrangian(action: ReducedActionField, state: TrajectoryState) -> float:
     """(m0/2) sum a_{mumu} v_mu^2 - V."""
-    s = sample(action, state.position)
-    return _kinetic(action, state.velocity, s) - s.v
+    s, a_upper = _sampled(action, state)
+    return _kinetic(action, state.velocity, a_upper) - s.v
 
 
 def reduce_1d_check(action: ReducedActionField, trajectory: Trajectory) -> float:
@@ -236,31 +249,32 @@ def _locate_event(action, position_of, y, f, y_new, f_new, h, eps):
 def _integrate(action, rhs, y0, config, position_of, state_of):
     """Adaptive DP54 loop shared by both trajectory routes.
 
-    rhs(y) returns (dy/dt, s), with s the ActionSample at position_of(y)
-    that dy/dt was computed from. Every accepted step, the initial state
-    included, becomes the state state_of(t, y, dy/dt); its law residual,
-    energy residual and grad S0 are computed from that s when the step is
-    accepted, and s is dropped with the step. The event check reads the
-    same s. Returns the Trajectory.
+    rhs(y) returns (dy/dt, s, a_upper), with s the ActionSample at
+    position_of(y) and a_upper the a^{mumu} that dy/dt was computed from.
+    Every accepted step, the initial state included, becomes the state
+    state_of(t, y, dy/dt); its law residual, energy residual and grad S0
+    are computed from that s and a_upper when the step is accepted, and
+    both are dropped with the step. The event check reads the same s.
+    Returns the Trajectory.
     """
     t_end = config.t_end
     eps = config.singularity_eps
     h_floor = 1e-14 * t_end
     states, law, energy, grad = [], [], [], []
 
-    def record(t, y, f, s):
+    def record(t, y, f, s, a_upper):
         st = state_of(t, y, f)
         states.append(st)
         law.append(_law(action, st.velocity, s))
-        energy.append(_energy(action, st.velocity, s))
+        energy.append(_energy(action, st.velocity, s, a_upper))
         grad.append(s.grad_s0)
 
     def finish(termination):
         return Trajectory(states=states, termination=termination, law_residuals=np.array(law),
                           energy_residuals=np.array(energy), grad_s0=np.array(grad))
 
-    f, smp = rhs(y0)
-    record(0.0, y0, f, smp)
+    f, smp, a_upper = rhs(y0)
+    record(0.0, y0, f, smp, a_upper)
     if _margin(action, smp, eps) < 0.0:
         return finish(Termination(SINGULARITY, kind=_classify_event(action, smp), t=0.0,
                                   position=tuple(position_of(y0))))
@@ -276,7 +290,7 @@ def _integrate(action, rhs, y0, config, position_of, state_of):
             ks = [f]
             for i in range(1, 7):
                 y_stage = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-                k, smp_new = rhs(y_stage)
+                k, smp_new, a_new = rhs(y_stage)
                 ks.append(k)
         except _FIELD_SINGULAR:
             h *= 0.5
@@ -288,7 +302,7 @@ def _integrate(action, rhs, y0, config, position_of, state_of):
             continue
 
         # FSAL: row 7 of A equals b5, so the last stage point is the
-        # fifth-order solution, and f_new and smp_new are taken there.
+        # fifth-order solution, and f_new, smp_new and a_new are taken there.
         y_new, f_new = y_stage, ks[6]
 
         err_vec = h * sum(e * k for e, k in zip(_DP_E, ks))
@@ -303,16 +317,16 @@ def _integrate(action, rhs, y0, config, position_of, state_of):
             y_ev = _hermite(y, f, y_new, f_new, h, s_safe)
             t_ev = t + s_safe * h
             try:
-                f_ev, smp_ev = rhs(y_ev)
+                f_ev, *at_ev = rhs(y_ev)
                 if s_safe > 0.0:
-                    record(t_ev, y_ev, f_ev, smp_ev)
+                    record(t_ev, y_ev, f_ev, *at_ev)
             except (NodalPoint, NodeSingularity, OutOfDomain):
                 pass
             return finish(Termination(SINGULARITY, kind=_classify_event(action, smp_new), t=t_ev,
                                       position=tuple(position_of(y_ev))))
 
         t, y, f = t + h, y_new, f_new
-        record(t, y, f, smp_new)
+        record(t, y, f, smp_new, a_new)
         h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
 
     return finish(Termination(COMPLETED, t=t, position=tuple(position_of(y))))
@@ -329,43 +343,35 @@ def integrate_first_order(action: ReducedActionField, r0, config: IntegratorConf
                       state_of=lambda t, y, f: TrajectoryState(t, y.copy(), f.copy()))
 
 
-def integrate_second_order(action: ReducedActionField, r0, config: IntegratorConfig) -> Trajectory:
-    """Integrate the Euler-Lagrange equations as a 6D first-order system.
-
-    The initial velocity is pinned to the velocity field (the law of motion
-    leaves no freedom). The right-hand side takes a_{mumu} at r from its own
-    sample, which it returns, and the metric gradients from central
-    differences of metric_at with step 1e-6 times the field's length scale.
-    """
-    r0 = np.asarray(r0, dtype=float)
-    v0 = velocity_field(action, r0)
-
+def _hamilton_rhs(action: ReducedActionField):
+    """The second route's right-hand side y = (r, p) -> (dy/dt, s, a_upper):
+    Hamilton's equations from one order-3 field evaluation at r, plus the
+    potential gradient."""
     m0 = action.m0
-    active = action.field.active_axes
-    delta = 1e-6 * action.field.length_scale
-    potential = action.field.potential
+    field = action.field
+    potential = field.potential
 
     def rhs(y):
-        r, v = y[:3], y[3:]
-        s = sample(action, r)
-        a_lower = _a_lower(action, s)
-        grad_al = np.zeros((3, 3))  # grad_al[nu, mu] = d a_{nunu} / d x_mu
-        for mu in range(3):
-            if not active[mu]:
-                continue
-            shift = np.zeros(3)
-            shift[mu] = delta
-            alp = metric_at(action, r + shift).a_lower
-            alm = metric_at(action, r - shift).a_lower
-            grad_al[:, mu] = (alp - alm) / (2.0 * delta)
+        r, p = y[:3], y[3:].tolist()
+        s, a_upper, grad_a = a_upper_gradient(action, evaluate_field(field, r, order=3), r)
         grad_v = potential.gradient(r)
-        accel = np.empty(3)
-        for mu in range(3):
-            dal_dt = float(grad_al[mu] @ v)
-            quad = 0.5 * float(np.sum(v * v * grad_al[:, mu]))
-            accel[mu] = (m0 * quad - grad_v[mu] - m0 * v[mu] * dal_dt) / (m0 * a_lower[mu])
-        return np.concatenate((v, accel)), s
+        p2 = [pm * pm for pm in p]
+        dr = [a * pm / m0 for a, pm in zip(a_upper, p)]
+        dp = [-(g[0] * p2[0] + g[1] * p2[1] + g[2] * p2[2]) / (2.0 * m0) - dv
+              for g, dv in zip(grad_a, grad_v)]
+        return np.array(dr + dp), s, a_upper
 
-    y0 = np.concatenate((r0, v0))
-    return _integrate(action, rhs, y0, config, position_of=lambda y: y[:3],
-                      state_of=lambda t, y, f: TrajectoryState(t, y[:3].copy(), y[3:].copy()))
+    return rhs
+
+
+def integrate_second_order(action: ReducedActionField, r0, config: IntegratorConfig) -> Trajectory:
+    """Integrate Hamilton's equations in (r, p) as a 6D first-order system
+    from p = grad S0(r0) (the law of motion leaves no freedom).
+
+    A state's velocity is dr/dt = a^{mumu} p_mu / m0 and its momentum p.
+    """
+    r0 = np.asarray(r0, dtype=float)
+    y0 = np.concatenate((r0, sample(action, r0).grad_s0))
+    return _integrate(action, _hamilton_rhs(action), y0, config, position_of=lambda y: y[:3],
+                      state_of=lambda t, y, f: TrajectoryState(t, y[:3].copy(), f[:3].copy(),
+                                                               y[3:].copy()))

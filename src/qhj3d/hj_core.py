@@ -107,7 +107,11 @@ def sample(action: ReducedActionField, r) -> ActionSample:
     A nodal or out-of-domain point raises NodalPoint or OutOfDomain; over
     arrays the status marks such points instead.
     """
-    fs = evaluate_field(action.field, r)
+    return _sample_field(action, evaluate_field(action.field, r), r)
+
+
+def _sample_field(action: ReducedActionField, fs: FieldSample, r) -> ActionSample:
+    """sample(action, r) built on fs, a field evaluation at r of any order."""
     tp, grad_tp, sec_tp = _theta_prime_parts(action, fs)
     ph, grad_ph, sec_ph = fs.phi, fs.grad_phi, fs.second_phi
 

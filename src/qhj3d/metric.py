@@ -23,7 +23,8 @@ from .errors import (
     NonRiemannianPoint,
     ZeroConjugateMomentum,
 )
-from .hj_core import MOMENTUM_EPS, ReducedActionField, s0_derivatives_1d, sample, _flat_axis_reference, _require_1d
+from .hj_core import (MOMENTUM_EPS, ReducedActionField, s0_derivatives_1d, sample, _flat_axis_reference,
+                      _require_1d, _sample_field)
 from .potentials import evaluate as evaluate_potential
 
 NODE_EPS = 1e-12
@@ -78,6 +79,46 @@ def a_upper_from_sample(action: ReducedActionField, s):
         status = where(singular & (status == OK), NODE_SINGULAR, status)
         a_upper.append(where(moving, 1.0 - corr / where(moving, ds * ds, 1.0), 1.0))
     return tuple(a_upper), status
+
+
+def a_upper_gradient(action: ReducedActionField, fs, r):
+    """The ActionSample at the point r built on fs, an order-3 field
+    evaluation there; a^{mumu} from it (a_upper_from_sample, which raises
+    NodeSingularity); and its exact gradient grad_a[nu][mu] = d_nu a^{mumu}.
+
+    With psi = phi + i theta' = R exp(i S0 / hbar) and w_mu = d_mu psi / psi,
+    p_mu = d_mu S0 = hbar Im w_mu and d_mu ln R = Re w_mu, so
+    Q_mu = (d^2_mu R)/R = Re d_mu w_mu + (Re w_mu)^2 and
+    a^{mumu} = 1 - hbar^2 Q_mu / p_mu^2. The derivatives of w, hence d_nu p_mu
+    and d_nu Q_mu, follow from the Hessian and third partials of psi. The
+    gradient is 0 along flat axes and where a^{mumu} = 1 because
+    d_mu S0 = 0.
+    """
+    s = _sample_field(action, fs, r)
+    a_upper, _ = a_upper_from_sample(action, s)
+    hbar2 = action.hbar**2
+    ct, cp = complex(0.0, action.a), complex(1.0, action.b)
+    inv = 1.0 / (ct * fs.theta + cp * fs.phi)
+    w = [(ct * t + cp * p) * inv for t, p in zip(fs.grad_theta, fs.grad_phi)]
+    hess, third = ([[(ct * t + cp * p) * inv for t, p in zip(row_t, row_p)]
+                    for row_t, row_p in zip(jet_t, jet_p)]
+                   for jet_t, jet_p in ((fs.hessian_theta, fs.hessian_phi),
+                                        (fs.third_theta, fs.third_phi)))
+    active = [nu for nu in range(3) if action.field.active_axes[nu]]
+    grad_a = [[0.0] * 3 for _ in range(3)]
+    for mu in active:
+        p = s.grad_s0[mu]
+        if abs(p) < NODE_EPS:
+            continue
+        wm = w[mu]
+        q = (hess[mu][mu] - wm * wm).real + wm.real**2
+        for nu in active:
+            dw = hess[nu][mu] - w[nu] * wm  # d_nu w_mu
+            d2w = third[nu][mu] - hess[mu][mu] * w[nu] - 2.0 * wm * dw  # d_nu d_mu w_mu
+            dq = d2w.real + 2.0 * wm.real * dw.real
+            dp = action.hbar * dw.imag
+            grad_a[nu][mu] = -hbar2 * (dq - 2.0 * q * dp / p) / (p * p)
+    return s, a_upper, grad_a
 
 
 def signature_chars(a_upper) -> tuple:

@@ -437,7 +437,6 @@ class SolutionField3D:
     hbar: float
     m0: float
     active_axes: tuple[bool, bool, bool]
-    length_scale: float
 
     @property
     def potential(self) -> SeparablePotential:
@@ -452,6 +451,11 @@ class FieldSample:
     Per-axis quantities are (x, y, z) tuples. At a point every entry is a
     float; over arrays every entry has the broadcast shape, and points
     outside the domain hold the values at the axis anchors.
+
+    An order-3 evaluation also holds, for theta and phi, the Hessian
+    hessian[nu][mu] = d_nu d_mu (its diagonal is the second partials) and
+    the third partials third[nu][mu] = d_nu d_mu^2; at order 2 they are
+    None.
     """
 
     theta: float
@@ -462,6 +466,10 @@ class FieldSample:
     second_phi: tuple
     v: float
     status: int
+    hessian_theta: tuple | None = None
+    third_theta: tuple | None = None
+    hessian_phi: tuple | None = None
+    third_phi: tuple | None = None
 
 
 def normalize_terms(terms, which):
@@ -480,9 +488,11 @@ def normalize_terms(terms, which):
     return tuple(out)
 
 
-def _axis_eval(pairs, coords):
-    """Per-axis (u, u', u'') for u1 and u2, the summed axis potentials, and
-    whether every coordinate lies inside its axis domain.
+def _axis_eval(pairs, coords, order=2):
+    """Per-axis jets (u, u', u'') for u1 and u2, the summed axis potentials,
+    and whether every coordinate lies inside its axis domain. Order 3 adds
+    u''' = f'u + f u' to each jet, f being the u''/u factor and f' its
+    derivative from the axis potential's.
 
     Each axis is evaluated once on its own coordinate (a float, or an array
     for many points). A coordinate outside its domain is evaluated at the
@@ -499,17 +509,25 @@ def _axis_eval(pairs, coords):
         c = _ode_factor(v_axis, pair.e_axis, pair.m0, pair.hbar)
         u1, u2 = pair.basis.value(x)
         d1, d2 = pair.basis.derivative(x)
-        cache.append({"u1": (u1, d1, c * u1), "u2": (u2, d2, c * u2)})
+        if order == 2:
+            cache.append({"u1": (u1, d1, c * u1), "u2": (u2, d2, c * u2)})
+        else:
+            dc = _ode_factor(pair.potential.derivative(x), 0.0, pair.m0, pair.hbar)
+            cache.append({"u1": (u1, d1, c * u1, dc * u1 + c * d1),
+                          "u2": (u2, d2, c * u2, dc * u2 + c * d2)})
         v = v + v_axis
         inside = inside & ok
     return cache, v, inside
 
 
-def _combine(terms, cache):
+def _combine(terms, cache, order=2):
     """Value, gradient and diagonal second partials of a sum of products.
+    Order 3, on an order-3 cache, adds the Hessian and the third partials
+    d_nu d_mu^2, both indexed [nu][mu].
 
     Per-axis factors broadcast into the products. Sums start from +0.0 and
-    run in term order, so a point and a grid entry take the same steps.
+    run in term order, so a point and a grid entry take the same steps;
+    the order-2 parts do not depend on the order.
     """
     value = 0.0
     grad = [0.0, 0.0, 0.0]
@@ -524,25 +542,47 @@ def _combine(terms, cache):
                     others = others * f[nu][0]
             grad[mu] = grad[mu] + f[mu][1] * others
             second[mu] = second[mu] + f[mu][2] * others
-    return value, tuple(grad), tuple(second)
+    if order == 2:
+        return value, tuple(grad), tuple(second)
+    h01 = h02 = h12 = 0.0
+    t00 = t01 = t02 = t10 = t11 = t12 = t20 = t21 = t22 = 0.0
+    for coef, sels in terms:
+        (u0, d0, s0, j0), (u1, d1, s1, j1), (u2, d2, s2, j2) = (cache[i][sels[i]] for i in range(3))
+        c0, c1, c2 = coef * u0, coef * u1, coef * u2
+        h01 = h01 + d0 * d1 * c2
+        h02 = h02 + d0 * d2 * c1
+        h12 = h12 + d1 * d2 * c0
+        t00 = t00 + j0 * (c1 * u2)
+        t11 = t11 + j1 * (c0 * u2)
+        t22 = t22 + j2 * (c0 * u1)
+        t01 = t01 + d0 * s1 * c2
+        t10 = t10 + d1 * s0 * c2
+        t02 = t02 + d0 * s2 * c1
+        t20 = t20 + d2 * s0 * c1
+        t12 = t12 + d1 * s2 * c0
+        t21 = t21 + d2 * s1 * c0
+    hessian = ((second[0], h01, h02), (h01, second[1], h12), (h02, h12, second[2]))
+    third = ((t00, t01, t02), (t10, t11, t12), (t20, t21, t22))
+    return value, tuple(grad), tuple(second), hessian, third
 
 
-def evaluate_field(field: SolutionField3D, r) -> FieldSample:
+def evaluate_field(field: SolutionField3D, r, order=2) -> FieldSample:
     """theta and phi with exact second partials at r: a point, or three
     coordinate arrays that broadcast together (see arrays.sparse_grid).
+    order=3 adds the Hessians and third partials (see FieldSample).
 
     A point outside the domain raises OutOfDomain; over arrays such points
     are marked OUT_OF_DOMAIN in the status.
     """
     coords = as_coords(r)
-    cache, v, inside = _axis_eval(field.pairs, coords)
+    cache, v, inside = _axis_eval(field.pairs, coords, order)
     status = where(inside, OK, OUT_OF_DOMAIN)
     if at_point(status) and status != OK:
         pair, x = next((p, x) for p, x in zip(field.pairs, coords) if not p.contains(x))
         raise OutOfDomain(f"axis {pair.axis}: {x} outside domain {pair.domain}")
-    theta, grad_t, sec_t = _combine(field.theta_terms, cache)
-    phi, grad_p, sec_p = _combine(field.phi_terms, cache)
-    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status)
+    theta, grad_t, sec_t, *jets_t = _combine(field.theta_terms, cache, order)
+    phi, grad_p, sec_p, *jets_p = _combine(field.phi_terms, cache, order)
+    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status, *jets_t, *jets_p)
 
 
 def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) -> SolutionField3D:
@@ -577,12 +617,6 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) ->
             f"theta and phi look proportional: max |phi grad(theta) - theta grad(phi)| = {max_cross:.3e}"
         )
 
-    active = tuple(bool(g > PROBE_EPS) for g in max_grad)
-    finite_spans = [p.domain[1] - p.domain[0]
-                    for p, act in zip(pairs, active)
-                    if act and math.isfinite(p.domain[0]) and math.isfinite(p.domain[1])]
-    length_scale = min(finite_spans) if finite_spans else 1.0
-
     return SolutionField3D(
         pairs=pairs,
         theta_terms=theta_terms,
@@ -590,6 +624,5 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) ->
         e=sum(p.e_axis for p in pairs),
         hbar=hbar,
         m0=m0,
-        active_axes=active,
-        length_scale=length_scale,
+        active_axes=tuple(bool(g > PROBE_EPS) for g in max_grad),
     )

@@ -19,8 +19,9 @@ from qhj3d import (
     sample,
     velocity_field,
 )
-from qhj3d import dynamics
+from qhj3d import dynamics, metric, schrodinger
 from qhj3d.dynamics import COMPLETED, DOMAIN_EXIT, SINGULARITY
+from qhj3d.potentials import SeparablePotential
 from qhj3d.scenario import build_action, parse_scenario
 
 from conftest import make_box_field, make_field_2d
@@ -318,3 +319,104 @@ def test_first_route_extra_samples_are_bisection_probes(case, monkeypatch):
     assert (tr.termination.status, tr.termination.kind) == ended
     assert probes[0] == 10
     assert samples[0] == rhs[0] + probes[0]
+
+
+# ---------------------------------------------------------------------------
+# second route: Hamilton's equations in (r, p)
+# ---------------------------------------------------------------------------
+
+# The centre start of each route_pair benchmark stratum: (scenario, mixing,
+# t_end, start).
+ROUTE_CENTRES = {
+    "free_a2": ("free_a2.scn", (2.0, 0.0), 5.0, (0.0, 0.0, 0.0)),
+    "free_mixed": ("free_a2.scn", (1.5, 0.5), 5.0, (0.0, 0.0, 0.0)),
+    "box": ("box.scn", (1.0, 1.0), 5.0, (5.0, 0.0, 0.0)),
+    "field2d": ("field2d.scn", (1.0, 0.0), 1.2, (-0.45, -1.3527, 0.0)),
+    "harmonic": ("harmonic_numerov.scn", (1.5, 0.5), 2.0, (0.5, 0.3, -0.2)),
+}
+
+
+def route_centre(stratum):
+    name, mixing, t_end, start = ROUTE_CENTRES[stratum]
+    action, start, config = shipped_route_case(name, mixing, start)
+    return action, start, dataclasses.replace(config, t_end=t_end)
+
+
+def momentum_gap(tr):
+    """max over states of |p - grad S0| / max(1, |grad S0|)."""
+    p = np.array([st.momentum for st in tr.states])
+    return float(np.max(np.abs(p - tr.grad_s0) / np.maximum(1.0, np.abs(tr.grad_s0))))
+
+
+@pytest.mark.parametrize("stratum", list(ROUTE_CENTRES))
+def test_second_route_residuals_on_route_pair_strata(stratum):
+    """p stays on grad S0 and H stays on E, and both routes end together."""
+    action, start, config = route_centre(stratum)
+    first = integrate_first_order(action, start, config)
+    second = integrate_second_order(action, start, config)
+    assert (first.termination.status, second.termination.status) == (COMPLETED, COMPLETED)
+    assert np.max(np.abs(first.final_state.position - second.final_state.position)) < 1e-5
+    assert momentum_gap(second) <= 1e-8
+    assert second.max_energy_residual < 1e-8 * max(1.0, action.e)
+    assert np.array_equal(second.states[0].momentum, second.grad_s0[0])
+    assert np.array_equal(second.states[0].velocity, first.states[0].velocity)
+    assert first.states[0].momentum is None
+
+
+@pytest.mark.parametrize("stratum", ["free_a2", "field2d", "harmonic"])
+def test_second_route_matches_dop853_oracle(stratum):
+    """scipy's DOP853 at rtol 1e-12 on the same right-hand side ends where
+    the route does."""
+    from scipy.integrate import solve_ivp
+
+    action, start, config = route_centre(stratum)
+    tr = integrate_second_order(action, start, config)
+    assert tr.termination.status == COMPLETED
+    rhs = dynamics._hamilton_rhs(action)
+    y0 = np.concatenate((start, sample(action, start).grad_s0))
+    oracle = solve_ivp(lambda t, y: rhs(y)[0], (0.0, config.t_end), y0, method="DOP853",
+                       rtol=1e-12, atol=1e-12)
+    assert oracle.success
+    assert np.max(np.abs(oracle.y[:3, -1] - tr.final_state.position)) < 1e-7
+
+
+def test_second_route_one_field_evaluation_per_rhs(monkeypatch):
+    """Each right-hand side (one potential gradient) evaluates the field
+    once, at order 3, and calls metric_at never; the only other field
+    evaluation is the sample that sets p0."""
+    action, start, config = route_centre("field2d")
+    rhs = count_calls(monkeypatch, SeparablePotential, "gradient")
+    rhs_evals = count_calls(monkeypatch, dynamics, "evaluate_field")
+    all_evals = count_calls(monkeypatch, schrodinger, "_axis_eval")
+    samples = count_calls(monkeypatch, dynamics, "sample")
+    metric_calls = count_calls(monkeypatch, metric, "metric_at")
+    tr = integrate_second_order(action, start, config)
+    assert tr.termination.status == COMPLETED
+    assert rhs[0] >= 6 * (len(tr.states) - 1) + 1
+    assert rhs_evals[0] == rhs[0]
+    assert all_evals[0] == rhs[0] + 1
+    assert samples[0] == 1
+    assert metric_calls[0] == 0
+
+
+@pytest.mark.parametrize("t_end", [2.0, 5.0])
+def test_second_route_near_metric_corner_agrees_or_stops(t_end):
+    """harmonic_numerov at (a, b) = (0.5, 2.0) heads for the corner
+    (1, 1, -1), where every a^{mumu} vanishes and dp/dt is quadratic in p.
+    The route either completes next to the first route or stops early,
+    where the first route run to the same time agrees with it; no column
+    holds NaN."""
+    action, start, config = shipped_route_case("harmonic_numerov.scn", (0.5, 2.0), (0.5, 0.3, -0.2))
+    config = dataclasses.replace(config, t_end=t_end)
+    second = integrate_second_order(action, start, config)
+    columns = (second.law_residuals, second.energy_residuals, second.grad_s0,
+               [st.position for st in second.states], [st.velocity for st in second.states],
+               [st.momentum for st in second.states])
+    assert all(np.all(np.isfinite(column)) for column in columns)
+    t_stop = second.final_state.t
+    if second.termination.status != COMPLETED:
+        config = dataclasses.replace(config, t_end=t_stop)
+    first = integrate_first_order(action, start, config)
+    assert first.termination.status == COMPLETED
+    assert first.final_state.t == pytest.approx(t_stop, abs=1e-12)
+    assert np.max(np.abs(first.final_state.position - second.final_state.position)) < 1e-5

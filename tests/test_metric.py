@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,16 @@ from qhj3d import (
     fm_factor_1d,
     metric_at,
     s0_derivatives_1d,
+    sample,
     schwarzian_1d,
     solve_axis_analytic,
+    sparse_grid,
     verify_transformation,
 )
-from qhj3d.metric import JacobianMatrix, QuantumMetric, TWELVE_EQUATION_LABELS
+from qhj3d.errors import QhjError
+from qhj3d.metric import JacobianMatrix, QuantumMetric, TWELVE_EQUATION_LABELS, a_upper_gradient
+from qhj3d.scenario import build_action, parse_scenario
+from qhj3d.schrodinger import evaluate_field
 
 from conftest import make_box_field
 
@@ -214,3 +220,92 @@ def test_box_field_is_riemannian_everywhere():
     for x in np.linspace(0.05, 2.95, 59):
         m = metric_at(action, (x, 0.0, 0.0))
         assert m.a_upper[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# order-3 field evaluation and the exact gradient of a^{mumu}
+# ---------------------------------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = ("free_classical", "free_a2", "field2d", "box", "harmonic_numerov")
+JET_STEP = 1e-5
+
+
+def shipped_off_node_points(name, count=6, seed=5):
+    """The action of a shipped scenario, and its trajectory start plus
+    seeded points of its verify box at which a^{mumu} is defined and every
+    active |d_mu S0| exceeds 1e-2."""
+    scenario = parse_scenario((SCENARIOS / f"{name}.scn").read_text())
+    action = build_action(scenario)
+    lo, hi = np.array(scenario.verify.bounds, dtype=float).T
+    rng = np.random.default_rng(seed)
+    points = []
+    for r in [np.array(scenario.trajectory.r0)] + [lo + (hi - lo) * rng.random(3) for _ in range(count)]:
+        try:
+            metric_at(action, r)
+        except QhjError:
+            continue
+        momenta = sample(action, r).grad_s0
+        if all(abs(p) > 1e-2 for p, on in zip(momenta, action.field.active_axes) if on):
+            points.append(r)
+    assert len(points) >= 4
+    return action, points
+
+
+def central_difference(fn, r):
+    """Rows d_nu fn(r) for nu = x, y, z, by central differences."""
+    rows = []
+    for nu in range(3):
+        shift = np.zeros(3)
+        shift[nu] = JET_STEP
+        rows.append((np.asarray(fn(r + shift)) - np.asarray(fn(r - shift))) / (2 * JET_STEP))
+    return np.array(rows)
+
+
+def assert_close(exact, estimate, what):
+    exact, estimate = np.asarray(exact), np.asarray(estimate)
+    scale = max(1.0, float(np.max(np.abs(estimate))))
+    assert np.max(np.abs(exact - estimate)) <= 1e-6 * scale, what
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_order3_keeps_order2_fields_bitwise(name):
+    action, points = shipped_off_node_points(name)
+    scenario = parse_scenario((SCENARIOS / f"{name}.scn").read_text())
+    grid = sparse_grid(scenario.verify.bounds, scenario.verify.grid)
+    for r in (*points, grid):
+        two, three = evaluate_field(action.field, r), evaluate_field(action.field, r, order=3)
+        assert two.hessian_theta is None and three.third_phi is not None
+        for f in ("theta", "phi", "grad_theta", "grad_phi", "second_theta", "second_phi", "v", "status"):
+            assert np.array_equal(getattr(two, f), getattr(three, f)), f
+            assert np.asarray(getattr(two, f)).tobytes() == np.asarray(getattr(three, f)).tobytes(), f
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_order3_partials_match_central_differences(name):
+    """hessian[nu][mu] = d_nu d_mu and third[nu][mu] = d_nu d_mu^2 of theta
+    and phi against central differences of the order-2 gradient and
+    second partials."""
+    action, points = shipped_off_node_points(name)
+    field = action.field
+    for r in points:
+        fs = evaluate_field(field, r, order=3)
+        for which in ("theta", "phi"):
+            hessian = central_difference(lambda x: getattr(evaluate_field(field, x), f"grad_{which}"), r)
+            third = central_difference(lambda x: getattr(evaluate_field(field, x), f"second_{which}"), r)
+            assert_close(getattr(fs, f"hessian_{which}"), hessian, (which, "hessian", r))
+            assert_close(getattr(fs, f"third_{which}"), third, (which, "third", r))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_upper_gradient_matches_central_differences(name):
+    """grad_a[nu][mu] = d_nu a^{mumu} against central differences of
+    metric_at; the sample and a^{mumu} it returns are those of sample and
+    metric_at at the point, bit for bit."""
+    action, points = shipped_off_node_points(name)
+    for r in points:
+        s, a_upper, grad_a = a_upper_gradient(action, evaluate_field(action.field, r, order=3), r)
+        assert np.array(a_upper).tobytes() == metric_at(action, r).a_upper.tobytes()
+        assert s.grad_s0 == sample(action, r).grad_s0
+        estimate = central_difference(lambda x: metric_at(action, x).a_upper, r)
+        assert_close(grad_a, estimate, r)

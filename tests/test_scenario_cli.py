@@ -181,7 +181,6 @@ def test_shared_numerov_axes_evaluate_as_independent_builds():
     assert shared.pairs[1].basis is shared.pairs[0].basis
     assert independent.pairs[1].basis is not independent.pairs[0].basis
     assert shared.active_axes == independent.active_axes
-    assert shared.length_scale == independent.length_scale
     grid = sparse_grid(s.verify.bounds, s.verify.grid)
     for r in (grid, *s.metric_points):
         got, want = evaluate_field(shared, r), evaluate_field(independent, r)
