@@ -62,6 +62,7 @@ from .metric import (
 )
 from .dynamics import (
     IntegratorConfig,
+    IntegratorStats,
     Termination,
     Trajectory,
     TrajectoryState,

@@ -263,6 +263,7 @@ def run_trajectory(scenario: Scenario, r0=None, t_end=None, out="trajectory.csv"
         "states": len(trajectory.states),
         "max_law_residual": trajectory.max_law_residual if trajectory.states else None,
         "max_energy_residual": trajectory.max_energy_residual if trajectory.states else None,
+        "integrator": dataclasses.asdict(trajectory.stats) if trajectory.stats is not None else None,
     }
     _atomic_write(sidecar, _json_text(payload))
     if plot_script:

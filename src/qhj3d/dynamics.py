@@ -39,19 +39,19 @@ from .schrodinger import evaluate_field
 
 _FIELD_SINGULAR = (NodalPoint, NodeSingularity)
 
-# Dormand-Prince 5(4): 7 stages, FSAL, 5th-order propagation.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4): 7 stages, FSAL, 5th-order propagation. Row i of A
+# holds stage i's weights, zero-padded to 7 columns; row 6 is b5.
+_DP_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = _DP_A[6] - _DP_B4
 
 COMPLETED = "completed"
 SINGULARITY = "singularity"
@@ -108,15 +108,32 @@ class Termination:
 
 
 @dataclass
+class IntegratorStats:
+    """Counts of one integration, deterministic like its states: accepted
+    steps, steps the error test rejected, step halvings after a stage met
+    a singular point or left the domain, right-hand-side evaluations (those
+    that raised included) and event-bisection probes."""
+
+    accepted: int = 0
+    rejected: int = 0
+    singular_halvings: int = 0
+    domain_halvings: int = 0
+    rhs_evals: int = 0
+    event_probes: int = 0
+
+
+@dataclass
 class Trajectory:
     """Accepted states and, per state, the law residual, the energy
-    residual and grad S0, each taken from the field sample of the state."""
+    residual and grad S0, each taken from the field sample of the state;
+    and the integrator's counts, None when no integration ran."""
 
     states: list[TrajectoryState]
     termination: Termination
     law_residuals: np.ndarray
     energy_residuals: np.ndarray
     grad_s0: np.ndarray  # (len(states), 3)
+    stats: IntegratorStats | None = None
 
     @property
     def final_state(self) -> TrajectoryState:
@@ -231,14 +248,16 @@ def _hermite(y0, f0, y1, f1, h, s):
             + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
 
 
-def _locate_event(action, position_of, y, f, y_new, f_new, h, eps):
-    """Bisect the crossing of the event margin along the Hermite interpolant.
+def _locate_event(action, position_of, y, f, y_new, f_new, h, eps, stats):
+    """Bisect the crossing of the event margin along the Hermite interpolant,
+    counting each probe in stats.
 
     Returns (s_safe, s_cross) with the bracket width below 1e-3."""
     s_lo, s_hi = 0.0, 1.0
     while s_hi - s_lo > 1e-3:
         s_mid = 0.5 * (s_lo + s_hi)
         y_mid = _hermite(y, f, y_new, f_new, h, s_mid)
+        stats.event_probes += 1
         if _event_margin(action, position_of(y_mid), eps) >= 0.0:
             s_lo = s_mid
         else:
@@ -255,12 +274,21 @@ def _integrate(action, rhs, y0, config, position_of, state_of):
     state_of(t, y, dy/dt); its law residual, energy residual and grad S0
     are computed from that s and a_upper when the step is accepted, and
     both are dropped with the step. The event check reads the same s.
-    Returns the Trajectory.
+
+    A step holds its seven stage derivatives as the rows of one array; each
+    stage point, and the error estimate, is one weighted sum over those
+    rows, added in stage order. Returns the Trajectory with its
+    IntegratorStats.
     """
     t_end = config.t_end
     eps = config.singularity_eps
     h_floor = 1e-14 * t_end
     states, law, energy, grad = [], [], [], []
+    stats = IntegratorStats()
+
+    def evaluate(y):
+        stats.rhs_evals += 1
+        return rhs(y)
 
     def record(t, y, f, s, a_upper):
         st = state_of(t, y, f)
@@ -271,9 +299,9 @@ def _integrate(action, rhs, y0, config, position_of, state_of):
 
     def finish(termination):
         return Trajectory(states=states, termination=termination, law_residuals=np.array(law),
-                          energy_residuals=np.array(energy), grad_s0=np.array(grad))
+                          energy_residuals=np.array(energy), grad_s0=np.array(grad), stats=stats)
 
-    f, smp, a_upper = rhs(y0)
+    f, smp, a_upper = evaluate(y0)
     record(0.0, y0, f, smp, a_upper)
     if _margin(action, smp, eps) < 0.0:
         return finish(Termination(SINGULARITY, kind=_classify_event(action, smp), t=0.0,
@@ -286,38 +314,41 @@ def _integrate(action, rhs, y0, config, position_of, state_of):
         if h < h_floor:
             return finish(Termination(SINGULARITY, kind="step_underflow", t=t,
                                       position=tuple(position_of(y))))
+        ks = np.empty((7, y.size))
+        ks[0] = f
         try:
-            ks = [f]
             for i in range(1, 7):
-                y_stage = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-                k, smp_new, a_new = rhs(y_stage)
-                ks.append(k)
+                y_stage = y + h * (_DP_A[i, :i, None] * ks[:i]).sum(axis=0)
+                ks[i], smp_new, a_new = evaluate(y_stage)
         except _FIELD_SINGULAR:
+            stats.singular_halvings += 1
             h *= 0.5
             continue
         except OutOfDomain:
             if h * 0.5 < h_floor:
                 return finish(Termination(DOMAIN_EXIT, t=t, position=tuple(position_of(y))))
+            stats.domain_halvings += 1
             h *= 0.5
             continue
 
-        # FSAL: row 7 of A equals b5, so the last stage point is the
+        # FSAL: the last row of A is b5, so the last stage point is the
         # fifth-order solution, and f_new, smp_new and a_new are taken there.
         y_new, f_new = y_stage, ks[6]
 
-        err_vec = h * sum(e * k for e, k in zip(_DP_E, ks))
+        err_vec = h * (_DP_E[:, None] * ks).sum(axis=0)
         scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
         if err > 1.0:
+            stats.rejected += 1
             h *= max(0.2, 0.9 * err**-0.2)
             continue
 
         if _margin(action, smp_new, eps) < 0.0:
-            s_safe, _ = _locate_event(action, position_of, y, f, y_new, f_new, h, eps)
+            s_safe, _ = _locate_event(action, position_of, y, f, y_new, f_new, h, eps, stats)
             y_ev = _hermite(y, f, y_new, f_new, h, s_safe)
             t_ev = t + s_safe * h
             try:
-                f_ev, *at_ev = rhs(y_ev)
+                f_ev, *at_ev = evaluate(y_ev)
                 if s_safe > 0.0:
                     record(t_ev, y_ev, f_ev, *at_ev)
             except (NodalPoint, NodeSingularity, OutOfDomain):
@@ -326,6 +357,7 @@ def _integrate(action, rhs, y0, config, position_of, state_of):
                                       position=tuple(position_of(y_ev))))
 
         t, y, f = t + h, y_new, f_new
+        stats.accepted += 1
         record(t, y, f, smp_new, a_new)
         h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arrays import as_coords, at_point, atan2, maximum, sqrt, where
 from .errors import NODAL, OK, NodalPoint, ZeroConjugateMomentum
 from .potentials import evaluate as evaluate_potential
@@ -118,12 +120,16 @@ def _sample_field(action: ReducedActionField, fs: FieldSample, r) -> ActionSampl
     g = tp * tp + ph * ph
     amplitude = sqrt(g)
     nodal = amplitude < NODAL_EPS * maximum(maximum(1.0, abs(tp)), abs(ph))
-    status = where(fs.status == OK, where(nodal, NODAL, OK), fs.status)
-    if at_point(status) and status == NODAL:
-        raise NodalPoint(f"R = {amplitude:.3e} at r = {tuple(float(c) for c in r)}")
-    ok = status == OK
-    g = where(ok, g, 1.0)
-    amplitude = where(ok, amplitude, 1.0)
+    if at_point(fs.status):
+        # evaluate_field has raised unless fs.status is OK; nothing to mask
+        if nodal:
+            raise NodalPoint(f"R = {amplitude:.3e} at r = {tuple(float(c) for c in r)}")
+        status = OK
+    else:
+        status = np.where(fs.status == OK, np.where(nodal, NODAL, OK), fs.status)
+        ok = status == OK
+        g = np.where(ok, g, 1.0)
+        amplitude = np.where(ok, amplitude, 1.0)
 
     hbar = action.hbar
 

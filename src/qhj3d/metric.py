@@ -67,17 +67,21 @@ def a_upper_from_sample(action: ReducedActionField, s):
     hbar2 = action.hbar**2
     p_scale = max(1.0, 2.0 * action.m0 * abs(action.e))
     status = s.status
+    point = at_point(status)
     a_upper = []
     for mu in range(3):
         ds = s.grad_s0[mu]
         corr = hbar2 * s.hessian_r_diag[mu] / s.amplitude
         moving = abs(ds) >= NODE_EPS
         flat = abs(corr) <= NODE_EPS * p_scale
-        singular = where(moving | flat, False, True)
-        if at_point(status) and singular:
-            raise NodeSingularity(mu, f"d_{'xyz'[mu]} S0 = {ds:.3e} with nonzero quantum correction")
-        status = where(singular & (status == OK), NODE_SINGULAR, status)
-        a_upper.append(where(moving, 1.0 - corr / where(moving, ds * ds, 1.0), 1.0))
+        if point:
+            if not (moving or flat):
+                raise NodeSingularity(mu, f"d_{'xyz'[mu]} S0 = {ds:.3e} with nonzero quantum correction")
+            a_upper.append(1.0 - corr / (ds * ds) if moving else 1.0)
+            continue
+        singular = ~(moving | flat)
+        status = np.where(singular & (status == OK), NODE_SINGULAR, status)
+        a_upper.append(np.where(moving, 1.0 - corr / np.where(moving, ds * ds, 1.0), 1.0))
     return tuple(a_upper), status
 
 

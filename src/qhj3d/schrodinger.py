@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,12 +118,18 @@ class AxisSolutionPair:
 
     def contains(self, x: float) -> bool:
         """Whether x lies in the axis domain and the potential's, up to
-        rounding at the edges."""
+        rounding at the edges. A potential on the whole line holds every
+        x that is not NaN, so only a bounded one is asked."""
         lo, hi = self.domain
         eps = 4.0 * EPS * maximum(1.0, abs(x))
-        return (lo - eps <= x) & (x <= hi + eps) & self.potential.contains(x)
+        inside = (lo - eps <= x) & (x <= hi + eps)
+        return inside & self.potential.contains(x) if self._bounded_potential else inside
 
-    @property
+    @cached_property
+    def _bounded_potential(self) -> bool:
+        return self.potential.domain != FULL_LINE
+
+    @cached_property
     def anchor(self) -> float:
         """A point of the domain, evaluated in place of coordinates outside it."""
         lo, hi = self.domain

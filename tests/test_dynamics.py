@@ -21,6 +21,7 @@ from qhj3d import (
 )
 from qhj3d import dynamics, metric, schrodinger
 from qhj3d.dynamics import COMPLETED, DOMAIN_EXIT, SINGULARITY
+from qhj3d.errors import NodalPoint
 from qhj3d.potentials import SeparablePotential
 from qhj3d.scenario import build_action, parse_scenario
 
@@ -319,6 +320,56 @@ def test_first_route_extra_samples_are_bisection_probes(case, monkeypatch):
     assert (tr.termination.status, tr.termination.kind) == ended
     assert probes[0] == 10
     assert samples[0] == rhs[0] + probes[0]
+
+
+@pytest.mark.parametrize("route", [integrate_first_order, integrate_second_order],
+                         ids=["first", "second"])
+@pytest.mark.parametrize("case", list(COLUMN_CASES))
+def test_integrator_stats_account_for_the_loop(case, route, monkeypatch):
+    """The counts a trajectory carries are the calls its loop made: one
+    right-hand side per velocity_field call on the first route and per
+    order-3 evaluate_field on the second, one probe per _event_margin.
+    Each attempted step is accepted, rejected, halved or the last one, and
+    costs at most six right-hand sides (seven with the event's own)."""
+    name, mixing, r0, ended = COLUMN_CASES[case]
+    action, start, config = shipped_route_case(name, mixing, r0)
+    rhs_name = "velocity_field" if route is integrate_first_order else "evaluate_field"
+    rhs = count_calls(monkeypatch, dynamics, rhs_name)
+    probes = count_calls(monkeypatch, dynamics, "_event_margin")
+    tr = route(action, start, config)
+    assert (tr.termination.status, tr.termination.kind) == ended
+    stats = tr.stats
+    assert (stats.rhs_evals, stats.event_probes) == (rhs[0], probes[0])
+    steps = stats.accepted + stats.rejected
+    halvings = stats.singular_halvings + stats.domain_halvings
+    assert 1 + 6 * steps + halvings <= stats.rhs_evals <= 1 + 6 * (steps + halvings) + 7
+    status = tr.termination.status
+    events = 1 if status == SINGULARITY else 0
+    assert stats.accepted == len(tr.states) - 1 - events
+    assert stats.event_probes == 10 * events
+    assert (stats.domain_halvings > 0) == (status == DOMAIN_EXIT)
+    if status == COMPLETED:
+        assert stats.rhs_evals >= 1 + 6 * stats.accepted
+
+
+def test_integrator_stats_count_a_singular_stage(monkeypatch):
+    """A stage that lands on a node halves the step, and is counted so."""
+    action, start, config = shipped_route_case("free_a2.scn")
+    clean = integrate_first_order(action, start, config).stats
+    assert clean.singular_halvings == 0
+    original = dynamics.velocity_field
+    calls = [0]
+
+    def singular_third_call(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise NodalPoint("a stage on a node")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "velocity_field", singular_third_call)
+    stats = integrate_first_order(action, start, config).stats
+    assert stats.singular_halvings == 1
+    assert stats.rhs_evals == calls[0]
 
 
 # ---------------------------------------------------------------------------

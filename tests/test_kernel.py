@@ -1,10 +1,11 @@
 """The array kernel against the single-point path, point by point.
 
 Over arrays sample and a_upper_from_sample report a status per point;
-at a point the same code raises the matching exception instead. On every
-shipped scenario's verify grid, and on grids widened to reach nodes and
-domain edges, the status must be the exception the point path raises and
-the values must agree to 1e-12.
+at a point the same code raises the matching exception instead, and skips
+the masking that arrays need. On every shipped scenario's verify grid, and
+on grids widened to reach nodes and domain edges, the status must be the
+exception the point path raises, a NodeSingularity must name the axis the
+arrays find singular, and every value must agree to 1e-12.
 """
 
 import os
@@ -20,6 +21,7 @@ from qhj3d import (
     sample,
     sparse_grid,
 )
+from qhj3d.metric import NODE_EPS
 from qhj3d.errors import (
     NODAL,
     NODE_SINGULAR,
@@ -55,6 +57,15 @@ def _close(a, b):
     return abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
+def _singular_axes(action, s, idx):
+    """The axes along which the array sample s is node-singular at idx:
+    d_mu S0 below NODE_EPS with a quantum correction that is not flat."""
+    p_scale = max(1.0, 2.0 * action.m0 * abs(action.e))
+    return [mu for mu in range(3)
+            if abs(s.grad_s0[mu][idx]) < NODE_EPS
+            and abs(action.hbar**2 * s.hessian_r_diag[mu][idx] / s.amplitude[idx]) > NODE_EPS * p_scale]
+
+
 def _check(name, bounds, grid):
     action = build_action(_load(name))
     s = sample(action, sparse_grid(bounds, grid))
@@ -69,14 +80,27 @@ def _check(name, bounds, grid):
         r = tuple(float(ax[i]) for ax, i in zip(axes, idx))
         try:
             point = sample(action, r)
-            metric = metric_at(action, r)
         except tuple(STATUS_OF) as exc:
             assert status[idx] == STATUS_OF[type(exc)], (r, exc)
             seen.add(int(status[idx]))
             continue
-        assert status[idx] == OK, r
+        for field in ("s0_principal", "amplitude", "v"):
+            assert _close(np.broadcast_to(getattr(s, field), grid)[idx], getattr(point, field)), (r, field)
+        for field in ("grad_s0", "hessian_r_diag"):
+            for mu in range(3):
+                value = np.broadcast_to(getattr(s, field)[mu], grid)[idx]
+                assert _close(value, getattr(point, field)[mu]), (r, field, mu)
         assert _close(qshje[idx], qshje_from_sample(action, point)), r
         assert _close(continuity[idx], continuity_identity_from_sample(action, point)), r
+        try:
+            metric = metric_at(action, r)
+        except NodeSingularity as exc:
+            assert status[idx] == NODE_SINGULAR, (r, exc)
+            assert exc.axis == _singular_axes(action, s, idx)[0], (r, exc)
+            seen.add(NODE_SINGULAR)
+            continue
+        assert status[idx] == OK, r
+        assert _singular_axes(action, s, idx) == [], r
         for mu in range(3):
             assert _close(a_upper[mu][idx], metric.a_upper[mu]), (r, mu)
         seen.add(OK)

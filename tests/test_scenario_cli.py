@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -255,12 +256,23 @@ def test_run_trajectory_csv_schema(tmp_path):
     assert sidecar["termination"]["status"] == "completed"
 
 
-def test_run_trajectory_csv_bit_stable(tmp_path):
-    s = parse_scenario(scenario_text("free_a2.scn"))
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_trajectory(s, out=str(out1))
-    run_trajectory(s, out=str(out2))
-    assert out1.read_bytes() == out2.read_bytes()
+@pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "free_classical", "harmonic_numerov"])
+def test_run_trajectory_csv_bit_stable(name, tmp_path):
+    """A rerun writes the same CSV and sidecar, byte for byte. The sidecar's
+    integrator counts are the run's: a completed run accepts one step per
+    state after the first, each with six right-hand sides."""
+    s = parse_scenario(scenario_text(f"{name}.scn"))
+    written = []
+    for stem in ("a", "b"):
+        trajectory = run_trajectory(s, out=str(tmp_path / f"{stem}.csv"))
+        written.append([(tmp_path / f"{stem}.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert written[0] == written[1]
+    sidecar = json.loads(written[0][1])
+    counts = sidecar["integrator"]
+    assert counts == dataclasses.asdict(trajectory.stats)
+    if sidecar["termination"]["status"] == "completed":
+        assert counts["accepted"] == sidecar["states"] - 1
+        assert counts["rhs_evals"] >= 1 + 6 * counts["accepted"]
 
 
 def test_run_trajectory_law_residual_column(tmp_path):
@@ -281,6 +293,7 @@ def test_run_trajectory_from_node_reports_event_at_zero(tmp_path):
     assert trajectory.termination.t == 0.0
     sidecar = json.loads((tmp_path / "nodal.json").read_text())
     assert sidecar["termination"]["status"] == "singularity"
+    assert sidecar["integrator"] is None
     assert sidecar["termination"]["t"] == 0.0
     assert out.read_text().strip() == CSV_HEADER
 
