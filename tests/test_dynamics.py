@@ -348,8 +348,6 @@ def test_integrator_stats_account_for_the_loop(case, route, monkeypatch):
     assert stats.accepted == len(tr.states) - 1 - events
     assert stats.event_probes == 10 * events
     assert (stats.domain_halvings > 0) == (status == DOMAIN_EXIT)
-    if status == COMPLETED:
-        assert stats.rhs_evals >= 1 + 6 * stats.accepted
 
 
 def test_integrator_stats_count_a_singular_stage(monkeypatch):
