@@ -2,11 +2,11 @@
 
 The evaluation chain (axis solutions -> field -> action -> metric) is
 written once and runs on two kinds of input: Python floats for a single
-point (trajectories, metric queries) and numpy arrays that broadcast
-against each other for many points (grids, batches). These helpers let one
-body serve both. On floats they use math and plain conditionals, which
-allocate nothing; on arrays they use the numpy ufuncs. The choice follows
-the type of the argument, never a caller's flag.
+point (trajectories) and numpy arrays that broadcast against each other
+for many points (grids, metric batches). These helpers let one body serve
+both. On floats they use math and plain conditionals, which allocate
+nothing; on arrays they use the numpy ufuncs. The choice follows the type
+of the argument, never a caller's flag.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ def at_point(status) -> bool:
     """Whether an evaluation covered one point, which reports a bad status
     by raising, rather than arrays, which report it per point."""
     return not isinstance(status, np.ndarray)
+
+
+def stack(parts):
+    """Per-axis values as one float array with the axis last: shape (3,)
+    at a point, the broadcast shape of the parts plus (3,) over arrays."""
+    if any(isinstance(p, np.ndarray) for p in parts):
+        return np.stack(np.broadcast_arrays(*parts), axis=-1)
+    return np.array(parts, dtype=float)
 
 
 def as_coords(r) -> tuple:

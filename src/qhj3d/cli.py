@@ -3,7 +3,11 @@
     qhj3d verify <scenario> [--grid NX,NY,NZ] [--out report.json]
     qhj3d trajectory <scenario> [--r0 x,y,z] [--t-end T] [--out traj.csv]
                                 [--plot-script traj.gp]
-    qhj3d metric <scenario> --at "x,y,z[;x,y,z...]" [--out metric.json]
+    qhj3d metric <scenario> [--at "x,y,z[;x,y,z...]"] [--out metric.json]
+
+metric defaults to the scenario's [metric] points, and each row of its
+report carries a reason code: ok, nodal, node_singular, out_of_domain or
+non_riemannian.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 numerical failure
 (threshold violation, singularity, step underflow), 4 I/O failure.
@@ -39,11 +43,11 @@ from .dynamics import (
 from .errors import (
     NODAL,
     NODE_SINGULAR,
+    NON_RIEMANNIAN,
     OK,
     OUT_OF_DOMAIN,
     NodalPoint,
     NodeSingularity,
-    NonRiemannianPoint,
     QhjError,
     ScenarioError,
     ValidationError,
@@ -56,6 +60,7 @@ from .hj_core import (
 )
 from .metric import (
     TWELVE_EQUATION_LABELS,
+    QuantumMetric,
     a_upper_from_sample,
     canonical_jacobian,
     metric_at,
@@ -288,32 +293,64 @@ def _gnuplot_script(csv_path: str) -> str:
 # metric
 # ---------------------------------------------------------------------------
 
-def run_metric(scenario: Scenario, points, out=None) -> dict:
-    """Metric, canonical Jacobian and 12-equation residuals per point."""
-    action = build_action(scenario)
+REASONS = {OK: "ok", NODAL: "nodal", NODE_SINGULAR: "node_singular",
+           OUT_OF_DOMAIN: "out_of_domain", NON_RIEMANNIAN: "non_riemannian"}
+
+
+def _metric_rows(points, met: QuantumMetric) -> list:
+    """One report row per point of the metric batch met: its reason code,
+    and the metric, canonical Jacobian and 12-equation residuals as far as
+    they are defined."""
+    jac = canonical_jacobian(met)
+    residuals = verify_transformation(jac, met)
+    signature = met.signature[0] + met.signature[1] + met.signature[2]
+    a_upper, a_lower, entries, res, worst = (
+        x.tolist() for x in (met.a_upper, met.a_lower, jac.entries, residuals, residuals.max(axis=-1)))
     rows = []
-    for p in points:
-        entry: dict = {"point": list(p)}
-        try:
-            met = metric_at(action, p)
-        except QhjError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(entry)
-            continue
-        entry["a_upper"] = met.a_upper.tolist()
-        entry["a_lower"] = met.a_lower.tolist()
-        entry["signature"] = "".join(met.signature)
-        try:
-            jac = canonical_jacobian(met)
-        except NonRiemannianPoint as exc:
-            entry["jacobian"] = None
-            entry["error"] = f"NonRiemannianPoint: signature {''.join(exc.signature)}"
-        else:
-            residuals = verify_transformation(jac, met)
-            entry["jacobian"] = jac.entries.tolist()
-            entry["residuals"] = dict(zip(TWELVE_EQUATION_LABELS, residuals.tolist()))
-            entry["max_residual"] = float(np.max(residuals))
-        rows.append(entry)
+    for i, (p, status) in enumerate(zip(points, jac.status.tolist())):
+        row = {"point": list(p), "reason": REASONS[status]}
+        if status == OK:
+            row.update(a_upper=a_upper[i], a_lower=a_lower[i], signature=str(signature[i]),
+                       jacobian=entries[i], residuals=dict(zip(TWELVE_EQUATION_LABELS, res[i])),
+                       max_residual=worst[i])
+        elif status == NON_RIEMANNIAN:
+            row.update(a_upper=a_upper[i], a_lower=a_lower[i], signature=str(signature[i]),
+                       jacobian=None, error=f"NonRiemannianPoint: signature {signature[i]}")
+        rows.append(row)
+    return rows
+
+
+def _point_row(action, p, row) -> dict:
+    """row, a batch row of an undefined point, with the error that the
+    point raises alone; the row of the point's own metric if it raises
+    none."""
+    try:
+        met = metric_at(action, p)
+    except QhjError as exc:
+        return {**row, "error": f"{type(exc).__name__}: {exc}"}
+    one = QuantumMetric(point=met.point[None], a_upper=met.a_upper[None], a_lower=met.a_lower[None],
+                        signature=tuple(np.array([c]) for c in met.signature), status=np.array([OK]))
+    return _metric_rows([p], one)[0]
+
+
+def run_metric(scenario: Scenario, points=None, out=None) -> dict:
+    """Metric, canonical Jacobian and 12-equation residuals per point, in
+    one kernel call for the whole batch. points default to the scenario's
+    [metric] points; with neither, ValidationError names --at.
+
+    Each row carries a reason code (REASONS). A nodal, node-singular or
+    out-of-domain row takes its error text from the point's own
+    evaluation."""
+    action = build_action(scenario)
+    if points is None:
+        points = scenario.metric_points
+        if not points:
+            raise ValidationError("--at", "needed: the scenario has no [metric] points")
+    coords = tuple(np.array(points, dtype=float).reshape(-1, 3).T.copy())
+    met = metric_at(action, coords)
+    rows = _metric_rows(points, met)
+    for i in np.flatnonzero(met.status != OK).tolist():
+        rows[i] = _point_row(action, points[i], rows[i])
     report = {"points": rows}
     if out:
         _atomic_write(out, _json_text(report))
@@ -368,7 +405,7 @@ def _build_parser():
 
     p_metric = sub.add_parser("metric", help="metric and Jacobian at points")
     p_metric.add_argument("scenario")
-    p_metric.add_argument("--at", required=True, help="x,y,z[;x,y,z...]")
+    p_metric.add_argument("--at", help="x,y,z[;x,y,z...] (default: the scenario's [metric] points)")
     p_metric.add_argument("--out", default=None)
     return parser
 
@@ -380,7 +417,7 @@ def _overrides(args) -> dict:
     if args.command == "trajectory":
         return {"r0": parse_point(args.r0, "--r0") if args.r0 else None,
                 "t_end": None if args.t_end is None else trajectory_setting("t_end", args.t_end, "--t-end")}
-    return {"points": parse_point_list(args.at, "--at")}
+    return {"points": None if args.at is None else parse_point_list(args.at, "--at")}
 
 
 def main(argv=None) -> int:

@@ -173,13 +173,17 @@ def _kinetic(action, velocity, a_upper) -> float:
     """(m0/2) sum a_{mumu} v_mu^2 with a_{mumu} = 1/a^{mumu} at the state.
 
     A term with v_mu = 0 counts as 0: where a^{mumu} = 0 the velocity
-    component vanishes with it and a_{mumu} is infinite.
+    component vanishes with it and a_{mumu} is infinite. The terms are
+    summed left to right from +0.0 in floats, as np.sum adds three terms;
+    1/0 is the signed infinity that numpy gives, so a^{mumu} = 0 with a
+    nonzero or non-finite v_mu yields inf or NaN rather than raising.
     """
-    with np.errstate(divide="ignore"):
-        a_lower = 1.0 / np.array(a_upper)
-    v = np.asarray(velocity)
-    moving = v != 0.0
-    return 0.5 * action.m0 * float(np.sum(a_lower[moving] * v[moving]**2))
+    total = 0.0
+    for a, v in zip(a_upper, velocity):
+        v, a = float(v), float(a)
+        if v != 0.0:
+            total += (1.0 / a if a != 0.0 else math.copysign(math.inf, a)) * (v * v)
+    return 0.5 * action.m0 * total
 
 
 def _energy(action, velocity, s, a_upper) -> float:

@@ -13,6 +13,7 @@ OK = 0
 NODAL = 1          # NodalPoint
 NODE_SINGULAR = 2  # NodeSingularity
 OUT_OF_DOMAIN = 3  # OutOfDomain
+NON_RIEMANNIAN = 4  # NonRiemannianPoint (canonical_jacobian)
 
 
 class QhjError(Exception):

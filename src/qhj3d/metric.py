@@ -6,6 +6,11 @@ J[mu][nu] = dx^mu/dxhat^nu realizes the transformation pointwise when it
 satisfies twelve constraint equations; those equations fix J only up to a
 right rotation, and the canonical gauge picked here is the positive
 diagonal square root.
+
+metric_at, canonical_jacobian and verify_transformation are array-generic
+like the kernel: at a point they return (3,), (3, 3) and (12,) arrays and
+raise on an undefined point; over coordinate arrays the same bodies add
+the batch axes in front and report an undefined point in the status.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import at_point, where
+from .arrays import as_coords, at_point, stack, where
 from .errors import (
     NODE_SINGULAR,
+    NON_RIEMANNIAN,
     OK,
     ClassicalTurningPoint,
     NodeSingularity,
@@ -39,20 +45,28 @@ TWELVE_EQUATION_LABELS = (
 
 @dataclass(frozen=True)
 class QuantumMetric:
-    """Diagonal metric components at one point; off-diagonals vanish
-    identically and are not stored."""
+    """Diagonal metric components, axis last: (3,) at a point, batch
+    shape plus (3,) over arrays; off-diagonals vanish identically and are
+    not stored. signature holds one '+', '-' or '0' per axis (arrays of
+    them over arrays). status is OK at a point; over arrays it marks nodal,
+    node-singular and out-of-domain points, whose components are
+    placeholders."""
 
     point: np.ndarray
     a_upper: np.ndarray
     a_lower: np.ndarray
-    signature: tuple[str, str, str]
+    signature: tuple
+    status: int = OK
 
 
 @dataclass(frozen=True)
 class JacobianMatrix:
-    """entries[mu][nu] = dx^mu / dxhat^nu."""
+    """entries[..., mu, nu] = dx^mu / dxhat^nu. status is the metric's
+    status with NON_RIEMANNIAN added over arrays; such rows, and the rows
+    of undefined points, hold the identity."""
 
     entries: np.ndarray
+    status: int = OK
 
 
 def a_upper_from_sample(action: ReducedActionField, s):
@@ -131,45 +145,62 @@ def signature_chars(a_upper) -> tuple:
 
 
 def metric_at(action: ReducedActionField, r) -> QuantumMetric:
-    """Diagonal quantum metric at the point r."""
+    """Diagonal quantum metric at r: a point, or coordinate arrays that
+    broadcast together. A nodal, node-singular or out-of-domain point
+    raises as sample and a_upper_from_sample do; over arrays the status
+    marks it instead."""
     s = sample(action, r)
-    a_upper, _ = a_upper_from_sample(action, s)
+    a_upper, status = a_upper_from_sample(action, s)
     signature = signature_chars(a_upper)
-    a_upper = np.array(a_upper)
+    a_upper = stack(a_upper)
     with np.errstate(divide="ignore"):
         a_lower = 1.0 / a_upper
     return QuantumMetric(
-        point=np.asarray(r, dtype=float).copy(),
+        point=stack(as_coords(r)),
         a_upper=a_upper,
         a_lower=a_lower,
         signature=signature,
+        status=status,
     )
 
 
 def canonical_jacobian(metric: QuantumMetric) -> JacobianMatrix:
     """diag(sqrt(a^{xx}), sqrt(a^{yy}), sqrt(a^{zz})) -- the rotation-gauge
-    representative. Needs a Riemannian point (all a^{mumu} > 0)."""
-    if np.any(metric.a_upper <= 0.0):
-        raise NonRiemannianPoint(metric.signature)
-    return JacobianMatrix(entries=np.diag(np.sqrt(metric.a_upper)))
+    representative. Needs a Riemannian point (all a^{mumu} > 0): a point
+    raises NonRiemannianPoint, and over arrays the status marks it."""
+    a_upper = metric.a_upper
+    riemannian = ~np.any(a_upper <= 0.0, axis=-1)
+    status = metric.status
+    if at_point(status):
+        if not riemannian:
+            raise NonRiemannianPoint(metric.signature)
+    else:
+        status = np.where((status == OK) & ~riemannian, NON_RIEMANNIAN, status)
+        a_upper = np.where((status == OK)[..., None], a_upper, 1.0)
+    return JacobianMatrix(entries=np.sqrt(a_upper)[..., :, None] * np.eye(3), status=status)
+
+
+_UPPER = ([0, 0, 1], [1, 2, 2])  # the index pairs xy, xz, yz
 
 
 def verify_transformation(jacobian: JacobianMatrix, metric: QuantumMetric) -> np.ndarray:
-    """Absolute residuals of the twelve constraint equations.
+    """Absolute residuals of the twelve constraint equations, last axis in
+    TWELVE_EQUATION_LABELS order.
 
     Rows: sum_nu J[mu][nu]^2 = a^{mumu} and row orthogonality. Columns:
     sum_mu J[mu][nu]^2 a_{mumu} = 1 and weighted column orthogonality.
     Always returns the 12 residuals, even for invalid pairs.
     """
     j = jacobian.entries
-    au, al = metric.a_upper, metric.a_lower
-    res = np.empty(12)
-    res[0:3] = [abs(float(j[mu] @ j[mu]) - au[mu]) for mu in range(3)]
-    pairs = ((0, 1), (0, 2), (1, 2))
-    res[3:6] = [abs(float(j[mu] @ j[nu])) for mu, nu in pairs]
-    res[6:9] = [abs(float(np.sum(j[:, nu] ** 2 * al)) - 1.0) for nu in range(3)]
-    res[9:12] = [abs(float(np.sum(j[:, nu] * j[:, nup] * al))) for nu, nup in pairs]
-    return res
+    with np.errstate(invalid="ignore"):
+        rows = (j[..., :, None, :] * j[..., None, :, :]).sum(axis=-1)  # J J^T
+        cols = (j[..., :, :, None] * j[..., :, None, :] * metric.a_lower[..., :, None, None]).sum(axis=-3)
+    return np.abs(np.concatenate([
+        np.diagonal(rows, axis1=-2, axis2=-1) - metric.a_upper,
+        rows[..., _UPPER[0], _UPPER[1]],
+        np.diagonal(cols, axis1=-2, axis2=-1) - 1.0,
+        cols[..., _UPPER[0], _UPPER[1]],
+    ], axis=-1))
 
 
 def schwarzian_1d(s0_derivs) -> float:

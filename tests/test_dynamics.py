@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,6 +231,42 @@ def test_energy_residual_finite_where_metric_component_vanishes(harmonic_action)
                                IntegratorConfig(t_end=5.0, singularity_eps=1e-3))
     assert np.all(np.isfinite(tr.energy_residuals))
     assert tr.max_energy_residual < 1e-8 * max(1.0, harmonic_action.e)
+
+
+def _kinetic_numpy(m0, velocity, a_upper):
+    """The masked-array form of the kinetic term, for comparison."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_lower = 1.0 / np.array(a_upper, dtype=float)
+        v = np.asarray(velocity, dtype=float)
+        moving = v != 0.0
+        return 0.5 * m0 * float(np.sum(a_lower[moving] * v[moving] ** 2))
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("velocity, a_upper", [
+    ((0.3, -1.7, 2.5), (0.25, 1.0, -3.0)),
+    ((0.0, 0.0, 0.0), (0.25, 1.0, 1.0)),
+    ((0.0, 1e-170, 0.0), (-1.0, -0.5, 2.0)),
+    ((1e200, 0.0, 2.0), (1.0, 1.0, 1.0)),
+    ((INF, 0.0, 1.0), (0.0, 1.0, 1.0)),
+    ((1.0, INF, 0.0), (1.0, -0.0, 1.0)),
+    ((NAN, 0.0, 0.0), (0.0, 1.0, 1.0)),
+    ((2.0, -INF, INF), (-0.0, 0.0, 1.0)),
+    ((0.5, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.5, 0.5, 0.5), (INF, NAN, 1.0)),
+], ids=["finite", "at-rest", "negative-zero-term", "overflow", "zero-a-inf-v", "negative-zero-a-inf-v",
+        "zero-a-nan-v", "mixed-infinities", "zero-a-finite-v", "non-finite-a"])
+def test_kinetic_matches_numpy_bitwise(velocity, a_upper):
+    """The float sum keeps numpy's order, and 1/0 is numpy's signed
+    infinity: where a^{mumu} = 0 meets a nonzero or non-finite velocity
+    component the term is inf or NaN, never a ZeroDivisionError."""
+    action = SimpleNamespace(m0=1.7)
+    got = dynamics._kinetic(action, np.array(velocity), a_upper)
+    want = _kinetic_numpy(action.m0, velocity, a_upper)
+    assert isinstance(got, float)
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ at a point the same code raises the matching exception instead, and skips
 the masking that arrays need. On every shipped scenario's verify grid, and
 on grids widened to reach nodes and domain edges, the status must be the
 exception the point path raises, a NodeSingularity must name the axis the
-arrays find singular, and every value must agree to 1e-12.
+arrays find singular, and every value must agree to 1e-12. The same holds
+for the rows of a metric report, which evaluates its batch in one call.
 """
 
+import math
 import os
 
 import numpy as np
@@ -15,13 +17,17 @@ import pytest
 
 from qhj3d import (
     a_upper_from_sample,
+    canonical_jacobian,
     continuity_identity_from_sample,
+    hj_core,
     metric_at,
     qshje_from_sample,
     sample,
     sparse_grid,
+    verify_transformation,
 )
-from qhj3d.metric import NODE_EPS
+from qhj3d.cli import run_metric
+from qhj3d.metric import NODE_EPS, TWELVE_EQUATION_LABELS
 from qhj3d.errors import (
     NODAL,
     NODE_SINGULAR,
@@ -29,7 +35,9 @@ from qhj3d.errors import (
     OUT_OF_DOMAIN,
     NodalPoint,
     NodeSingularity,
+    NonRiemannianPoint,
     OutOfDomain,
+    QhjError,
 )
 from qhj3d.scenario import build_action, parse_scenario
 
@@ -119,3 +127,84 @@ def test_kernel_matches_point_path_past_nodes_and_edges():
     for name, bounds, grid in WIDENED:
         seen |= _check(name, bounds, grid)
     assert seen == {OK, NODAL, NODE_SINGULAR, OUT_OF_DOMAIN}
+
+
+def _point_row(action, r):
+    """The report row of r built from the point path alone: metric_at,
+    canonical_jacobian and verify_transformation at the point."""
+    try:
+        met = metric_at(action, r)
+    except QhjError as exc:
+        return {"point": list(r), "error": f"{type(exc).__name__}: {exc}"}
+    row = {"point": list(r), "a_upper": met.a_upper.tolist(), "a_lower": met.a_lower.tolist(),
+           "signature": "".join(met.signature)}
+    try:
+        jac = canonical_jacobian(met)
+    except NonRiemannianPoint as exc:
+        row.update(jacobian=None, error=f"NonRiemannianPoint: signature {''.join(exc.signature)}")
+        return row
+    residuals = verify_transformation(jac, met)
+    row.update(jacobian=jac.entries.tolist(), residuals=dict(zip(TWELVE_EQUATION_LABELS, residuals.tolist())),
+               max_residual=float(np.max(residuals)))
+    return row
+
+
+def _same(batch, point):
+    """Report values equal to 1e-12 (texts exactly), recursively."""
+    if isinstance(point, dict):
+        return batch.keys() == point.keys() and all(_same(batch[k], point[k]) for k in point)
+    if isinstance(point, list):
+        return len(batch) == len(point) and all(_same(b, p) for b, p in zip(batch, point))
+    if isinstance(point, float):
+        return batch == point or (math.isnan(batch) and math.isnan(point)) or _close(batch, point)
+    return batch == point
+
+
+REASON_OF = {"NodalPoint": "nodal", "NodeSingularity": "node_singular", "OutOfDomain": "out_of_domain",
+             "NonRiemannianPoint": "non_riemannian", None: "ok"}
+
+
+def _check_metric_rows(name, bounds, grid):
+    scenario = _load(name)
+    action = build_action(scenario)
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, grid)]
+    points = [tuple(float(ax[i]) for ax, i in zip(axes, idx)) for idx in np.ndindex(*grid)]
+    rows = run_metric(scenario, points)["points"]
+    assert len(rows) == len(points)
+    reasons = set()
+    for row, r in zip(rows, points):
+        reason = row.pop("reason")
+        point = _point_row(action, r)
+        assert _same(row, point), (r, row, point)
+        assert reason == REASON_OF[point["error"].split(":")[0] if "error" in point else None], (r, reason)
+        reasons.add(reason)
+    return reasons
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_metric_rows_match_point_path_on_verify_grid(name):
+    spec = _load(name).verify
+    assert "ok" in _check_metric_rows(name, spec.bounds, spec.grid)
+
+
+def test_metric_rows_match_point_path_past_nodes_and_edges():
+    reasons = set()
+    for name, bounds, grid in WIDENED:
+        reasons |= _check_metric_rows(name, bounds, grid)
+    assert reasons == set(REASON_OF.values())
+
+
+def test_metric_batch_evaluates_the_field_once_plus_once_per_flagged_row(monkeypatch):
+    """One evaluate_field for the batch, and one more for each nodal,
+    node-singular or out-of-domain row (its error comes from the point
+    alone); a non-Riemannian row needs none."""
+    calls = []
+    evaluate = hj_core.evaluate_field
+    monkeypatch.setattr(hj_core, "evaluate_field", lambda *a, **k: calls.append(a[1]) or evaluate(*a, **k))
+    harmonic = _load("harmonic_numerov")
+    points = [(0.5, 0.3, -0.2), (1.8, 0.4, 0.3), (0.0, 0.8, 0.6), (4.7, 0.3, -0.2), (0.1, 0.2, 0.3)]
+    rows = run_metric(harmonic, points)["points"]
+    assert [row["reason"] for row in rows] == ["ok", "non_riemannian", "node_singular", "out_of_domain", "ok"]
+    assert len(calls) == 3
+    assert [c.shape for c in calls[0]] == [(5,)] * 3
+    assert calls[1:] == [(0.0, 0.8, 0.6), (4.7, 0.3, -0.2)]

@@ -331,6 +331,32 @@ def test_run_metric_non_riemannian_point():
     assert "NonRiemannianPoint" in entry["error"]
 
 
+@pytest.mark.parametrize("name, point, reason, error", [
+    ("field2d.scn", (0.4, 1.2, 0.0), "ok", None),
+    ("field2d.scn", (math.pi / 2, -math.pi / 2, 0.3), "nodal", "NodalPoint"),
+    ("box.scn", (21.0, 0.0, 0.0), "out_of_domain", "OutOfDomain"),
+    ("harmonic_numerov.scn", (4.7, 0.3, -0.2), "out_of_domain", "OutOfDomain"),
+    ("harmonic_numerov.scn", (0.0, 0.8, 0.6), "node_singular", "NodeSingularity"),
+    ("harmonic_numerov.scn", (0.3, 0.0, 0.6), "node_singular", "NodeSingularity"),
+    ("harmonic_numerov.scn", (1.8, 0.4, 0.3), "non_riemannian", "NonRiemannianPoint"),
+], ids=["ok", "field2d-node", "box-wall", "numerov-table", "node-plane-x", "node-plane-y", "forbidden"])
+def test_run_metric_reason_code(name, point, reason, error):
+    """Each row names why it is or is not defined; the reason agrees with
+    the error text, and the row holds a metric unless the metric itself is
+    undefined."""
+    s = parse_scenario(scenario_text(name))
+    entry = run_metric(s, [(0.1, 0.2, 0.3), point])["points"][1]
+    assert entry["reason"] == reason
+    assert entry.get("error", "").split(":")[0] == (error or "")
+    assert ("a_upper" in entry) == (reason in ("ok", "non_riemannian"))
+
+
+def test_run_metric_defaults_to_scenario_points():
+    s = parse_scenario(scenario_text("harmonic_numerov.scn"))
+    assert run_metric(s) == run_metric(s, s.metric_points)
+    assert [row["point"] for row in run_metric(s)["points"]] == [list(p) for p in s.metric_points]
+
+
 # ---------------------------------------------------------------------------
 # CLI entry point and exit codes
 # ---------------------------------------------------------------------------
@@ -504,3 +530,28 @@ def test_cli_metric_output(tmp_path, capsys):
     assert "signature" in out
     data = json.loads((tmp_path / "m.json").read_text())
     assert len(data["points"]) == 2
+
+
+def test_cli_metric_defaults_to_scenario_points(tmp_path, capsys):
+    """Without --at, metric reports the scenario's [metric] points, and a
+    rerun writes the same bytes."""
+    outs = [tmp_path / "m1.json", tmp_path / "m2.json"]
+    for out in outs:
+        assert main(["metric", scenario_path("field2d.scn"), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    rows = json.loads(outs[0].read_text())["points"]
+    s = parse_scenario(scenario_text("field2d.scn"))
+    assert [row["point"] for row in rows] == [list(p) for p in s.metric_points]
+    assert all(row["reason"] == "ok" for row in rows)
+
+
+def test_cli_metric_without_points_exit_two(tmp_path, capsys):
+    """No --at and no [metric] section: exit 2 naming --at, nothing written."""
+    text = scenario_text("free_a2.scn")
+    bad = tmp_path / "bare.scn"
+    bad.write_text(text[:text.index("[metric]")])
+    assert parse_scenario(bad.read_text()).metric_points == ()
+    code = main(["metric", str(bad), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "--at" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bare.scn"]
