@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -98,19 +98,43 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _strict(obj):
-    """obj with every non-finite float replaced by None."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {key: _strict(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(value) for value in obj]
-    return obj
-
-
 def _json_text(obj) -> str:
-    return json.dumps(_strict(obj), indent=2, allow_nan=False) + "\n"
+    """obj as strict JSON in the layout of json.dumps(obj, indent=2), with
+    null for every non-finite float, plus a newline: the one writer of
+    every JSON file. Dicts need str keys; tuples are written as lists; any
+    other type raises TypeError."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj, newline: str) -> str:
+    """obj as JSON text whose lines after the first start with newline."""
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(value, inner) for value in obj]) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +151,9 @@ class VerificationReport:
     singular_skips: int
     max_qshje: float
     mean_qshje: float
+    worst_qshje_point: list[float] | None
     max_continuity_identity: float
+    worst_continuity_point: list[float] | None
     max_continuity_divergence: float
     wronskian_drift: tuple[float, float, float]
     signature_census: dict[str, int]
@@ -146,6 +172,15 @@ def _census(signatures) -> dict[str, int]:
     return {str(names[i]): int(counts[i]) for i in np.argsort(first)}
 
 
+def _worst_point(values, ok, axes):
+    """Coordinates of the grid point where values is largest among the ok
+    points; None if no point is ok."""
+    if not ok.any():
+        return None
+    index = np.unravel_index(np.argmax(np.where(ok, values, -np.inf)), ok.shape)
+    return [float(x.ravel()[i]) for x, i in zip(axes, index)]
+
+
 def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     """Sweep a grid: residuals, Wronskian drift, metric signature census.
 
@@ -156,7 +191,8 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     spec = scenario.verify
     grid = tuple(grid) if grid is not None else spec.grid
 
-    s = sample(action, sparse_grid(spec.bounds, grid))
+    axes = sparse_grid(spec.bounds, grid)
+    s = sample(action, axes)
     q = np.abs(qshje_from_sample(action, s))
     ci = continuity_identity_from_sample(action, s)
     a_upper, status = a_upper_from_sample(action, s)
@@ -190,7 +226,8 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     report = VerificationReport(
         grid=grid, bounds=spec.bounds, points_total=int(status.size),
         points_evaluated=evaluated, nodal_skips=nodal, singular_skips=singular,
-        max_qshje=max_q, mean_qshje=mean_q, max_continuity_identity=max_ci,
+        max_qshje=max_q, mean_qshje=mean_q, worst_qshje_point=_worst_point(q, ok, axes),
+        max_continuity_identity=max_ci, worst_continuity_point=_worst_point(ci, ok, axes),
         max_continuity_divergence=max_div, wronskian_drift=drifts,
         signature_census=census, qshje_tol=spec.qshje_tol,
         continuity_tol=spec.continuity_tol, wronskian_tol=spec.wronskian_tol,

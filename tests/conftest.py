@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from qhj3d import (
@@ -7,6 +9,13 @@ from qhj3d import (
     solve_axis_numerov,
 )
 from qhj3d.potentials import HarmonicOscillator
+
+
+def strict_json(text):
+    """text parsed as JSON; AssertionError on NaN, Infinity or -Infinity."""
+    def reject(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 def zero_pair(axis):

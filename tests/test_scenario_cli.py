@@ -20,6 +20,13 @@ from qhj3d import (
     solve_axis_numerov,
 )
 from qhj3d.arrays import sparse_grid
+from qhj3d.hj_core import (
+    continuity_identity_from_sample,
+    continuity_identity_residual,
+    qshje_from_sample,
+    qshje_residual,
+    sample,
+)
 from qhj3d.cli import CSV_HEADER, main, run_metric, run_trajectory, run_verify
 from qhj3d.scenario import (
     CatalogSpec,
@@ -31,6 +38,8 @@ from qhj3d.scenario import (
     parse_scenario,
     serialize_scenario,
 )
+
+from conftest import strict_json
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -212,21 +221,36 @@ def test_run_verify_classical_census():
     assert report.max_qshje < 1e-12
 
 
-def _strict_json(text):
-    def reject(constant):
-        raise AssertionError(f"non-strict JSON constant {constant}")
-    return json.loads(text, parse_constant=reject)
-
-
 def test_run_verify_with_no_points_fails(tmp_path):
     s = parse_scenario(scenario_text("free_a2.scn"))
     out = tmp_path / "report.json"
     report = run_verify(s, grid=(0, 2, 2), out=str(out))
     assert report.points_total == 0 and report.points_evaluated == 0
     assert not report.passed
-    data = _strict_json(out.read_text())
+    data = strict_json(out.read_text())
     assert data["passed"] is False
     assert data["mean_qshje"] is None
+    assert data["worst_qshje_point"] is None and data["worst_continuity_point"] is None
+
+
+@pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "free_classical", "harmonic_numerov"])
+def test_run_verify_worst_points_reproduce_maxima(name):
+    """Each worst point is a grid point where the sweep's residual equals
+    the report's maximum, and the residual evaluated alone there gives the
+    maximum to the kernel's 1e-12 point-versus-array contract."""
+    s = parse_scenario(scenario_text(f"{name}.scn"))
+    report = run_verify(s)
+    action = build_action(s)
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(s.verify.bounds, report.grid)]
+    swept = sample(action, sparse_grid(s.verify.bounds, report.grid))
+    for point, worst, on_grid, residual in (
+            (report.worst_qshje_point, report.max_qshje,
+             np.abs(qshje_from_sample(action, swept)), qshje_residual),
+            (report.worst_continuity_point, report.max_continuity_identity,
+             continuity_identity_from_sample(action, swept), continuity_identity_residual)):
+        index = tuple(int(np.flatnonzero(ax == x)[0]) for ax, x in zip(axes, point))
+        assert np.broadcast_to(on_grid, swept.status.shape)[index] == worst
+        assert abs(abs(residual(action, tuple(point))) - worst) <= 1e-12 * max(1.0, worst)
 
 
 def test_run_verify_harmonic_numerov():

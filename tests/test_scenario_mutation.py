@@ -10,7 +10,6 @@ only strict JSON. The trajectory command is left out: a mutated but
 finite t_end can legitimately integrate for a long time.
 """
 
-import json
 import re
 from pathlib import Path
 
@@ -19,6 +18,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qhj3d import QhjError, ScenarioError
 from qhj3d.cli import main
 from qhj3d.scenario import build_action, parse_scenario
+
+from conftest import strict_json
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 TEXTS = {path.name: path.read_text() for path in sorted(SCENARIOS.iterdir())}
@@ -42,12 +43,6 @@ def mutated_scenario(draw):
     start, end = draw(st.sampled_from([m.span() for m in TOKEN.finditer(line)]))
     body[lineno] = line[:start] + draw(st.sampled_from(EDGE_VALUES)) + line[end:]
     return "\n".join(body)
-
-
-def _strict_json(text):
-    def reject(constant):
-        raise AssertionError(f"non-strict JSON constant {constant}")
-    return json.loads(text, parse_constant=reject)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -75,4 +70,4 @@ def test_mutated_scenario_builds_or_exits_two(text, tmp_path_factory):
     if scenario is None:
         assert codes == (2, 2)
     for written in out.glob("*.json"):
-        _strict_json(written.read_text())
+        strict_json(written.read_text())
