@@ -20,6 +20,7 @@ from qhj3d import (
     solve_axis_numerov,
 )
 from qhj3d.arrays import sparse_grid
+from qhj3d.cli import CSV_HEADER, main, run_metric, run_trajectory, run_verify
 from qhj3d.hj_core import (
     continuity_identity_from_sample,
     continuity_identity_residual,
@@ -27,7 +28,6 @@ from qhj3d.hj_core import (
     qshje_residual,
     sample,
 )
-from qhj3d.cli import CSV_HEADER, main, run_metric, run_trajectory, run_verify
 from qhj3d.scenario import (
     CatalogSpec,
     NumerovSpec,
