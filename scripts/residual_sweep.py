@@ -13,6 +13,7 @@ import numpy as np
 
 from qhj3d import (
     ReducedActionField,
+    a_upper_from_sample,
     continuity_identity_from_sample,
     qshje_from_sample,
     sample,
@@ -45,7 +46,7 @@ def main():
         for b in np.linspace(-args.bmax, args.bmax, args.steps):
             action = ReducedActionField(field, float(a), float(b))
             s = sample(action, grid)
-            used = s.status == OK
+            used = a_upper_from_sample(action, s)[1] == OK  # verify's skips: nodal, node-singular
             worst_q = float(np.max(np.abs(qshje_from_sample(action, s))[used], initial=0.0))
             worst_c = float(np.max(continuity_identity_from_sample(action, s)[used], initial=0.0))
             skipped = int(np.count_nonzero(~used))

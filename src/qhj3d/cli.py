@@ -33,21 +33,13 @@ import numpy as np
 
 from . import __version__
 from .arrays import sparse_grid
-from .dynamics import (
-    SINGULARITY,
-    IntegratorConfig,
-    Termination,
-    Trajectory,
-    integrate_first_order,
-)
+from .dynamics import SINGULARITY, Termination, Trajectory, integrate_first_order
 from .errors import (
     NODAL,
     NODE_SINGULAR,
     NON_RIEMANNIAN,
     OK,
     OUT_OF_DOMAIN,
-    NodalPoint,
-    NodeSingularity,
     QhjError,
     ScenarioError,
     ValidationError,
@@ -273,28 +265,15 @@ def run_trajectory(scenario: Scenario, r0=None, t_end=None, out="trajectory.csv"
     """Integrate the scenario trajectory and write CSV + termination sidecar.
 
     A start outside the domain raises ValidationError naming --r0 when r0
-    is given, else trajectory.r0, and writes nothing. A starting point on a
-    node (or momentum singularity) yields an empty trajectory whose
-    termination records a singularity event at t = 0."""
+    is given, else trajectory.r0, and writes nothing. A run that starts on
+    a node (or momentum singularity) ends there with no state."""
     action = build_action(scenario)
     spec = scenario.trajectory
     name = "--r0" if r0 is not None else "trajectory.r0"
     r0 = tuple(r0) if r0 is not None else spec.r0
     _check_start(action.field, r0, name)
-    config = IntegratorConfig(
-        t_end=float(t_end) if t_end is not None else spec.t_end,
-        rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-        max_step=spec.max_step, singularity_eps=spec.singularity_eps,
-    )
-    try:
-        trajectory = integrate_first_order(action, r0, config)
-    except (NodalPoint, NodeSingularity) as exc:
-        kind = "amplitude" if isinstance(exc, NodalPoint) else "node"
-        trajectory = Trajectory(
-            states=[], law_residuals=np.array([]), energy_residuals=np.array([]),
-            grad_s0=np.empty((0, 3)),
-            termination=Termination(SINGULARITY, kind=kind, t=0.0, position=tuple(r0)),
-        )
+    config = spec if t_end is None else dataclasses.replace(spec, t_end=float(t_end))
+    trajectory = integrate_first_order(action, r0, config)
 
     _atomic_write(out, _trajectory_csv(trajectory))
     sidecar = os.path.splitext(out)[0] + ".json"
@@ -305,7 +284,7 @@ def run_trajectory(scenario: Scenario, r0=None, t_end=None, out="trajectory.csv"
         "states": len(trajectory.states),
         "max_law_residual": trajectory.max_law_residual if trajectory.states else None,
         "max_energy_residual": trajectory.max_energy_residual if trajectory.states else None,
-        "integrator": dataclasses.asdict(trajectory.stats) if trajectory.stats is not None else None,
+        "integrator": dataclasses.asdict(trajectory.stats),
     }
     _atomic_write(sidecar, _json_text(payload))
     if plot_script:

@@ -71,7 +71,8 @@ class TrajectoryState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive embedded Runge-Kutta 5(4) settings.
+    """Adaptive embedded Runge-Kutta 5(4) settings, the one definition of
+    the integrator's settings and their defaults.
 
     singularity_eps is the event threshold on min_mu |d_mu S0| over active
     axes and on the amplitude R.
@@ -84,7 +85,7 @@ class IntegratorConfig:
     singularity_eps: float = 1e-10
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
+        for f in dataclasses.fields(IntegratorConfig):
             check_setting(f.name, getattr(self, f.name))
 
 
@@ -126,14 +127,14 @@ class IntegratorStats:
 class Trajectory:
     """Accepted states and, per state, the law residual, the energy
     residual and grad S0, each taken from the field sample of the state;
-    and the integrator's counts, None when no integration ran."""
+    and the integrator's counts."""
 
     states: list[TrajectoryState]
     termination: Termination
     law_residuals: np.ndarray
     energy_residuals: np.ndarray
     grad_s0: np.ndarray  # (len(states), 3)
-    stats: IntegratorStats | None = None
+    stats: IntegratorStats
 
     @property
     def final_state(self) -> TrajectoryState:
@@ -148,16 +149,13 @@ class Trajectory:
         return float(np.max(np.abs(self.energy_residuals)))
 
 
-def velocity_field(action: ReducedActionField, r, with_sample=False):
-    """v^mu = a^{mumu} d_mu S0 / m0 at the point r; satisfies
-    v . grad S0 = 2 (E - V).
-
-    with_sample returns (v, s, a_upper) instead: the ActionSample at r and
-    the a^{mumu} that v was computed from."""
+def velocity_field(action: ReducedActionField, r):
+    """(v, s, a_upper) at the point r: v^mu = a^{mumu} d_mu S0 / m0, which
+    satisfies v . grad S0 = 2 (E - V), the ActionSample s at r and the
+    a^{mumu} that v was computed from."""
     s = sample(action, r)
     a_upper, _ = a_upper_from_sample(action, s)
-    v = np.array([a * ds / action.m0 for a, ds in zip(a_upper, s.grad_s0)])
-    return (v, s, a_upper) if with_sample else v
+    return np.array([a * ds / action.m0 for a, ds in zip(a_upper, s.grad_s0)]), s, a_upper
 
 
 def _law(action, velocity, s) -> float:
@@ -269,8 +267,9 @@ def _locate_event(action, position_of, y, f, y_new, f_new, h, eps, stats):
     return s_lo, s_hi
 
 
-def _integrate(action, rhs, y0, config, position_of, state_of):
-    """Adaptive DP54 loop shared by both trajectory routes.
+def _integrate(action, rhs, r0, start, config, position_of, state_of):
+    """Adaptive DP54 loop shared by both trajectory routes, from the state
+    y0 = start(r0).
 
     rhs(y) returns (dy/dt, s, a_upper), with s the ActionSample at
     position_of(y) and a_upper the a^{mumu} that dy/dt was computed from.
@@ -278,6 +277,10 @@ def _integrate(action, rhs, y0, config, position_of, state_of):
     state_of(t, y, dy/dt); its law residual, energy residual and grad S0
     are computed from that s and a_upper when the step is accepted, and
     both are dropped with the step. The event check reads the same s.
+
+    If start(r0) or the first right-hand side raises NodalPoint or
+    NodeSingularity, the run ends there: a singularity of kind amplitude or
+    node at t = 0, with no state.
 
     A step holds its seven stage derivatives as the rows of one array; each
     stage point, and the error estimate, is one weighted sum over those
@@ -303,9 +306,15 @@ def _integrate(action, rhs, y0, config, position_of, state_of):
 
     def finish(termination):
         return Trajectory(states=states, termination=termination, law_residuals=np.array(law),
-                          energy_residuals=np.array(energy), grad_s0=np.array(grad), stats=stats)
+                          energy_residuals=np.array(energy), grad_s0=np.array(grad).reshape(-1, 3),
+                          stats=stats)
 
-    f, smp, a_upper = evaluate(y0)
+    try:
+        y0 = start(r0)
+        f, smp, a_upper = evaluate(y0)
+    except _FIELD_SINGULAR as exc:
+        kind = "amplitude" if isinstance(exc, NodalPoint) else "node"
+        return finish(Termination(SINGULARITY, kind=kind, t=0.0, position=tuple(r0)))
     record(0.0, y0, f, smp, a_upper)
     if _margin(action, smp, eps) < 0.0:
         return finish(Termination(SINGULARITY, kind=_classify_event(action, smp), t=0.0,
@@ -373,9 +382,9 @@ def integrate_first_order(action: ReducedActionField, r0, config: IntegratorConf
 
     The velocity of every produced state is the velocity field at its
     position by construction (FSAL derivative storage)."""
-    y0 = np.asarray(r0, dtype=float)
-    rhs = lambda y: velocity_field(action, y, with_sample=True)
-    return _integrate(action, rhs, y0, config, position_of=lambda y: y,
+    r0 = np.asarray(r0, dtype=float)
+    rhs = lambda y: velocity_field(action, y)
+    return _integrate(action, rhs, r0, lambda r: r, config, position_of=lambda y: y,
                       state_of=lambda t, y, f: TrajectoryState(t, y.copy(), f.copy()))
 
 
@@ -407,7 +416,7 @@ def integrate_second_order(action: ReducedActionField, r0, config: IntegratorCon
     A state's velocity is dr/dt = a^{mumu} p_mu / m0 and its momentum p.
     """
     r0 = np.asarray(r0, dtype=float)
-    y0 = np.concatenate((r0, sample(action, r0).grad_s0))
-    return _integrate(action, _hamilton_rhs(action), y0, config, position_of=lambda y: y[:3],
+    start = lambda r: np.concatenate((r, sample(action, r).grad_s0))
+    return _integrate(action, _hamilton_rhs(action), r0, start, config, position_of=lambda y: y[:3],
                       state_of=lambda t, y, f: TrajectoryState(t, y[:3].copy(), f[:3].copy(),
                                                                y[3:].copy()))

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, ProportionalSolutions, QhjError, ValidationError
+from .errors import ParseError, QhjError, ValidationError
 from .potentials import AXES, SeparablePotential, axis_potential
 from .schrodinger import (
     CATALOG,
@@ -31,7 +31,7 @@ from .schrodinger import (
     solve_axis_analytic,
     solve_axis_numerov,
 )
-from .dynamics import check_setting
+from .dynamics import IntegratorConfig, check_setting
 from .hj_core import ReducedActionField, check_mixing
 
 _KNOWN_SECTIONS = ("physics", "potential", "solutions.x", "solutions.y", "solutions.z",
@@ -72,13 +72,12 @@ class VerifySpec:
 
 
 @dataclass(frozen=True)
-class TrajectorySpec:
-    r0: tuple[float, float, float] = (0.0, 0.0, 0.0)
+class TrajectorySpec(IntegratorConfig):
+    """[trajectory]: the integrator's settings, with the file default
+    t_end, and the start r0."""
+
     t_end: float = 5.0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
-    max_step: float = math.inf
-    singularity_eps: float = 1e-10
+    r0: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -222,8 +221,8 @@ def _parse_potential_value(value, field, mass):
             k, v = (s.strip() for s in item.split("=", 1))
             values = tuple(_float(p, f"{field}.{k}") for p in v.split())
             params[k] = values[0] if len(values) == 1 else values
-    _owned(field, axis_potential, kind, params, mass)
-    return PotentialSpec(kind=kind, params=tuple(sorted(params.items())))
+    potential = _owned(field, axis_potential, kind, params, mass)
+    return PotentialSpec(kind=kind, params=tuple(sorted(params.items()))), potential
 
 
 def _parse_terms(value, field):
@@ -294,16 +293,20 @@ def parse_scenario(text: str) -> Scenario:
     pot = _as_dict(sections["potential"])
     if set(pot) != set(AXES):
         raise ValidationError("potential", f"needs exactly the axes {AXES}")
-    potentials = tuple(_parse_potential_value(pot[ax], f"potential.{ax}", mass) for ax in AXES)
+    potentials, axis_potentials = zip(*(_parse_potential_value(pot[ax], f"potential.{ax}", mass)
+                                        for ax in AXES))
 
     solutions = []
-    for i, ax in enumerate(AXES):
+    for ax, pot_spec, potential in zip(AXES, potentials, axis_potentials):
         spec = _parse_solution_section(sections[f"solutions.{ax}"], ax, hbar, mass)
-        if isinstance(spec, CatalogSpec) and potentials[i].kind != "free":
+        if isinstance(spec, CatalogSpec) and pot_spec.kind != "free":
             raise ValidationError(
                 f"solutions.{ax}.source",
-                f"catalog entries assume a free axis potential, but potential.{ax} is {potentials[i].kind}",
+                f"catalog entries assume a free axis potential, but potential.{ax} is {pot_spec.kind}",
             )
+        if isinstance(spec, NumerovSpec) and not all(potential.contains(x) for x in spec.domain):
+            raise ValidationError(f"solutions.{ax}.domain",
+                                  f"{spec.domain} reaches outside the potential.{ax} domain {potential.domain}")
         solutions.append(spec)
     solutions = tuple(solutions)
 
@@ -313,7 +316,7 @@ def parse_scenario(text: str) -> Scenario:
     theta_terms = _parse_terms(fld["theta"], "field.theta")
     phi_terms = _parse_terms(fld["phi"], "field.phi")
     if theta_terms == phi_terms:
-        raise ProportionalSolutions("field.theta and field.phi are identical term lists")
+        raise ValidationError("field.phi", "identical to the term list of field.theta")
 
     actd = _as_dict(sections["action"])
     if set(actd) != {"a", "b"}:
@@ -342,19 +345,17 @@ def parse_scenario(text: str) -> Scenario:
         if any(not lo < hi for lo, hi in verify.bounds):
             raise ValidationError("verify", "bounds need lo < hi")
 
-    trajectory = TrajectorySpec()
-    if "trajectory" in sections:
-        t = _as_dict(sections["trajectory"])
-        kwargs = {}
-        if "r0" in t:
-            kwargs["r0"] = parse_point(t.pop("r0"), "trajectory.r0")
-        for key in ("t_end", "rel_tol", "abs_tol", "max_step", "singularity_eps"):
-            if key in t:
-                name = f"trajectory.{key}"
-                kwargs[key] = trajectory_setting(key, _float(t.pop(key), name, inf_ok=True), name)
-        if t:
-            raise ValidationError("trajectory", f"unexpected keys {sorted(t)}")
-        trajectory = TrajectorySpec(**kwargs)
+    t = _as_dict(sections.get("trajectory", ()))
+    kwargs = {}
+    if "r0" in t:
+        kwargs["r0"] = parse_point(t.pop("r0"), "trajectory.r0")
+    for key in (f.name for f in dataclasses.fields(IntegratorConfig)):
+        if key in t:
+            name = f"trajectory.{key}"
+            kwargs[key] = trajectory_setting(key, _float(t.pop(key), name, inf_ok=True), name)
+    if t:
+        raise ValidationError("trajectory", f"unexpected keys {sorted(t)}")
+    trajectory = TrajectorySpec(**kwargs)
 
     metric_points = ()
     if "metric" in sections:

@@ -47,8 +47,10 @@ PROBE_EPS = 1e-12
 # Largest Numerov grid; a node costs a few hundred bytes of tables.
 MAX_NUMEROV_STEPS = 1_000_000
 
-# Numerov sweep guard on |u|; a larger value (or NaN) raises Overflow.
-OVERFLOW_LIMIT = 1e300
+# Numerov sweep guard on |u|; a larger value (or NaN) raises Overflow. The
+# field multiplies three axis values and R^2 squares the product, so the
+# guard keeps (1e50)^6 = 1e300 finite.
+OVERFLOW_LIMIT = 1e50
 
 # RK4 substeps per grid cell when seeding the anchor's neighbours.
 RK4_SUBSTEPS = 32

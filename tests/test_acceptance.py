@@ -126,7 +126,7 @@ def test_c3_law_of_motion(trajectory_set, free_field):
     assert completed >= 4
     # closed-form speed of the a=2 field at 100 points
     action = ReducedActionField(free_field, 2.0, 0.0)
-    dev = max(abs(velocity_field(action, (x, 0.0, 0.0))[0]
+    dev = max(abs(velocity_field(action, (x, 0.0, 0.0))[0][0]
                   - 0.5 * (1.0 + 3.0 * math.sin(x) ** 2))
               for x in np.linspace(0.0, 2.0 * math.pi, 100))
     assert dev < 1e-8

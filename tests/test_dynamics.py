@@ -39,16 +39,16 @@ def state(t, r, v):
 
 def test_velocity_classical_plane_wave(free_action_a1):
     for r in ((0.0, 0.0, 0.0), (2.0, 1.0, -1.0)):
-        assert velocity_field(free_action_a1, r) == pytest.approx([1.0, 0.0, 0.0])
+        assert velocity_field(free_action_a1, r)[0] == pytest.approx([1.0, 0.0, 0.0])
 
 
 def test_velocity_a2_chain(free_action_a2):
-    v0 = velocity_field(free_action_a2, (0.0, 0.0, 0.0))
+    v0 = velocity_field(free_action_a2, (0.0, 0.0, 0.0))[0]
     assert v0 == pytest.approx([0.5, 0.0, 0.0])
     s = sample(free_action_a2, (0.0, 0.0, 0.0))
     assert float(v0 @ s.grad_s0) == pytest.approx(2 * free_action_a2.e)
 
-    v1 = velocity_field(free_action_a2, (math.pi / 2, 0.0, 0.0))
+    v1 = velocity_field(free_action_a2, (math.pi / 2, 0.0, 0.0))[0]
     assert v1 == pytest.approx([2.0, 0.0, 0.0])
     s1 = sample(free_action_a2, (math.pi / 2, 0.0, 0.0))
     assert float(v1 @ s1.grad_s0) == pytest.approx(2 * free_action_a2.e)
@@ -77,7 +77,7 @@ def test_lagrangian_energy_identity(free_action_a2, harmonic_action):
     """L_q = energy_residual + E - 2V, so L_q + V = E - V on shell."""
     cases = [(free_action_a2, (0.7, 0.0, 0.0)), (harmonic_action, (0.5, 0.3, -0.2))]
     for action, r in cases:
-        v = velocity_field(action, r)
+        v = velocity_field(action, r)[0]
         st_ = state(0.0, r, v)
         s = sample(action, r)
         lag = quantum_lagrangian(action, st_)
@@ -93,8 +93,8 @@ def test_time_reversal(a, b, x, y):
     """(a, b) -> (-a, -b) flips grad S0 and hence the velocity, exactly."""
     field = make_field_2d()
     try:
-        v_fwd = velocity_field(ReducedActionField(field, a, b), (x, y, 0.0))
-        v_bwd = velocity_field(ReducedActionField(field, -a, -b), (x, y, 0.0))
+        v_fwd = velocity_field(ReducedActionField(field, a, b), (x, y, 0.0))[0]
+        v_bwd = velocity_field(ReducedActionField(field, -a, -b), (x, y, 0.0))[0]
     except Exception:
         return  # nodal/singular draw
     assert np.array_equal(v_fwd, -v_bwd)
@@ -126,8 +126,8 @@ def test_a2_speed_oscillation(free_action_a2):
     assert tr.max_law_residual < 1e-9
     # pi-periodicity of the speed profile in x
     for x in np.linspace(0.0, math.pi, 17):
-        v_here = velocity_field(free_action_a2, (x, 0.0, 0.0))[0]
-        v_there = velocity_field(free_action_a2, (x + math.pi, 0.0, 0.0))[0]
+        v_here = velocity_field(free_action_a2, (x, 0.0, 0.0))[0][0]
+        v_there = velocity_field(free_action_a2, (x + math.pi, 0.0, 0.0))[0][0]
         assert v_here == pytest.approx(v_there, rel=1e-12)
 
 
@@ -283,9 +283,7 @@ def shipped_route_case(name, mixing=None, r0=None):
     if mixing is not None:
         scenario = dataclasses.replace(scenario, a=mixing[0], b=mixing[1])
     spec = scenario.trajectory
-    config = IntegratorConfig(t_end=spec.t_end, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                              max_step=spec.max_step, singularity_eps=spec.singularity_eps)
-    return build_action(scenario), r0 if r0 is not None else spec.r0, config
+    return build_action(scenario), r0 if r0 is not None else spec.r0, spec
 
 
 # The five shipped scenarios (field2d ends in an amplitude event), plus a
@@ -385,6 +383,24 @@ def test_integrator_stats_account_for_the_loop(case, route, monkeypatch):
     assert stats.accepted == len(tr.states) - 1 - events
     assert stats.event_probes == 10 * events
     assert (stats.domain_halvings > 0) == (status == DOMAIN_EXIT)
+
+
+@pytest.mark.parametrize("route", [integrate_first_order, integrate_second_order],
+                         ids=["first", "second"])
+@pytest.mark.parametrize("name, r0, kind", [
+    ("field2d.scn", (math.pi / 2, math.pi / 2, 0.0), "amplitude"),
+    ("harmonic_numerov.scn", (0.0, 0.8, 0.6), "node"),
+], ids=["field2d-nodal", "harmonic-node-plane"])
+def test_start_on_a_node_ends_at_zero(name, r0, kind, route):
+    """A run whose starting momentum or first right-hand side meets a node
+    ends there without raising: a singularity at t = 0 with no state, and
+    the loop's counts."""
+    action, start, config = shipped_route_case(name, r0=r0)
+    tr = route(action, start, config)
+    end = tr.termination
+    assert (end.status, end.kind, end.t, end.position) == (SINGULARITY, kind, 0.0, r0)
+    assert tr.states == [] and tr.grad_s0.shape == (0, 3)
+    assert tr.stats.accepted == 0 and tr.stats.rhs_evals <= 1
 
 
 def test_integrator_stats_count_a_singular_stage(monkeypatch):

@@ -12,7 +12,6 @@ import pytest
 import qhj3d
 from qhj3d import (
     ParseError,
-    ProportionalSolutions,
     ValidationError,
     assemble_field,
     evaluate_field,
@@ -102,8 +101,9 @@ def test_parse_rejects_zero_a():
 
 def test_parse_rejects_identical_theta_phi():
     bad = MINIMAL.replace("phi = 1.0 * u2 * u1 * u1", "phi = 1.0 * u1 * u1 * u1")
-    with pytest.raises(ProportionalSolutions):
+    with pytest.raises(ValidationError) as err:
         parse_scenario(bad)
+    assert err.value.field == "field.phi"
 
 
 def test_parse_error_carries_line_number():
@@ -309,6 +309,8 @@ def test_run_trajectory_law_residual_column(tmp_path):
 
 
 def test_run_trajectory_from_node_reports_event_at_zero(tmp_path):
+    """The run ends at its first right-hand side; the sidecar records that
+    one evaluation, and the command exits 3 with a header-only CSV."""
     s = parse_scenario(scenario_text("field2d.scn"))
     out = tmp_path / "nodal.csv"
     trajectory = run_trajectory(s, r0=(math.pi / 2, math.pi / 2, 0.0), out=str(out))
@@ -317,9 +319,14 @@ def test_run_trajectory_from_node_reports_event_at_zero(tmp_path):
     assert trajectory.termination.t == 0.0
     sidecar = json.loads((tmp_path / "nodal.json").read_text())
     assert sidecar["termination"]["status"] == "singularity"
-    assert sidecar["integrator"] is None
+    assert sidecar["integrator"] == dataclasses.asdict(trajectory.stats)
+    assert (sidecar["integrator"]["rhs_evals"], sidecar["integrator"]["accepted"]) == (1, 0)
     assert sidecar["termination"]["t"] == 0.0
     assert out.read_text().strip() == CSV_HEADER
+    cli_out = tmp_path / "cli.csv"
+    assert main(["trajectory", scenario_path("field2d.scn"), "--r0", f"{math.pi / 2!r}, {math.pi / 2!r}, 0",
+                 "--out", str(cli_out)]) == 3
+    assert cli_out.read_text() == out.read_text()
 
 
 def test_run_trajectory_plot_script(tmp_path):
@@ -414,10 +421,13 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "tabulated(grid = 0 1 1 2, values = 0 0 0 0)",
      "potential.x"),
     ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "harmonic(slope = 1.0)", "potential.x"),
+    ("harmonic_numerov.scn", "harmonic(omega = 1.0)",
+     "tabulated(grid = -1 -0.5 0 0.5 1, values = 0.5 0.125 0 0.125 0.5)", "solutions.x.domain"),
     ("harmonic_numerov.scn", "a = 1.5", "a = nan", "action.a"),
     ("harmonic_numerov.scn", "a = 1.5", "a = inf", "action.a"),
     ("free_a2.scn", "theta = 1.0 *", "theta = nan *", "field.theta"),
     ("free_a2.scn", "theta = 1.0 * u1", "theta = 1.0 * u3", "field.theta"),
+    ("free_a2.scn", "phi = 1.0 * u2", "phi = 1.0 * u1", "field.phi"),
     ("free_a2.scn", "hbar = 1.0", "hbar = inf", "physics.hbar"),
     ("free_a2.scn", "mass = 1.0", "mass = nan", "physics.mass"),
     ("harmonic_numerov.scn", "hbar = 1.0", "hbar = 1e300", "physics.hbar"),
@@ -437,7 +447,8 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
         "free-energy-overflow", "e-axis-conflict", "numerov-too-few-steps", "numerov-too-many-steps",
         "numerov-domain-inf", "numerov-ic-at-outside", "numerov-parallel-ics", "numerov-e-axis-nan",
         "numerov-ic1-nan", "omega-inf", "omega-zero", "slope-nan", "tabulated-not-ascending",
-        "potential-wrong-parameter", "a-nan", "a-inf", "coefficient-nan", "selector-unknown",
+        "potential-wrong-parameter", "tabulated-narrower-than-numerov-domain", "a-nan", "a-inf",
+        "coefficient-nan", "selector-unknown", "phi-identical-to-theta",
         "hbar-inf", "mass-nan", "hbar-huge", "hbar-tiny", "mass-huge", "mass-tiny", "omega-huge",
         "omega-tiny", "verify-bound-inf", "tolerance-nan", "tolerance-inf", "t-end-inf",
         "metric-point-nan", "grid-huge", "r0-outside-domain"])
@@ -499,6 +510,19 @@ def test_cli_overflow_exit_three(old, new, tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["verify", str(bad), "--out", str(tmp_path / "r.json")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["verify", "metric", "trajectory"])
+def test_cli_huge_numerov_initial_value_exits_three(command, tmp_path, capsys):
+    """An initial value of 1e300 passes the Numerov rules, but the field
+    multiplies three axis values: the build raises Overflow naming the
+    axis, before any warning, NaN or file."""
+    bad = tmp_path / "bad.scn"
+    bad.write_text(scenario_text("harmonic_numerov.scn").replace("ic1 = 1, 0", "ic1 = 1e300, 0", 1))
+    assert main([command, str(bad), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: Overflow: axis x:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.scn"]
 
 
 def test_cli_and_shipped_scenarios_load_no_scipy():

@@ -44,6 +44,16 @@ def test_residual_sweep(monkeypatch, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
 
+def test_residual_sweep_skips_what_verify_skips(monkeypatch, tmp_path):
+    """On harmonic_numerov at 11 points per axis, every mixing skips the
+    331 points of the three node planes, as verify does."""
+    out = tmp_path / "sweep.csv"
+    run_script("residual_sweep.py", scenario("harmonic_numerov.scn"), "--n", "11", "--steps", "3",
+               "--out", str(out), monkeypatch=monkeypatch, tmp_path=tmp_path)
+    with open(out) as handle:
+        assert [int(row["skipped"]) for row in csv.DictReader(handle)] == [331] * 6
+
+
 @pytest.mark.parametrize("name", ["field2d.scn", "harmonic_numerov.scn"])
 def test_signature_scan(name, monkeypatch, tmp_path, capsys):
     n = 7
