@@ -26,7 +26,7 @@ import numpy as np
 from .arrays import as_coords, at_point, atan2, maximum, sqrt, where
 from .errors import NODAL, OK, NodalPoint, ZeroConjugateMomentum
 from .potentials import evaluate as evaluate_potential
-from .schrodinger import FieldSample, SolutionField3D, evaluate_field
+from .schrodinger import OVERFLOW_LIMIT, FieldSample, SolutionField3D, evaluate_field
 
 NODAL_EPS = 1e-12
 
@@ -39,10 +39,11 @@ DIVERGENCE_STEP = 1e-5
 
 
 def check_mixing(a: float, b: float) -> None:
-    """The mixing constants must be finite, and a nonzero: a = 0 makes S0
-    constant and the whole construction degenerate."""
-    if a == 0.0 or not math.isfinite(a) or not math.isfinite(b):
-        raise ValueError("need finite (a, b) with a nonzero")
+    """The mixing constants must be at most OVERFLOW_LIMIT in magnitude (so
+    finite), and a nonzero: a = 0 makes S0 constant and the whole
+    construction degenerate."""
+    if a == 0.0 or not (abs(a) <= OVERFLOW_LIMIT and abs(b) <= OVERFLOW_LIMIT):
+        raise ValueError(f"need finite (a, b) with a nonzero and |a|, |b| <= {OVERFLOW_LIMIT:g}")
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,10 @@ MAX_NUMEROV_STEPS = 1_000_000
 
 # Numerov sweep guard on |u|; a larger value (or NaN) raises Overflow. The
 # field multiplies three axis values and R^2 squares the product, so the
-# guard keeps (1e50)^6 = 1e300 finite.
+# guard keeps (1e50)^6 = 1e300 finite. A term coefficient and a mixing
+# constant scale those products too and are held to the same bound, which
+# rejects, with room to spare, the magnitudes (about 1e154 and up) that
+# overflow the squares on their own.
 OVERFLOW_LIMIT = 1e50
 
 # RK4 substeps per grid cell when seeding the anchor's neighbours.
@@ -260,6 +263,7 @@ class _QuinticTable:
         # coefficient of each column contiguous
         self.coef = np.stack((y0, d0, 0.5 * s0, 10.0 * a - 4.0 * b + 0.5 * c,
                               -15.0 * a + 7.0 * b - c, 6.0 * a - 3.0 * b + 0.5 * c), axis=1)
+        self.coef.flags.writeable = False  # builds share solved tables (scenario._SOLVED)
 
     def _cell(self, x):
         """The two columns' coefficients of the cell holding x, indexed
@@ -406,16 +410,17 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     xs = np.linspace(x_lo, x_hi, n_int + 1)
 
     factor = lambda x: _ode_factor(axis_potential(x), e_axis, m0, hbar)
-    fvals = factor(xs)
-
     tables = np.zeros((2, n_int + 1))
-    for u, (value, slope) in zip(tables, ((v1, s1), (v2, s2))):
-        u[i0] = value
-        if i0 + 1 <= n_int:
-            u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
-        if i0 - 1 >= 0:
-            u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
-    _numerov_fill(tables, fvals, h, i0, axis)
+    # an overflow on the way to the table is caught by _numerov_fill's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        fvals = factor(xs)
+        for u, (value, slope) in zip(tables, ((v1, s1), (v2, s2))):
+            u[i0] = value
+            if i0 + 1 <= n_int:
+                u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
+            if i0 - 1 >= 0:
+                u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
+        _numerov_fill(tables, fvals, h, i0, axis)
 
     du = np.array([_five_point_derivative(u, h) for u in tables])
     table = _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)
@@ -483,11 +488,13 @@ class FieldSample:
 
 def normalize_terms(terms, which):
     """(coefficient, (sel_x, sel_y, sel_z)) tuples; ValueError for a
-    non-finite coefficient, selectors other than three of SELECTORS, or an
-    empty list."""
+    coefficient that is not finite or exceeds OVERFLOW_LIMIT in magnitude,
+    selectors other than three of SELECTORS, or an empty list."""
     out = []
     for entry in terms:
         coef = check_finite(entry[0], f"{which}: coefficient")
+        if abs(coef) > OVERFLOW_LIMIT:
+            raise ValueError(f"{which}: |coefficient| must be at most {OVERFLOW_LIMIT:g}, got {coef!r}")
         sels = tuple(entry[1])
         if len(sels) != 3 or any(s not in SELECTORS for s in sels):
             raise ValueError(f"{which}: selectors must be three of {SELECTORS}, got {sels}")

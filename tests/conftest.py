@@ -5,10 +5,19 @@ import pytest
 from qhj3d import (
     ReducedActionField,
     assemble_field,
+    scenario,
     solve_axis_analytic,
     solve_axis_numerov,
 )
 from qhj3d.potentials import HarmonicOscillator
+
+
+@pytest.fixture(autouse=True)
+def cold_solved_axes():
+    """Every test starts with no solved Numerov axis kept from an earlier
+    one, so a test that patches the solver leaves nothing behind and each
+    test counts its own solves."""
+    scenario._SOLVED.clear()
 
 
 def strict_json(text):

@@ -31,7 +31,8 @@ def test_a_zero_rejected(free_field):
         ReducedActionField(free_field, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("a, b", [(0.0, 1.0), (math.nan, 1.0), (math.inf, 0.0), (1.0, math.nan)])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (math.nan, 1.0), (math.inf, 0.0), (1.0, math.nan),
+                                  (1e300, 0.0), (1.0, -1e300)])
 def test_check_mixing_rejects(a, b):
     with pytest.raises(ValueError):
         check_mixing(a, b)

@@ -11,6 +11,7 @@ import pytest
 
 import qhj3d
 from qhj3d import (
+    Overflow,
     ParseError,
     ValidationError,
     assemble_field,
@@ -82,6 +83,25 @@ def scenario_path(name):
 
 def scenario_text(name):
     return Path(scenario_path(name)).read_text()
+
+
+def on_axis(text, axis, old, new):
+    """text with the first old in its [solutions.<axis>] section made new."""
+    head, tail = text.split(f"[solutions.{axis}]")
+    assert old in tail
+    return f"{head}[solutions.{axis}]{tail.replace(old, new, 1)}"
+
+
+def counting_solves(monkeypatch):
+    """The axis of every Numerov solve that build_field runs from now on."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["axis"])
+        return solve_axis_numerov(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "solve_axis_numerov", counting)
+    return calls
 
 
 def test_parse_minimal_scenario():
@@ -165,13 +185,7 @@ def test_build_field_solves_each_distinct_numerov_axis_once(old, new, solved, mo
     if old is not None:
         assert old in text
         text = text.replace(old, new, 1)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["axis"])
-        return solve_axis_numerov(*args, **kwargs)
-
-    monkeypatch.setattr(scenario, "solve_axis_numerov", counting)
+    calls = counting_solves(monkeypatch)
     field = build_field(parse_scenario(text))
     assert calls == solved
     assert [p.axis for p in field.pairs] == ["x", "y", "z"]
@@ -196,6 +210,87 @@ def test_shared_numerov_axes_evaluate_as_independent_builds():
         got, want = evaluate_field(shared, r), evaluate_field(independent, r)
         for name in ("theta", "phi", "grad_theta", "grad_phi", "second_theta", "second_phi", "v", "status"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_builds_share_solved_axes(monkeypatch):
+    """Two builds of harmonic_numerov and a variant with another mixing and
+    other verify bounds read the same axes: one solve, one table."""
+    calls = counting_solves(monkeypatch)
+    text = scenario_text("harmonic_numerov.scn")
+    variant = text.replace("a = 1.5", "a = 3.0").replace("b = 0.5", "b = -1.0")
+    variant = variant.replace("x = -2, 2", "x = -2.4, 2.4")
+    actions = [build_action(parse_scenario(t)) for t in (text, text, variant)]
+    assert calls == ["x"]
+    assert actions[2].a == 3.0
+    basis = actions[0].field.pairs[0].basis
+    assert all(pair.basis is basis for action in actions for pair in action.field.pairs)
+
+
+@pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "free_classical", "harmonic_numerov"])
+def test_warm_solved_axes_write_what_cold_ones_write(name, tmp_path):
+    """Each command writes the same bytes whether its axes are solved for it
+    or come from an earlier build."""
+    s = parse_scenario(scenario_text(f"{name}.scn"))
+
+    def written(cold):
+        out = tmp_path / ("cold" if cold else "warm")
+        out.mkdir()
+        for command, file in ((run_verify, "verify.json"), (run_metric, "metric.json"),
+                              (run_trajectory, "traj.csv")):
+            if cold:
+                scenario._SOLVED.clear()
+            command(s, out=str(out / file))
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    cold = written(cold=True)
+    assert sorted(cold) == ["metric.json", "traj.csv", "traj.json", "verify.json"]
+    assert written(cold=False) == cold
+    assert len(scenario._SOLVED) == (1 if name == "harmonic_numerov" else 0)
+
+
+def test_negative_zero_initial_value_is_its_own_axis(monkeypatch):
+    """ic2 = -0.0, 1 equals ic2 = 0.0, 1 as a spec, but its table differs in
+    sign bits, so it is solved on its own."""
+    calls = counting_solves(monkeypatch)
+    text = scenario_text("harmonic_numerov.scn")
+    scenarios = [parse_scenario(text.replace("ic2 = 0, 1", f"ic2 = {zero}, 1")) for zero in ("0.0", "-0.0")]
+    assert scenarios[0] == scenarios[1]
+    tables = [build_field(s).pairs[0].basis._value.__self__ for s in scenarios]
+    assert calls == ["x", "x"]
+    assert np.array_equal(tables[0].coef, tables[1].coef)
+    assert not np.array_equal(np.signbit(tables[0].coef), np.signbit(tables[1].coef))
+
+
+def test_least_recently_used_axis_is_evicted(monkeypatch):
+    """The memo keeps three solved axes; a fourth evicts the one used
+    longest ago, and a hit counts as a use."""
+    calls = counting_solves(monkeypatch)
+    text = scenario_text("harmonic_numerov.scn")
+    for e_axis in (0.5, 0.6, 0.7, 0.5, 0.8, 0.5, 0.6):
+        build_field(parse_scenario(text.replace("e_axis = 0.5", f"e_axis = {e_axis}")))
+        assert len(scenario._SOLVED) <= 3
+    # 0.8 evicts 0.6, not the refreshed 0.5; 0.6 is then solved again
+    assert len(calls) == 5
+    assert [pair.e_axis for pair in scenario._SOLVED.values()] == [0.8, 0.5, 0.6]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_failed_solve_is_not_kept(monkeypatch):
+    """A solve that overflows raises on every build, naming the axis of the
+    scenario being built, and leaves nothing in the memo."""
+    calls = counting_solves(monkeypatch)
+    text = scenario_text("harmonic_numerov.scn")
+    for axis in ("y", "y", "z"):
+        with pytest.raises(Overflow, match=f"^axis {axis}:"):
+            build_field(parse_scenario(on_axis(text, axis, "e_axis = 0.5", "e_axis = 1e300")))
+    assert calls == ["x", "y", "y", "z"]
+    assert len(scenario._SOLVED) == 1
+
+
+def test_solved_tables_are_read_only():
+    table = build_field(parse_scenario(scenario_text("harmonic_numerov.scn"))).pairs[0].basis._value.__self__
+    with pytest.raises(ValueError):
+        table.coef[0, 0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +520,9 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
      "tabulated(grid = -1 -0.5 0 0.5 1, values = 0.5 0.125 0 0.125 0.5)", "solutions.x.domain"),
     ("harmonic_numerov.scn", "a = 1.5", "a = nan", "action.a"),
     ("harmonic_numerov.scn", "a = 1.5", "a = inf", "action.a"),
+    ("harmonic_numerov.scn", "a = 1.5", "a = 1e300", "action.a"),
+    ("harmonic_numerov.scn", "b = 0.5", "b = 1e300", "action.b"),
+    ("box.scn", "theta = 1.0 *", "theta = 1e300 *", "field.theta"),
     ("free_a2.scn", "theta = 1.0 *", "theta = nan *", "field.theta"),
     ("free_a2.scn", "theta = 1.0 * u1", "theta = 1.0 * u3", "field.theta"),
     ("free_a2.scn", "phi = 1.0 * u2", "phi = 1.0 * u1", "field.phi"),
@@ -448,6 +546,7 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
         "numerov-domain-inf", "numerov-ic-at-outside", "numerov-parallel-ics", "numerov-e-axis-nan",
         "numerov-ic1-nan", "omega-inf", "omega-zero", "slope-nan", "tabulated-not-ascending",
         "potential-wrong-parameter", "tabulated-narrower-than-numerov-domain", "a-nan", "a-inf",
+        "a-huge", "b-huge", "coefficient-huge",
         "coefficient-nan", "selector-unknown", "phi-identical-to-theta",
         "hbar-inf", "mass-nan", "hbar-huge", "hbar-tiny", "mass-huge", "mass-tiny", "omega-huge",
         "omega-tiny", "verify-bound-inf", "tolerance-nan", "tolerance-inf", "t-end-inf",
@@ -499,17 +598,18 @@ def test_grid_ceiling_admits_100_cubed():
         parse_grid("101,100,100", "--grid")
 
 
-@pytest.mark.parametrize("old, new", [
-    ("e_axis = 0.5", "e_axis = 1e100"),
-], ids=["e-axis-huge"])
-def test_cli_overflow_exit_three(old, new, tmp_path, capsys):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("axis, e_axis", [("x", "1e100"), ("x", "1e300"), ("y", "1e300")],
+                         ids=["e-axis-huge", "e-axis-huger", "e-axis-huger-y"])
+def test_cli_overflow_exit_three(axis, e_axis, tmp_path, capsys):
     """A finite but extreme energy passes every rule and overflows while
-    the field is built: a numerical failure, not a traceback."""
+    the field is built: a numerical failure naming the axis, with no
+    warning and no file."""
     bad = tmp_path / "bad.scn"
-    bad.write_text(scenario_text("harmonic_numerov.scn").replace(old, new, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["verify", str(bad), "--out", str(tmp_path / "r.json")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    bad.write_text(on_axis(scenario_text("harmonic_numerov.scn"), axis, "e_axis = 0.5", f"e_axis = {e_axis}"))
+    assert main(["verify", str(bad), "--out", str(tmp_path / "r.json")]) == 3
+    assert f"numerical failure: Overflow: axis {axis}:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.scn"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

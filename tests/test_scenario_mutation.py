@@ -6,13 +6,15 @@ edge value. parse_scenario must either return a Scenario or raise
 ScenarioError, and a parsed Scenario builds or fails numerically (a
 QhjError such as Overflow, or a float overflow at extreme but finite
 values). The CLI must exit 0, 2, 3 or 4 and write
-only strict JSON. The trajectory command is left out: a mutated but
+only strict JSON, and no input may raise a numpy RuntimeWarning (an
+overflow or invalid value) on the way. The trajectory command is left out: a mutated but
 finite t_end can legitimately integrate for a long time.
 """
 
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qhj3d import QhjError, ScenarioError
@@ -45,6 +47,7 @@ def mutated_scenario(draw):
     return "\n".join(body)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=mutated_scenario())
