@@ -444,29 +444,24 @@ def build_potential(s: Scenario) -> SeparablePotential:
     return SeparablePotential(*(axis_potential(p.kind, dict(p.params), s.mass) for p in s.potentials))
 
 
-# Solved Numerov axes, least recently used first, keyed by the repr of all
-# that the solve reads (repr tells -0.0 from 0.0 and round-trips every
-# float). Three is one scenario's worth: no process holds more tables than
-# one build does. A failed solve is not kept.
-_SOLVED = {}
-
-
 def build_field(s: Scenario):
-    """The scenario's 3D field. Equal Numerov axes share one solved pair,
-    relabelled per axis, within a build and across builds (_SOLVED)."""
+    """The scenario's 3D field. Axes with the same potential and solution
+    spec share one solved pair, relabelled per axis, so identical Numerov
+    axes run one recurrence."""
+    built = {}
     pairs = []
     for ax, pot_spec, spec, potential in zip(AXES, s.potentials, s.solutions, build_potential(s).axes):
-        if isinstance(spec, CatalogSpec):
-            pair = solve_axis_analytic(spec.entry, dict(spec.params), m0=s.mass, hbar=s.hbar, axis=ax)
-        else:
-            key = repr((pot_spec, spec, s.mass, s.hbar))
-            pair = _SOLVED.pop(key, None) or solve_axis_numerov(
-                potential, spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
-                m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at)
-            _SOLVED[key] = pair
-            if len(_SOLVED) > 3:
-                del _SOLVED[next(iter(_SOLVED))]
-        pairs.append(dataclasses.replace(pair, axis=ax))
+        key = (pot_spec, spec)
+        if key not in built:
+            if isinstance(spec, CatalogSpec):
+                built[key] = solve_axis_analytic(spec.entry, dict(spec.params),
+                                                 m0=s.mass, hbar=s.hbar, axis=ax)
+            else:
+                built[key] = solve_axis_numerov(
+                    potential, spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
+                    m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at,
+                )
+        pairs.append(dataclasses.replace(built[key], axis=ax))
     return assemble_field(pairs, s.theta_terms, s.phi_terms)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -49,10 +49,8 @@ MAX_NUMEROV_STEPS = 1_000_000
 
 # Numerov sweep guard on |u|; a larger value (or NaN) raises Overflow. The
 # field multiplies three axis values and R^2 squares the product, so the
-# guard keeps (1e50)^6 = 1e300 finite. A term coefficient and a mixing
-# constant scale those products too and are held to the same bound, which
-# rejects, with room to spare, the magnitudes (about 1e154 and up) that
-# overflow the squares on their own.
+# guard keeps (1e50)^6 = 1e300 finite. Term coefficients and mixing
+# constants share the bound, well below the 1e154 that overflows a square.
 OVERFLOW_LIMIT = 1e50
 
 # RK4 substeps per grid cell when seeding the anchor's neighbours.
@@ -263,7 +261,7 @@ class _QuinticTable:
         # coefficient of each column contiguous
         self.coef = np.stack((y0, d0, 0.5 * s0, 10.0 * a - 4.0 * b + 0.5 * c,
                               -15.0 * a + 7.0 * b - c, 6.0 * a - 3.0 * b + 0.5 * c), axis=1)
-        self.coef.flags.writeable = False  # builds share solved tables (scenario._SOLVED)
+        self.coef.flags.writeable = False  # solves share tables (_SOLVED)
 
     def _cell(self, x):
         """The two columns' coefficients of the cell holding x, indexed
@@ -391,6 +389,13 @@ def numerov_grid(e_axis, domain, step, ic1, ic2, ic_at=None):
     return x_lo, x_hi, n_int, i0, (v1, s1), (v2, s2)
 
 
+# Solved pairs, least recently used first, keyed by the repr of all that a
+# solve reads: exact for floats (-0.0 included) and package potentials; an
+# id-based repr's object stays alive in its entry, so its id is not reused.
+# Three is one scenario's worth. A failed solve is not kept.
+_SOLVED = {}
+
+
 def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
                        m0=1.0, hbar=1.0, axis="x", ic_at=None):
     """Numerov solution pair for u'' = (2 m0/hbar^2)(V - E_axis) u.
@@ -403,32 +408,37 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     Each node carries u, u' from O(h^4) five-point stencils, and
     u'' = f u with the factor f the recurrence used; values and derivatives
     between the nodes come from one quintic Hermite table over the two
-    solutions (_QuinticTable).
+    solutions (_QuinticTable). Calls that read equal inputs share one
+    solved pair, relabelled with their axis (_SOLVED).
     """
     x_lo, x_hi, n_int, i0, (v1, s1), (v2, s2) = numerov_grid(e_axis, domain, step, ic1, ic2, ic_at)
-    h = (x_hi - x_lo) / n_int
-    xs = np.linspace(x_lo, x_hi, n_int + 1)
-
-    factor = lambda x: _ode_factor(axis_potential(x), e_axis, m0, hbar)
-    tables = np.zeros((2, n_int + 1))
-    # an overflow on the way to the table is caught by _numerov_fill's check
-    with np.errstate(over="ignore", invalid="ignore"):
-        fvals = factor(xs)
-        for u, (value, slope) in zip(tables, ((v1, s1), (v2, s2))):
-            u[i0] = value
-            if i0 + 1 <= n_int:
-                u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
-            if i0 - 1 >= 0:
-                u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
-        _numerov_fill(tables, fvals, h, i0, axis)
-
-    du = np.array([_five_point_derivative(u, h) for u in tables])
-    table = _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)
-    basis = AxisSolution(table.value, table.derivative)
-    return AxisSolutionPair(
-        axis=axis, e_axis=float(e_axis), basis=basis, potential=axis_potential,
-        m0=m0, hbar=hbar, domain=(x_lo, x_hi), source="numerov",
-    )
+    key = repr((axis_potential, e_axis, x_lo, x_hi, n_int, i0, v1, s1, v2, s2, m0, hbar))
+    pair = _SOLVED.pop(key, None)
+    if pair is None:
+        h = (x_hi - x_lo) / n_int
+        xs = np.linspace(x_lo, x_hi, n_int + 1)
+        factor = lambda x: _ode_factor(axis_potential(x), e_axis, m0, hbar)
+        tables = np.zeros((2, n_int + 1))
+        # an overflow on the way to the table is caught by _numerov_fill's check
+        with np.errstate(over="ignore", invalid="ignore"):
+            fvals = factor(xs)
+            for u, (value, slope) in zip(tables, ((v1, s1), (v2, s2))):
+                u[i0] = value
+                if i0 + 1 <= n_int:
+                    u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
+                if i0 - 1 >= 0:
+                    u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
+            _numerov_fill(tables, fvals, h, i0, axis)
+        du = np.array([_five_point_derivative(u, h) for u in tables])
+        table = _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)
+        pair = AxisSolutionPair(
+            axis=axis, e_axis=float(e_axis), basis=AxisSolution(table.value, table.derivative),
+            potential=axis_potential, m0=m0, hbar=hbar, domain=(x_lo, x_hi), source="numerov",
+        )
+    _SOLVED[key] = pair
+    if len(_SOLVED) > 3:
+        del _SOLVED[next(iter(_SOLVED))]
+    return replace(pair, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from qhj3d import (
     ReducedActionField,
     assemble_field,
-    scenario,
+    schrodinger,
     solve_axis_analytic,
     solve_axis_numerov,
 )
@@ -17,7 +17,7 @@ def cold_solved_axes():
     """Every test starts with no solved Numerov axis kept from an earlier
     one, so a test that patches the solver leaves nothing behind and each
     test counts its own solves."""
-    scenario._SOLVED.clear()
+    schrodinger._SOLVED.clear()
 
 
 def strict_json(text):

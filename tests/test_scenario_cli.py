@@ -17,6 +17,7 @@ from qhj3d import (
     assemble_field,
     evaluate_field,
     scenario,
+    schrodinger,
     solve_axis_numerov,
 )
 from qhj3d.arrays import sparse_grid
@@ -92,15 +93,17 @@ def on_axis(text, axis, old, new):
     return f"{head}[solutions.{axis}]{tail.replace(old, new, 1)}"
 
 
-def counting_solves(monkeypatch):
-    """The axis of every Numerov solve that build_field runs from now on."""
+def counting_sweeps(monkeypatch):
+    """The axis of every Numerov sweep run from now on: one per solve that
+    the memo of solved axes does not answer."""
     calls = []
+    fill = schrodinger._numerov_fill
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["axis"])
-        return solve_axis_numerov(*args, **kwargs)
+    def counting(table, fvals, h, i0, axis):
+        calls.append(axis)
+        return fill(table, fvals, h, i0, axis)
 
-    monkeypatch.setattr(scenario, "solve_axis_numerov", counting)
+    monkeypatch.setattr(schrodinger, "_numerov_fill", counting)
     return calls
 
 
@@ -185,7 +188,13 @@ def test_build_field_solves_each_distinct_numerov_axis_once(old, new, solved, mo
     if old is not None:
         assert old in text
         text = text.replace(old, new, 1)
-    calls = counting_solves(monkeypatch)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["axis"])
+        return solve_axis_numerov(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "solve_axis_numerov", counting)
     field = build_field(parse_scenario(text))
     assert calls == solved
     assert [p.axis for p in field.pairs] == ["x", "y", "z"]
@@ -197,11 +206,12 @@ def test_shared_numerov_axes_evaluate_as_independent_builds():
     three independent solves, on the verify grid and at the metric points."""
     s = parse_scenario(scenario_text("harmonic_numerov.scn"))
     shared = build_field(s)
-    independent = assemble_field(
-        [solve_axis_numerov(potential, spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
-                            m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at)
-         for ax, spec, potential in zip("xyz", s.solutions, build_potential(s).axes)],
-        s.theta_terms, s.phi_terms)
+    pairs = []
+    for ax, spec, potential in zip("xyz", s.solutions, build_potential(s).axes):
+        schrodinger._SOLVED.clear()
+        pairs.append(solve_axis_numerov(potential, spec.e_axis, spec.domain, spec.step, spec.ic1,
+                                        spec.ic2, m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at))
+    independent = assemble_field(pairs, s.theta_terms, s.phi_terms)
     assert shared.pairs[1].basis is shared.pairs[0].basis
     assert independent.pairs[1].basis is not independent.pairs[0].basis
     assert shared.active_axes == independent.active_axes
@@ -214,13 +224,20 @@ def test_shared_numerov_axes_evaluate_as_independent_builds():
 
 def test_builds_share_solved_axes(monkeypatch):
     """Two builds of harmonic_numerov and a variant with another mixing and
-    other verify bounds read the same axes: one solve, one table."""
-    calls = counting_solves(monkeypatch)
+    other verify bounds read the same axes: one sweep, one table. Each
+    build still calls the solver once, so a warm process makes the calls a
+    cold one makes."""
+    calls = counting_sweeps(monkeypatch)
+    requests = []
+    monkeypatch.setattr(scenario, "solve_axis_numerov",
+                        lambda *args, **kwargs: requests.append(kwargs["axis"])
+                        or solve_axis_numerov(*args, **kwargs))
     text = scenario_text("harmonic_numerov.scn")
     variant = text.replace("a = 1.5", "a = 3.0").replace("b = 0.5", "b = -1.0")
     variant = variant.replace("x = -2, 2", "x = -2.4, 2.4")
     actions = [build_action(parse_scenario(t)) for t in (text, text, variant)]
     assert calls == ["x"]
+    assert requests == ["x", "x", "x"]
     assert actions[2].a == 3.0
     basis = actions[0].field.pairs[0].basis
     assert all(pair.basis is basis for action in actions for pair in action.field.pairs)
@@ -238,20 +255,20 @@ def test_warm_solved_axes_write_what_cold_ones_write(name, tmp_path):
         for command, file in ((run_verify, "verify.json"), (run_metric, "metric.json"),
                               (run_trajectory, "traj.csv")):
             if cold:
-                scenario._SOLVED.clear()
+                schrodinger._SOLVED.clear()
             command(s, out=str(out / file))
         return {path.name: path.read_bytes() for path in out.iterdir()}
 
     cold = written(cold=True)
     assert sorted(cold) == ["metric.json", "traj.csv", "traj.json", "verify.json"]
     assert written(cold=False) == cold
-    assert len(scenario._SOLVED) == (1 if name == "harmonic_numerov" else 0)
+    assert len(schrodinger._SOLVED) == (1 if name == "harmonic_numerov" else 0)
 
 
 def test_negative_zero_initial_value_is_its_own_axis(monkeypatch):
     """ic2 = -0.0, 1 equals ic2 = 0.0, 1 as a spec, but its table differs in
     sign bits, so it is solved on its own."""
-    calls = counting_solves(monkeypatch)
+    calls = counting_sweeps(monkeypatch)
     text = scenario_text("harmonic_numerov.scn")
     scenarios = [parse_scenario(text.replace("ic2 = 0, 1", f"ic2 = {zero}, 1")) for zero in ("0.0", "-0.0")]
     assert scenarios[0] == scenarios[1]
@@ -261,30 +278,49 @@ def test_negative_zero_initial_value_is_its_own_axis(monkeypatch):
     assert not np.array_equal(np.signbit(tables[0].coef), np.signbit(tables[1].coef))
 
 
+@pytest.mark.parametrize("old, new", [
+    ("harmonic(omega = 1.0)", "harmonic(omega = 2.0)"),
+    ("mass = 1.0", "mass = 2.0"),
+    ("hbar = 1.0", "hbar = 0.5"),
+    ("e_axis = 0.5", "e_axis = 0.6"),
+    ("step = 1e-3", "step = 2e-3"),
+    ("ic1 = 1, 0", "ic1 = 1, 0.5"),
+    ("ic_at = 0", "ic_at = -1"),
+], ids=["omega", "mass", "hbar", "e-axis", "step", "ic1", "ic-at"])
+def test_each_input_of_a_solve_keys_its_axis(old, new, monkeypatch):
+    """A scenario that changes anything the solve reads gets its own table."""
+    calls = counting_sweeps(monkeypatch)
+    text = scenario_text("harmonic_numerov.scn")
+    assert old in text
+    fields = [build_field(parse_scenario(t)) for t in (text, text.replace(old, new))]
+    assert calls == ["x", "x"]
+    assert fields[0].pairs[0].basis is not fields[1].pairs[0].basis
+
+
 def test_least_recently_used_axis_is_evicted(monkeypatch):
     """The memo keeps three solved axes; a fourth evicts the one used
     longest ago, and a hit counts as a use."""
-    calls = counting_solves(monkeypatch)
+    calls = counting_sweeps(monkeypatch)
     text = scenario_text("harmonic_numerov.scn")
     for e_axis in (0.5, 0.6, 0.7, 0.5, 0.8, 0.5, 0.6):
         build_field(parse_scenario(text.replace("e_axis = 0.5", f"e_axis = {e_axis}")))
-        assert len(scenario._SOLVED) <= 3
+        assert len(schrodinger._SOLVED) <= 3
     # 0.8 evicts 0.6, not the refreshed 0.5; 0.6 is then solved again
     assert len(calls) == 5
-    assert [pair.e_axis for pair in scenario._SOLVED.values()] == [0.8, 0.5, 0.6]
+    assert [pair.e_axis for pair in schrodinger._SOLVED.values()] == [0.8, 0.5, 0.6]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_failed_solve_is_not_kept(monkeypatch):
     """A solve that overflows raises on every build, naming the axis of the
     scenario being built, and leaves nothing in the memo."""
-    calls = counting_solves(monkeypatch)
+    calls = counting_sweeps(monkeypatch)
     text = scenario_text("harmonic_numerov.scn")
     for axis in ("y", "y", "z"):
         with pytest.raises(Overflow, match=f"^axis {axis}:"):
             build_field(parse_scenario(on_axis(text, axis, "e_axis = 0.5", "e_axis = 1e300")))
     assert calls == ["x", "y", "y", "z"]
-    assert len(scenario._SOLVED) == 1
+    assert len(schrodinger._SOLVED) == 1
 
 
 def test_solved_tables_are_read_only():
