@@ -10,7 +10,9 @@ report carries a reason code: ok, nodal, node_singular, out_of_domain or
 non_riemannian.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 numerical failure
-(threshold violation, singularity, step underflow), 4 I/O failure.
+(threshold violation, singularity, step underflow), 4 I/O failure. An
+output path (--out, the trajectory sidecar, --plot-script) that resolves
+to the scenario file or to another output of the run exits 2.
 
 All file writes are atomic (temp file + rename), trajectories are CSV with
 a fixed header, and machine-readable reports are strict JSON (null for an
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .arrays import sparse_grid
-from .dynamics import SINGULARITY, Termination, Trajectory, integrate_first_order
+from .dynamics import SINGULARITY, Trajectory, integrate_first_order
 from .errors import (
     NODAL,
     NODE_SINGULAR,
@@ -243,13 +245,25 @@ def _trajectory_csv(trajectory: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _termination_dict(term: Termination):
-    return {
-        "status": term.status,
-        "kind": term.kind,
-        "t": term.t,
-        "position": list(term.position) if term.position is not None else None,
-    }
+def _sidecar_path(out):
+    return os.path.splitext(out)[0] + ".json"
+
+
+def _trajectory_outputs(out, plot_script):
+    """(flag, path, what) of each file a trajectory run writes, in order."""
+    outputs = [("--out", out, "CSV"), ("--out", _sidecar_path(out), "sidecar")]
+    return outputs + ([("--plot-script", plot_script, "plot script")] if plot_script else [])
+
+
+def _check_outputs(outputs, scenario_path=None):
+    """ValidationError naming its flag for an output path that resolves to
+    the scenario file or to an earlier output of the same run."""
+    taken = {} if scenario_path is None else {os.path.realpath(scenario_path): "the scenario file"}
+    for flag, path, what in outputs:
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ValidationError(flag, f"the {what} {path!r} would overwrite {taken[real]}")
+        taken[real] = f"the {what}"
 
 
 def _check_start(field, r0, name):
@@ -265,8 +279,11 @@ def run_trajectory(scenario: Scenario, r0=None, t_end=None, out="trajectory.csv"
     """Integrate the scenario trajectory and write CSV + termination sidecar.
 
     A start outside the domain raises ValidationError naming --r0 when r0
-    is given, else trajectory.r0, and writes nothing. A run that starts on
-    a node (or momentum singularity) ends there with no state."""
+    is given, else trajectory.r0, and writes nothing; so does an output
+    path that would overwrite another (ValidationError naming --out or
+    --plot-script). A run that starts on a node (or momentum singularity)
+    ends there with no state."""
+    _check_outputs(_trajectory_outputs(out, plot_script))
     action = build_action(scenario)
     spec = scenario.trajectory
     name = "--r0" if r0 is not None else "trajectory.r0"
@@ -276,9 +293,8 @@ def run_trajectory(scenario: Scenario, r0=None, t_end=None, out="trajectory.csv"
     trajectory = integrate_first_order(action, r0, config)
 
     _atomic_write(out, _trajectory_csv(trajectory))
-    sidecar = os.path.splitext(out)[0] + ".json"
     payload = {
-        "termination": _termination_dict(trajectory.termination),
+        "termination": dataclasses.asdict(trajectory.termination),
         "r0": list(r0),
         "t_end": config.t_end,
         "states": len(trajectory.states),
@@ -286,7 +302,7 @@ def run_trajectory(scenario: Scenario, r0=None, t_end=None, out="trajectory.csv"
         "max_energy_residual": trajectory.max_energy_residual if trajectory.states else None,
         "integrator": dataclasses.asdict(trajectory.stats),
     }
-    _atomic_write(sidecar, _json_text(payload))
+    _atomic_write(_sidecar_path(out), _json_text(payload))
     if plot_script:
         _atomic_write(plot_script, _gnuplot_script(out))
     return trajectory
@@ -426,6 +442,13 @@ def _build_parser():
     return parser
 
 
+def _outputs(args) -> list:
+    """(flag, path, what) of each file the command writes."""
+    if args.command == "trajectory":
+        return _trajectory_outputs(args.out, args.plot_script)
+    return [("--out", args.out, "report")] if args.out else []
+
+
 def _overrides(args) -> dict:
     """The command's keyword overrides, checked by the scenario-file rules."""
     if args.command == "verify":
@@ -439,6 +462,7 @@ def _overrides(args) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_outputs(_outputs(args), args.scenario)
         overrides = _overrides(args)
     except ValidationError as exc:
         print(f"invalid argument: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .arrays import as_coords, at_point, atan2, maximum, sqrt, where
 from .errors import NODAL, OK, NodalPoint, ZeroConjugateMomentum
-from .potentials import evaluate as evaluate_potential
 from .schrodinger import OVERFLOW_LIMIT, FieldSample, SolutionField3D, evaluate_field
 
 NODAL_EPS = 1e-12
@@ -188,7 +187,7 @@ def continuity_identity_from_sample(action: ReducedActionField, s: ActionSample)
     from the field evaluation the sample was built on; NaN where its status
     is not OK."""
     fs = s.field
-    k = action.hbar * action.a
+    k = action.k
     r2 = s.amplitude**2
     worst = 0.0
     for ds, gt, gp in zip(s.grad_s0, fs.grad_theta, fs.grad_phi):
@@ -228,14 +227,6 @@ def _require_1d(field: SolutionField3D) -> None:
         raise ValueError("operation needs a field varying along x only")
 
 
-def _flat_axis_reference(field: SolutionField3D) -> tuple[float, float]:
-    refs = []
-    for pair in field.pairs[1:]:
-        lo, hi = pair.probe_interval()
-        refs.append(0.5 * (lo + hi))
-    return refs[0], refs[1]
-
-
 def s0_derivatives_1d(action: ReducedActionField, x: float):
     """(S0', S0'', S0''') along x for a field varying along x only.
 
@@ -245,9 +236,16 @@ def s0_derivatives_1d(action: ReducedActionField, x: float):
     derivatives need only g' and g'' -- all available exactly from the
     per-axis ODE identity.
     """
+    return _s0_derivatives_and_v_1d(action, x)[0]
+
+
+def _s0_derivatives_and_v_1d(action: ReducedActionField, x: float):
+    """s0_derivatives_1d(action, x), and V from the field evaluation it
+    was computed on."""
     _require_1d(action.field)
-    yref, zref = _flat_axis_reference(action.field)
-    fs = evaluate_field(action.field, (x, yref, zref))
+    # the flat axes at the centres of their probe intervals
+    (y_lo, y_hi), (z_lo, z_hi) = (pair.probe_interval() for pair in action.field.pairs[1:])
+    fs = evaluate_field(action.field, (x, 0.5 * (y_lo + y_hi), 0.5 * (z_lo + z_hi)))
     tp, grad_tp, sec_tp = _theta_prime_parts(action, fs)
     ph, phx, phxx = fs.phi, fs.grad_phi[0], fs.second_phi[0]
     tpx, tpxx = grad_tp[0], sec_tp[0]
@@ -265,7 +263,7 @@ def s0_derivatives_1d(action: ReducedActionField, x: float):
     gpp = 2.0 * (tpx * tpx + tp * tpxx + phx * phx + ph * phxx)
     s2 = -hbar * w * gp / g**2
     s3 = hbar * w * (2.0 * gp * gp - gpp * g) / g**3
-    return s1, s2, s3
+    return (s1, s2, s3), fs.v
 
 
 def floyd_residual_1d(action: ReducedActionField, x: float) -> float:
@@ -273,9 +271,7 @@ def floyd_residual_1d(action: ReducedActionField, x: float) -> float:
 
     (S0')^2/2m0 - (hbar^2/4m0) [ (3/2)(S0''/S0')^2 - S0'''/S0' ] + V - E.
     """
-    s1, s2, s3 = s0_derivatives_1d(action, x)
-    yref, zref = _flat_axis_reference(action.field)
-    v_total, _ = evaluate_potential(action.field.potential, (x, yref, zref))
+    (s1, s2, s3), v_total = _s0_derivatives_and_v_1d(action, x)
     m0 = action.m0
     bracket = 1.5 * (s2 / s1) ** 2 - s3 / s1
     return s1 * s1 / (2.0 * m0) - action.hbar**2 / (4.0 * m0) * bracket + v_total - action.e

@@ -29,9 +29,8 @@ from .errors import (
     NonRiemannianPoint,
     ZeroConjugateMomentum,
 )
-from .hj_core import (MOMENTUM_EPS, ReducedActionField, s0_derivatives_1d, sample, _flat_axis_reference,
-                      _require_1d, _sample_field)
-from .potentials import evaluate as evaluate_potential
+from .hj_core import (MOMENTUM_EPS, ReducedActionField, sample, _require_1d, _s0_derivatives_and_v_1d,
+                      _sample_field)
 
 NODE_EPS = 1e-12
 
@@ -219,9 +218,7 @@ def fm_factor_1d(action: ReducedActionField, x: float) -> float:
     a^{xx} wherever all three are defined.
     """
     _require_1d(action.field)
-    s1, _, _ = s0_derivatives_1d(action, x)
-    yref, zref = _flat_axis_reference(action.field)
-    v_total, _ = evaluate_potential(action.field.potential, (x, yref, zref))
+    (s1, _, _), v_total = _s0_derivatives_and_v_1d(action, x)
     gap = action.e - v_total
     if abs(gap) < 1e-14:
         raise ClassicalTurningPoint(f"E - V = {gap:.3e} at x = {x}")

@@ -6,10 +6,10 @@ field terms read  coef * sel_x * sel_y * sel_z  with sel in {u1, u2};
 parenthesised potential parameters read  harmonic(omega = 1.0).
 
 Parsing checks syntax and cross-references, asks each other rule's owner
-(potentials, catalog, Numerov, terms, mixing) without building anything,
-and returns a fully-validated Scenario or raises a line-anchored ParseError
-/ field-anchored ValidationError. Scenarios are plain data: parse,
-serialize, parse round-trips to an equal value.
+(potentials, catalog, Numerov, terms, mixing), and returns a Scenario of
+validated values and the axis potentials it constructed, which the builders
+use as they are, or raises a line-anchored ParseError / field-anchored
+ValidationError. Parsing a serialized Scenario gives an equal Scenario.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, QhjError, ValidationError
-from .potentials import AXES, SeparablePotential, axis_potential
+from .potentials import AXES, AxisPotential, SeparablePotential, axis_potential
 from .schrodinger import (
     CATALOG,
     assemble_field,
@@ -38,12 +38,6 @@ _KNOWN_SECTIONS = ("physics", "potential", "solutions.x", "solutions.y", "soluti
                    "field", "action", "verify", "trajectory", "metric")
 _REQUIRED_SECTIONS = ("physics", "potential", "solutions.x", "solutions.y", "solutions.z",
                       "field", "action")
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    kind: str
-    params: tuple[tuple[str, tuple[float, ...] | float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,7 @@ class TrajectorySpec(IntegratorConfig):
 class Scenario:
     hbar: float
     mass: float
-    potentials: tuple[PotentialSpec, PotentialSpec, PotentialSpec]
+    potentials: tuple[AxisPotential, AxisPotential, AxisPotential]
     solutions: tuple[CatalogSpec | NumerovSpec, ...]
     theta_terms: tuple[tuple[float, tuple[str, str, str]], ...]
     phi_terms: tuple[tuple[float, tuple[str, str, str]], ...]
@@ -221,8 +215,7 @@ def _parse_potential_value(value, field, mass):
             k, v = (s.strip() for s in item.split("=", 1))
             values = tuple(_float(p, f"{field}.{k}") for p in v.split())
             params[k] = values[0] if len(values) == 1 else values
-    potential = _owned(field, axis_potential, kind, params, mass)
-    return PotentialSpec(kind=kind, params=tuple(sorted(params.items()))), potential
+    return _owned(field, axis_potential, kind, params, mass)
 
 
 def _parse_terms(value, field):
@@ -293,16 +286,15 @@ def parse_scenario(text: str) -> Scenario:
     pot = _as_dict(sections["potential"])
     if set(pot) != set(AXES):
         raise ValidationError("potential", f"needs exactly the axes {AXES}")
-    potentials, axis_potentials = zip(*(_parse_potential_value(pot[ax], f"potential.{ax}", mass)
-                                        for ax in AXES))
+    potentials = tuple(_parse_potential_value(pot[ax], f"potential.{ax}", mass) for ax in AXES)
 
     solutions = []
-    for ax, pot_spec, potential in zip(AXES, potentials, axis_potentials):
+    for ax, potential in zip(AXES, potentials):
         spec = _parse_solution_section(sections[f"solutions.{ax}"], ax, hbar, mass)
-        if isinstance(spec, CatalogSpec) and pot_spec.kind != "free":
+        if isinstance(spec, CatalogSpec) and potential.kind != "free":
             raise ValidationError(
                 f"solutions.{ax}.source",
-                f"catalog entries assume a free axis potential, but potential.{ax} is {pot_spec.kind}",
+                f"catalog entries assume a free axis potential, but potential.{ax} is {potential.kind}",
             )
         if isinstance(spec, NumerovSpec) and not all(potential.contains(x) for x in spec.domain):
             raise ValidationError(f"solutions.{ax}.domain",
@@ -398,12 +390,13 @@ def _fmt_fields(spec) -> list[str]:
             if getattr(spec, f.name) is not None]
 
 
-def _fmt_potential(spec: PotentialSpec) -> str:
-    if not spec.params:
-        return spec.kind
-    parts = [f"{key} = " + (" ".join(_fmt(v) for v in val) if isinstance(val, tuple) else _fmt(val))
-             for key, val in spec.params]
-    return f"{spec.kind}(" + ", ".join(parts) + ")"
+def _fmt_potential(potential: AxisPotential) -> str:
+    """kind(name = value, ...) from the constructor fields, all but mass,
+    which [physics] holds; a list value is space-separated."""
+    values = {f.name: getattr(potential, f.name) for f in dataclasses.fields(potential) if f.init}
+    parts = [f"{key} = " + " ".join(map(_fmt, val if isinstance(val, tuple) else (val,)))
+             for key, val in values.items() if key != "mass"]
+    return f"{potential.kind}({', '.join(parts)})" if parts else potential.kind
 
 
 def _fmt_terms(terms) -> str:
@@ -413,8 +406,8 @@ def _fmt_terms(terms) -> str:
 def serialize_scenario(s: Scenario) -> str:
     lines = ["[physics]", f"hbar = {_fmt(s.hbar)}", f"mass = {_fmt(s.mass)}", ""]
     lines.append("[potential]")
-    for ax, spec in zip(AXES, s.potentials):
-        lines.append(f"{ax} = {_fmt_potential(spec)}")
+    for ax, potential in zip(AXES, s.potentials):
+        lines.append(f"{ax} = {_fmt_potential(potential)}")
     lines.append("")
     for ax, spec in zip(AXES, s.solutions):
         lines.append(f"[solutions.{ax}]")
@@ -441,27 +434,20 @@ def serialize_scenario(s: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 def build_potential(s: Scenario) -> SeparablePotential:
-    return SeparablePotential(*(axis_potential(p.kind, dict(p.params), s.mass) for p in s.potentials))
+    return SeparablePotential(*s.potentials)
 
 
 def build_field(s: Scenario):
-    """The scenario's 3D field. Axes with the same potential and solution
-    spec share one solved pair, relabelled per axis, so identical Numerov
-    axes run one recurrence."""
-    built = {}
+    """The scenario's 3D field, from one solve per axis. Equal Numerov axes
+    share one table through solve_axis_numerov's memo of solved axes."""
     pairs = []
-    for ax, pot_spec, spec, potential in zip(AXES, s.potentials, s.solutions, build_potential(s).axes):
-        key = (pot_spec, spec)
-        if key not in built:
-            if isinstance(spec, CatalogSpec):
-                built[key] = solve_axis_analytic(spec.entry, dict(spec.params),
-                                                 m0=s.mass, hbar=s.hbar, axis=ax)
-            else:
-                built[key] = solve_axis_numerov(
-                    potential, spec.e_axis, spec.domain, spec.step, spec.ic1, spec.ic2,
-                    m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at,
-                )
-        pairs.append(dataclasses.replace(built[key], axis=ax))
+    for ax, potential, spec in zip(AXES, s.potentials, s.solutions):
+        if isinstance(spec, CatalogSpec):
+            pairs.append(solve_axis_analytic(spec.entry, dict(spec.params),
+                                             m0=s.mass, hbar=s.hbar, axis=ax))
+        else:
+            pairs.append(solve_axis_numerov(potential, spec.e_axis, spec.domain, spec.step, spec.ic1,
+                                            spec.ic2, m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at))
     return assemble_field(pairs, s.theta_terms, s.phi_terms)
 
 

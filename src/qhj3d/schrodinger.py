@@ -110,7 +110,6 @@ class AxisSolutionPair:
     m0: float
     hbar: float
     domain: tuple[float, float]
-    source: str
 
     @property
     def wronskian_ref(self) -> float:
@@ -223,10 +222,8 @@ def solve_axis_analytic(kind, params=None, e_axis=None, *, m0=1.0, hbar=1.0, axi
     else:
         one = lambda x: 1.0 + zeros_like(x)
         basis = AxisSolution(lambda x: (one(x), x), lambda x: (zeros_like(x), one(x)))
-    return AxisSolutionPair(
-        axis=axis, e_axis=energy, basis=basis, potential=Free(),
-        m0=m0, hbar=hbar, domain=domain, source=f"catalog:{kind}",
-    )
+    return AxisSolutionPair(axis=axis, e_axis=energy, basis=basis, potential=Free(),
+                            m0=m0, hbar=hbar, domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +430,7 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
         table = _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)
         pair = AxisSolutionPair(
             axis=axis, e_axis=float(e_axis), basis=AxisSolution(table.value, table.derivative),
-            potential=axis_potential, m0=m0, hbar=hbar, domain=(x_lo, x_hi), source="numerov",
+            potential=axis_potential, m0=m0, hbar=hbar, domain=(x_lo, x_hi),
         )
     _SOLVED[key] = pair
     if len(_SOLVED) > 3:
@@ -555,41 +552,33 @@ def _combine(terms, cache, order=2):
     run in term order, so a point and a grid entry take the same steps;
     the order-2 parts do not depend on the order.
     """
-    value = 0.0
-    grad = [0.0, 0.0, 0.0]
-    second = [0.0, 0.0, 0.0]
-    for coef, sels in terms:
-        f = [cache[i][sels[i]] for i in range(3)]
-        value = value + coef * f[0][0] * f[1][0] * f[2][0]
-        for mu in range(3):
-            others = coef
-            for nu in range(3):
-                if nu != mu:
-                    others = others * f[nu][0]
-            grad[mu] = grad[mu] + f[mu][1] * others
-            second[mu] = second[mu] + f[mu][2] * others
-    if order == 2:
-        return value, tuple(grad), tuple(second)
+    value = g0 = g1 = g2 = e0 = e1 = e2 = 0.0
     h01 = h02 = h12 = 0.0
     t00 = t01 = t02 = t10 = t11 = t12 = t20 = t21 = t22 = 0.0
-    for coef, sels in terms:
-        (u0, d0, s0, j0), (u1, d1, s1, j1), (u2, d2, s2, j2) = (cache[i][sels[i]] for i in range(3))
-        c0, c1, c2 = coef * u0, coef * u1, coef * u2
-        h01 = h01 + d0 * d1 * c2
-        h02 = h02 + d0 * d2 * c1
-        h12 = h12 + d1 * d2 * c0
-        t00 = t00 + j0 * (c1 * u2)
-        t11 = t11 + j1 * (c0 * u2)
-        t22 = t22 + j2 * (c0 * u1)
-        t01 = t01 + d0 * s1 * c2
-        t10 = t10 + d1 * s0 * c2
-        t02 = t02 + d0 * s2 * c1
-        t20 = t20 + d2 * s0 * c1
-        t12 = t12 + d1 * s2 * c0
-        t21 = t21 + d2 * s1 * c0
-    hessian = ((second[0], h01, h02), (h01, second[1], h12), (h02, h12, second[2]))
+    jets0, jets1, jets2 = cache
+    for coef, (sel0, sel1, sel2) in terms:
+        f0, f1, f2 = jets0[sel0], jets1[sel1], jets2[sel2]
+        u0, u1, u2 = f0[0], f1[0], f2[0]
+        d0, d1, d2 = f0[1], f1[1], f2[1]
+        s0, s1, s2 = f0[2], f1[2], f2[2]
+        c0, c1 = coef * u0, coef * u1
+        # o_mu: coef times the values of the two axes other than mu
+        o0, o1, o2 = c1 * u2, c0 * u2, c0 * u1
+        value = value + o2 * u2
+        g0, g1, g2 = g0 + d0 * o0, g1 + d1 * o1, g2 + d2 * o2
+        e0, e1, e2 = e0 + s0 * o0, e1 + s1 * o1, e2 + s2 * o2
+        if order == 3:
+            c2 = coef * u2
+            h01, h02, h12 = h01 + d0 * d1 * c2, h02 + d0 * d2 * c1, h12 + d1 * d2 * c0
+            t00, t11, t22 = t00 + f0[3] * o0, t11 + f1[3] * o1, t22 + f2[3] * o2
+            t01, t10 = t01 + d0 * s1 * c2, t10 + d1 * s0 * c2
+            t02, t20 = t02 + d0 * s2 * c1, t20 + d2 * s0 * c1
+            t12, t21 = t12 + d1 * s2 * c0, t21 + d2 * s1 * c0
+    if order == 2:
+        return value, (g0, g1, g2), (e0, e1, e2)
+    hessian = ((e0, h01, h02), (h01, e1, h12), (h02, h12, e2))
     third = ((t00, t01, t02), (t10, t11, t12), (t20, t21, t22))
-    return value, tuple(grad), tuple(second), hessian, third
+    return value, (g0, g1, g2), (e0, e1, e2), hessian, third
 
 
 def evaluate_field(field: SolutionField3D, r, order=2) -> FieldSample:

@@ -7,6 +7,7 @@ str keys, lists, tuples, str, int, bool, None and floats (np.float64
 included), and on every report the CLI writes.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qhj3d import cli
+from qhj3d.dynamics import Termination
 from qhj3d.scenario import parse_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -90,3 +92,16 @@ def test_written_reports_equal_oracle_text(name, tmp_path, monkeypatch):
     assert len(written) == 3
     for out, (obj, text) in zip(outs, written):
         assert out.read_text() == text == oracle(obj), out.name
+
+
+@pytest.mark.parametrize("term", [
+    Termination("completed", t=5.0, position=(np.float64(0.1), -0.0, np.float64(2.5))),
+    Termination("domain_exit", t=np.float64(1.25), position=(1.0, 2.0, 3.0)),
+    Termination("singularity", kind="node", t=0.0, position=None),
+], ids=["float64-position", "float-position", "no-position"])
+def test_sidecar_termination_is_its_fields(term):
+    """The sidecar writes a termination as its dataclass fields: status,
+    kind, t and position, a position as a list."""
+    position = None if term.position is None else list(term.position)
+    want = {"status": term.status, "kind": term.kind, "t": term.t, "position": position}
+    assert cli._json_text(dataclasses.asdict(term)) == oracle(want)

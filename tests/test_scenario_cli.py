@@ -29,6 +29,7 @@ from qhj3d.hj_core import (
     qshje_residual,
     sample,
 )
+from qhj3d.potentials import axis_potential
 from qhj3d.scenario import (
     CatalogSpec,
     NumerovSpec,
@@ -153,11 +154,44 @@ def test_parse_rejects_catalog_on_nonfree_potential():
     assert err.value.field == "solutions.x.source"
 
 
+# Every potential kind with a parameter, at a mass other than 1, each axis
+# solved by Numerov inside its potential's domain.
+EVERY_POTENTIAL = scenario_text("harmonic_numerov.scn").replace("mass = 1.0", "mass = 2.5").replace(
+    "x = harmonic(omega = 1.0)", "x = tabulated(grid = -5 -1 0 1 5, values = 12.5 0.5 0 0.5 12.5)").replace(
+    "y = harmonic(omega = 1.0)", "y = linear(slope = 0.3)").replace(
+    "z = harmonic(omega = 1.0)", "z = harmonic(omega = 1.5)")
+
+
 def test_roundtrip_all_shipped_scenarios():
-    for name in os.listdir(SCENARIOS):
-        text = scenario_text(name)
+    """parse(serialize(s)) == s, and the serialized text is a fixed point:
+    serializing its parse writes it again. A potential's line leaves its
+    mass to [physics]."""
+    for text in [scenario_text(name) for name in os.listdir(SCENARIOS)] + [EVERY_POTENTIAL]:
         s = parse_scenario(text)
-        assert parse_scenario(serialize_scenario(s)) == s
+        canonical = serialize_scenario(s)
+        assert parse_scenario(canonical) == s
+        assert serialize_scenario(parse_scenario(canonical)) == canonical
+    assert [p.kind for p in s.potentials] == ["tabulated", "linear", "harmonic"]
+    assert s.potentials[2].mass == 2.5
+    assert "z = harmonic(omega = 1.5)\n" in canonical
+
+
+def test_parse_constructs_each_potential_once_and_builds_use_them(monkeypatch):
+    """The parse constructs each axis potential once, and the builders use
+    those objects: building calls no potential constructor."""
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args[0])
+        return axis_potential(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "axis_potential", counting)
+    s = parse_scenario(EVERY_POTENTIAL)
+    assert made == ["tabulated", "linear", "harmonic"]
+    action = build_action(s)
+    assert len(made) == 3
+    assert all(built is parsed for built, parsed in zip(build_potential(s).axes, s.potentials))
+    assert all(pair.potential is parsed for pair, parsed in zip(action.field.pairs, s.potentials))
 
 
 def test_scenario_energy_is_the_built_field_energy():
@@ -184,17 +218,13 @@ Y_NUMEROV = "[solutions.y]\nsource = numerov\ne_axis = 0.5\ndomain = -4, 4\nstep
     (Y_NUMEROV, Y_NUMEROV.replace("step = 1e-3", "step = 2e-3"), ["x", "y"]),
 ], ids=["shipped", "y-omega", "y-e-axis", "y-step"])
 def test_build_field_solves_each_distinct_numerov_axis_once(old, new, solved, monkeypatch):
+    """One sweep per distinct axis of a build: an axis equal to an earlier
+    one is answered by the memo of solved axes, with the earlier basis."""
     text = scenario_text("harmonic_numerov.scn")
     if old is not None:
         assert old in text
         text = text.replace(old, new, 1)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["axis"])
-        return solve_axis_numerov(*args, **kwargs)
-
-    monkeypatch.setattr(scenario, "solve_axis_numerov", counting)
+    calls = counting_sweeps(monkeypatch)
     field = build_field(parse_scenario(text))
     assert calls == solved
     assert [p.axis for p in field.pairs] == ["x", "y", "z"]
@@ -225,8 +255,8 @@ def test_shared_numerov_axes_evaluate_as_independent_builds():
 def test_builds_share_solved_axes(monkeypatch):
     """Two builds of harmonic_numerov and a variant with another mixing and
     other verify bounds read the same axes: one sweep, one table. Each
-    build still calls the solver once, so a warm process makes the calls a
-    cold one makes."""
+    build still calls the solver once per axis, so a warm process makes the
+    calls a cold one makes."""
     calls = counting_sweeps(monkeypatch)
     requests = []
     monkeypatch.setattr(scenario, "solve_axis_numerov",
@@ -237,7 +267,7 @@ def test_builds_share_solved_axes(monkeypatch):
     variant = variant.replace("x = -2, 2", "x = -2.4, 2.4")
     actions = [build_action(parse_scenario(t)) for t in (text, text, variant)]
     assert calls == ["x"]
-    assert requests == ["x", "x", "x"]
+    assert requests == ["x", "y", "z"] * 3
     assert actions[2].a == 3.0
     basis = actions[0].field.pairs[0].basis
     assert all(pair.basis is basis for action in actions for pair in action.field.pairs)
@@ -411,6 +441,22 @@ def test_run_trajectory_csv_schema(tmp_path):
     assert sidecar["termination"]["status"] == "completed"
 
 
+@pytest.mark.parametrize("out, plot_script, flag", [
+    ("t.json", None, "--out"),
+    ("t.csv", "t.csv", "--plot-script"),
+    ("t.csv", "t.json", "--plot-script"),
+], ids=["csv-is-its-sidecar", "plot-script-is-the-csv", "plot-script-is-the-sidecar"])
+def test_run_trajectory_rejects_colliding_outputs(out, plot_script, flag, tmp_path):
+    """run_trajectory refuses an output path that would overwrite another
+    output of the run, naming its flag, and writes nothing."""
+    s = parse_scenario(scenario_text("free_a2.scn"))
+    with pytest.raises(ValidationError) as err:
+        run_trajectory(s, out=str(tmp_path / out), plot_script=plot_script and str(tmp_path / plot_script))
+    assert err.value.field == flag
+    assert "would overwrite" in err.value.message
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "free_classical", "harmonic_numerov"])
 def test_run_trajectory_csv_bit_stable(name, tmp_path):
     """A rerun writes the same CSV and sidecar, byte for byte. The sidecar's
@@ -577,6 +623,13 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     ("box.scn", "points = 5, 0, 0", "points = nan, 0, 0", "metric.points"),
     ("free_a2.scn", "grid = 21, 21, 21", "grid = 1e300, 2, 2", "verify.grid"),
     ("box.scn", "r0 = 5, 0, 0", "r0 = 25, 0, 0", "trajectory.r0"),
+    ("free_a2.scn", None, "trajectory --out t.json", "--out"),
+    ("free_a2.scn", None, "trajectory --out bad.scn", "--out"),
+    ("free_a2.scn", None, "verify --out bad.scn", "--out"),
+    ("free_a2.scn", None, "metric --out sub/../bad.scn", "--out"),
+    ("free_a2.scn", None, "trajectory --out t.csv --plot-script t.csv", "--plot-script"),
+    ("free_a2.scn", None, "trajectory --out t.csv --plot-script t.json", "--plot-script"),
+    ("free_a2.scn", None, "trajectory --out t.csv --plot-script ./bad.scn", "--plot-script"),
 ], ids=["a-zero", "box-n-fractional", "box-n-zero", "box-L-negative", "free-k-zero",
         "free-energy-overflow", "e-axis-conflict", "numerov-too-few-steps", "numerov-too-many-steps",
         "numerov-domain-inf", "numerov-ic-at-outside", "numerov-parallel-ics", "numerov-e-axis-nan",
@@ -586,19 +639,32 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
         "coefficient-nan", "selector-unknown", "phi-identical-to-theta",
         "hbar-inf", "mass-nan", "hbar-huge", "hbar-tiny", "mass-huge", "mass-tiny", "omega-huge",
         "omega-tiny", "verify-bound-inf", "tolerance-nan", "tolerance-inf", "t-end-inf",
-        "metric-point-nan", "grid-huge", "r0-outside-domain"])
-def test_cli_validation_exit_two(name, old, new, field, tmp_path, capsys):
-    """A broken rule exits 2 naming its field, before any file is written.
-    The start point is checked against the built domain by the command that
-    reads it, trajectory; every other rule by verify."""
+        "metric-point-nan", "grid-huge", "r0-outside-domain",
+        "csv-is-its-sidecar", "csv-is-the-scenario", "verify-report-is-the-scenario",
+        "metric-report-resolves-to-the-scenario", "plot-script-is-the-csv",
+        "plot-script-is-the-sidecar", "plot-script-is-the-scenario"])
+def test_cli_validation_exit_two(name, old, new, field, tmp_path, capsys, monkeypatch):
+    """A broken rule exits 2 naming its field, before any file is written
+    and with the scenario file unchanged. The start point is checked against
+    the built domain by the command that reads it, trajectory; every other
+    scenario rule by verify. A case with old None breaks no scenario rule:
+    new is the command line after the scenario, whose output path resolves
+    to the scenario file or to another output of the run."""
+    monkeypatch.chdir(tmp_path)
     text = scenario_text(name)
-    assert old in text
-    bad = tmp_path / "bad.scn"
-    bad.write_text(text.replace(old, new, 1))
-    command = "trajectory" if field == "trajectory.r0" else "verify"
-    assert main([command, str(bad), "--out", str(tmp_path / "r.json")]) == 2
-    assert f"scenario error: {field}:" in capsys.readouterr().err
+    if old is None:
+        command, *args = new.split()
+    else:
+        assert old in text
+        text = text.replace(old, new, 1)
+        command = "trajectory" if field == "trajectory.r0" else "verify"
+        args = ["--out", "out"]
+    Path("bad.scn").write_text(text)
+    assert main([command, "bad.scn", *args]) == 2
+    kind = "invalid argument" if field.startswith("--") else "scenario error"
+    assert f"{kind}: {field}:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.scn"]
+    assert Path("bad.scn").read_text() == text
 
 
 @pytest.mark.parametrize("argv, flag", [
