@@ -25,7 +25,6 @@ from .potentials import (
     LinearRamp,
     SeparablePotential,
     Tabulated,
-    evaluate,
 )
 from .schrodinger import (
     AxisSolution,

@@ -157,7 +157,9 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        """The fields by name, sharing their values: no field holds a
+        dataclass, so the deep copy of dataclasses.asdict is not needed."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def _census(signatures) -> dict[str, int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .arrays import all_true, as_coords, like, zeros_like
+from .arrays import all_true, like, zeros_like
 from .errors import OutOfDomain
 
 AXES = ("x", "y", "z")
@@ -202,8 +202,3 @@ class SeparablePotential:
     def gradient(self, r) -> np.ndarray:
         return np.array([ax.derivative(float(c)) for ax, c in zip(self.axes, r)])
 
-
-def evaluate(potential: SeparablePotential, r) -> tuple[float, tuple[float, float, float]]:
-    """Total V(r) and the three per-axis contributions."""
-    per_axis = tuple(ax(c) for ax, c in zip(potential.axes, as_coords(r)))
-    return sum(per_axis), per_axis

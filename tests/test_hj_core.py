@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,16 +7,22 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qhj3d import (
     NodalPoint,
+    OutOfDomain,
     ReducedActionField,
     assemble_field,
     continuity_identity_residual,
     floyd_residual_1d,
+    hj_core,
     qshje_residual,
     s0_derivatives_1d,
     sample,
     solve_axis_analytic,
+    sparse_grid,
 )
-from qhj3d.hj_core import check_mixing
+from qhj3d.cli import run_verify
+from qhj3d.errors import OK
+from qhj3d.hj_core import DIVERGENCE_STEP, check_mixing
+from qhj3d.scenario import build_action, parse_scenario
 
 from conftest import make_box_field, make_field_2d, zero_pair
 
@@ -105,6 +112,86 @@ def test_continuity_divergence_mode_2d_grid():
             for z in np.linspace(-1.0, 1.0, 3):
                 worst = max(worst, continuity_identity_residual(action, (x, y, z), mode="divergence"))
     assert worst < 1e-5
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _shipped(name):
+    return parse_scenario((SCENARIOS / f"{name}.scn").read_text())
+
+
+def _inset(bounds):
+    """The 3x3x3 subsample of run_verify's divergence check, inset toward
+    the centre of bounds."""
+    mids = [0.5 * (lo + hi) for lo, hi in bounds]
+    return [m + (c - m) * (1.0 - 1e-3) for c, m in zip(sparse_grid(bounds, (3, 3, 3)), mids)]
+
+
+def _six_call_divergence(action, coords):
+    """The divergence mode as six sample calls, one per axis and sign of
+    the shift; NaN where any of them is undefined."""
+    div = 0.0
+    ok = True
+    for mu in range(3):
+        flux = []
+        for step in (DIVERGENCE_STEP, -DIVERGENCE_STEP):
+            shifted = list(coords)
+            shifted[mu] = coords[mu] + step
+            s = sample(action, shifted)
+            ok = ok & (s.status == OK)
+            flux.append(s.amplitude**2 * s.grad_s0[mu])
+        div = div + (flux[0] - flux[1]) / (2.0 * DIVERGENCE_STEP)
+    return np.where(ok, abs(div), math.nan)
+
+
+@pytest.mark.parametrize("name", ["field2d", "box", "harmonic_numerov"])
+def test_divergence_over_arrays_equals_six_sample_calls_bitwise(name):
+    scenario = _shipped(name)
+    action = build_action(scenario)
+    coords = _inset(scenario.verify.bounds)
+    if name == "box":
+        # one more x plane, whose +x copy lies past the wall at 20
+        coords[0] = np.append(coords[0], 20.0 - 0.5 * DIVERGENCE_STEP).reshape(-1, 1, 1)
+    got = continuity_identity_residual(action, coords, mode="divergence")
+    want = _six_call_divergence(action, coords)
+    assert got.shape == want.shape == np.broadcast_shapes(*(c.shape for c in coords))
+    assert got.tobytes() == want.tobytes()
+    undefined = np.isnan(got)
+    if name == "box":
+        assert undefined[-1].all() and not undefined[:-1].any()
+    else:
+        assert not undefined.any()
+
+
+@pytest.mark.parametrize("r, error", [
+    ((20.0 - 0.5 * DIVERGENCE_STEP, 0.0, 0.0), OutOfDomain),
+    ((0.5 * DIVERGENCE_STEP, 0.0, 0.0), OutOfDomain),
+])
+def test_divergence_at_a_point_raises_near_a_wall(r, error):
+    action = build_action(_shipped("box"))
+    sample(action, r)
+    with pytest.raises(error):
+        continuity_identity_residual(action, r, mode="divergence")
+
+
+def test_divergence_at_a_point_raises_on_a_shifted_node():
+    """The +x copy of r lands on field2d's node at (pi/2, pi/2, 0)."""
+    action = build_action(_shipped("field2d"))
+    r = (math.pi / 2 - DIVERGENCE_STEP, math.pi / 2, 0.0)
+    sample(action, r)
+    with pytest.raises(NodalPoint):
+        continuity_identity_residual(action, r, mode="divergence")
+
+
+def test_run_verify_evaluates_the_field_twice(monkeypatch):
+    """One field evaluation for the grid and one for the six shifted copies
+    of the divergence subsample."""
+    calls = []
+    evaluate = hj_core.evaluate_field
+    monkeypatch.setattr(hj_core, "evaluate_field", lambda *a, **k: calls.append(a[1]) or evaluate(*a, **k))
+    run_verify(_shipped("harmonic_numerov"))
+    assert len(calls) == 2
 
 
 def test_floyd_residual_classical(free_action_a1):
