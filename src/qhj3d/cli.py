@@ -58,7 +58,6 @@ from .metric import (
     a_upper_from_sample,
     canonical_jacobian,
     metric_at,
-    signature_chars,
     verify_transformation,
 )
 from .scenario import (
@@ -162,10 +161,17 @@ class VerificationReport:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def _census(signatures) -> dict[str, int]:
-    """Count of each signature, in order of first occurrence."""
-    names, first, counts = np.unique(signatures, return_index=True, return_counts=True)
-    return {str(names[i]): int(counts[i]) for i in np.argsort(first)}
+def _census(a_upper, ok) -> dict[str, int]:
+    """Count of each signature (signature_chars) of a^{mumu} over the ok
+    points, in order of first occurrence. A point's signature is one
+    base-3 code, a digit per component: 0 for '0', 1 for '+', 2 for '-'."""
+    code = 0
+    for a in a_upper:
+        code = 3 * code + (a > 0) + 2 * (a < 0)
+    codes, first, counts = np.unique(np.broadcast_to(code, ok.shape)[ok], return_index=True,
+                                     return_counts=True)
+    return {"".join("0+-"[codes[i] // 3**k % 3] for k in (2, 1, 0)): int(counts[i])
+            for i in np.argsort(first)}
 
 
 def _worst_point(values, ok, axes):
@@ -199,8 +205,7 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     max_q = float(np.max(q[ok], initial=0.0))
     mean_q = float(np.mean(q[ok])) if evaluated else math.nan
     max_ci = float(np.max(ci[ok], initial=0.0))
-    sigs = signature_chars(a_upper)
-    census = _census((sigs[0] + sigs[1] + sigs[2])[ok])
+    census = _census(a_upper, ok)
 
     # Divergence-mode continuity on a coarse subsample (finite differences
     # need interior room, so points at the bounds are inset toward center).

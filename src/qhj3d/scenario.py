@@ -18,11 +18,13 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError, QhjError, ValidationError
 from .potentials import AXES, AxisPotential, SeparablePotential, axis_potential
 from .schrodinger import (
     CATALOG,
+    SolutionField3D,
     assemble_field,
     catalog_energy,
     check_ode_scale,
@@ -93,6 +95,28 @@ class Scenario:
         return sum(spec.e_axis if isinstance(spec, NumerovSpec)
                    else catalog_energy(spec.entry, dict(spec.params), m0=self.mass, hbar=self.hbar)
                    for spec in self.solutions)
+
+    # What build_field and build_action return, kept on this object from
+    # their first success: a build that raises keeps nothing. The fields
+    # are frozen, so the build cannot go stale, and it is kept per object,
+    # not per value, so every Scenario parsed anew is built anew.
+
+    @cached_property
+    def _field(self) -> SolutionField3D:
+        pairs = []
+        for ax, potential, spec in zip(AXES, self.potentials, self.solutions):
+            if isinstance(spec, CatalogSpec):
+                pairs.append(solve_axis_analytic(spec.entry, dict(spec.params),
+                                                 m0=self.mass, hbar=self.hbar, axis=ax))
+            else:
+                pairs.append(solve_axis_numerov(potential, spec.e_axis, spec.domain, spec.step, spec.ic1,
+                                                spec.ic2, m0=self.mass, hbar=self.hbar, axis=ax,
+                                                ic_at=spec.ic_at))
+        return assemble_field(pairs, self.theta_terms, self.phi_terms)
+
+    @cached_property
+    def _action(self) -> ReducedActionField:
+        return ReducedActionField(build_field(self), self.a, self.b)
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +461,15 @@ def build_potential(s: Scenario) -> SeparablePotential:
     return SeparablePotential(*s.potentials)
 
 
-def build_field(s: Scenario):
-    """The scenario's 3D field, from one solve per axis. Equal Numerov axes
-    share one table through solve_axis_numerov's memo of solved axes."""
-    pairs = []
-    for ax, potential, spec in zip(AXES, s.potentials, s.solutions):
-        if isinstance(spec, CatalogSpec):
-            pairs.append(solve_axis_analytic(spec.entry, dict(spec.params),
-                                             m0=s.mass, hbar=s.hbar, axis=ax))
-        else:
-            pairs.append(solve_axis_numerov(potential, spec.e_axis, spec.domain, spec.step, spec.ic1,
-                                            spec.ic2, m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at))
-    return assemble_field(pairs, s.theta_terms, s.phi_terms)
+def build_field(s: Scenario) -> SolutionField3D:
+    """The scenario's 3D field, from one solve per axis, built on the first
+    call for s and kept on s (Scenario._field). Equal Numerov axes of
+    different scenarios share one table through solve_axis_numerov's memo
+    of solved axes."""
+    return s._field
 
 
 def build_action(s: Scenario) -> ReducedActionField:
-    return ReducedActionField(build_field(s), s.a, s.b)
+    """The scenario's action on its field, built on the first call for s
+    and kept on s (Scenario._action)."""
+    return s._action

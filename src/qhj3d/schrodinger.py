@@ -81,22 +81,22 @@ def check_ode_scale(m0, hbar):
 
 @dataclass(frozen=True)
 class AxisSolution:
-    """Both real solutions of one axis: value(x) is (u1, u2) and
-    derivative(x) is (u1', u2').
+    """Both real solutions of one axis and their slopes from one
+    evaluation: jet(x) is ((u1, u2), (u1', u2')). value(x) is its first
+    half and derivative(x) its second.
 
     Second derivatives are not stored: u'' = _ode_factor(V, E) * u, so they
     are exactly consistent with the equation the solutions satisfy -- never
     a double finite difference.
     """
 
-    _value: Callable[[float], tuple]
-    _derivative: Callable[[float], tuple]
+    jet: Callable[[float], tuple]
 
     def value(self, x: float) -> tuple:
-        return self._value(x)
+        return self.jet(x)[0]
 
     def derivative(self, x: float) -> tuple:
-        return self._derivative(x)
+        return self.jet(x)[1]
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class AxisSolutionPair:
     hbar: float
     domain: tuple[float, float]
 
-    @property
+    @cached_property
     def wronskian_ref(self) -> float:
         """The Wronskian at the left domain edge, or at 0 on an unbounded
         domain; its constancy over the domain certifies independence."""
@@ -150,7 +150,7 @@ def wronskian(pair: AxisSolutionPair, x: float) -> float:
     """u1(x) u2'(x) - u2(x) u1'(x); constant over the domain in exact math."""
     if not all_true(pair.contains(x)):
         raise OutOfDomain(f"x={x} outside axis {pair.axis} domain {pair.domain}")
-    (u1, u2), (d1, d2) = pair.basis.value(x), pair.basis.derivative(x)
+    (u1, u2), (d1, d2) = pair.basis.jet(x)
     return u1 * d2 - u2 * d1
 
 
@@ -217,12 +217,15 @@ def solve_axis_analytic(kind, params=None, e_axis=None, *, m0=1.0, hbar=1.0, axi
     energy = catalog_energy(kind, params, e_axis, m0=m0, hbar=hbar)
     k, domain = _catalog_wave(kind, params)
     if k != 0.0:
-        basis = AxisSolution(lambda x: (sin(k * x), cos(k * x)),
-                             lambda x: (k * cos(k * x), -k * sin(k * x)))
+        def jet(x):
+            kx = k * x
+            s, c = sin(kx), cos(kx)
+            return (s, c), (k * c, -k * s)
     else:
-        one = lambda x: 1.0 + zeros_like(x)
-        basis = AxisSolution(lambda x: (one(x), x), lambda x: (zeros_like(x), one(x)))
-    return AxisSolutionPair(axis=axis, e_axis=energy, basis=basis, potential=Free(),
+        def jet(x):
+            one = 1.0 + zeros_like(x)
+            return (one, x), (zeros_like(x), one)
+    return AxisSolutionPair(axis=axis, e_axis=energy, basis=AxisSolution(jet), potential=Free(),
                             m0=m0, hbar=hbar, domain=domain)
 
 
@@ -237,8 +240,8 @@ class _QuinticTable:
     On each cell [x_i, x_i + h] a column is sum_k c_k t^k in t = (x - x_i)/h,
     matching u, u' and u'' at both ends of the cell: the interpolant is C^2
     and satisfies the ODE at every node. The grid is uniform, so a point
-    finds its cell without a search. value(x) and derivative(x) evaluate
-    the same coefficients and return the two columns.
+    finds its cell without a search. jet(x) evaluates the two columns and
+    their slopes from one cell lookup.
     """
 
     def __init__(self, lo, hi, u, du, ddu):
@@ -273,13 +276,17 @@ class _QuinticTable:
         i = min(int(s), last)
         return self.coef[:, :, i].tolist(), s - i
 
-    def value(self, x):
+    def jet(self, x):
+        """((u1, u2), (u1', u2')) at x."""
         (c1, c2), t = self._cell(x)
-        return _horner(c1, t), _horner(c2, t)
+        return ((_horner(c1, t), _horner(c2, t)),
+                (_horner_slope(c1, t) / self.h, _horner_slope(c2, t) / self.h))
 
-    def derivative(self, x):
-        (c1, c2), t = self._cell(x)
-        return _horner_slope(c1, t) / self.h, _horner_slope(c2, t) / self.h
+
+def _numerov_table(pair: AxisSolutionPair) -> _QuinticTable:
+    """The table behind a Numerov pair's basis, whose coefficients the
+    tests read."""
+    return pair.basis.jet.__self__
 
 
 def _horner(c, t):
@@ -429,7 +436,7 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
         du = np.array([_five_point_derivative(u, h) for u in tables])
         table = _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)
         pair = AxisSolutionPair(
-            axis=axis, e_axis=float(e_axis), basis=AxisSolution(table.value, table.derivative),
+            axis=axis, e_axis=float(e_axis), basis=AxisSolution(table.jet),
             potential=axis_potential, m0=m0, hbar=hbar, domain=(x_lo, x_hi),
         )
     _SOLVED[key] = pair
@@ -530,8 +537,7 @@ def _axis_eval(pairs, coords, order=2):
         x = where(ok, x, pair.anchor)
         v_axis = pair.potential(x)
         c = _ode_factor(v_axis, pair.e_axis, pair.m0, pair.hbar)
-        u1, u2 = pair.basis.value(x)
-        d1, d2 = pair.basis.derivative(x)
+        (u1, u2), (d1, d2) = pair.basis.jet(x)
         if order == 2:
             cache.append({"u1": (u1, d1, c * u1), "u2": (u2, d2, c * u2)})
         else:

@@ -13,6 +13,7 @@ import qhj3d
 from qhj3d import (
     Overflow,
     ParseError,
+    ProportionalSolutions,
     ValidationError,
     assemble_field,
     evaluate_field,
@@ -21,7 +22,8 @@ from qhj3d import (
     solve_axis_numerov,
 )
 from qhj3d.arrays import sparse_grid
-from qhj3d.cli import CSV_HEADER, main, run_metric, run_trajectory, run_verify
+from qhj3d.cli import CSV_HEADER, _census, main, run_metric, run_trajectory, run_verify
+from qhj3d.errors import OK
 from qhj3d.hj_core import (
     continuity_identity_from_sample,
     continuity_identity_residual,
@@ -29,6 +31,7 @@ from qhj3d.hj_core import (
     qshje_residual,
     sample,
 )
+from qhj3d.metric import a_upper_from_sample, signature_chars
 from qhj3d.potentials import axis_potential
 from qhj3d.scenario import (
     CatalogSpec,
@@ -275,9 +278,11 @@ def test_builds_share_solved_axes(monkeypatch):
 
 @pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "free_classical", "harmonic_numerov"])
 def test_warm_solved_axes_write_what_cold_ones_write(name, tmp_path):
-    """Each command writes the same bytes whether its axes are solved for it
-    or come from an earlier build."""
-    s = parse_scenario(scenario_text(f"{name}.scn"))
+    """Each command writes the same bytes whether it builds a freshly parsed
+    scenario with no axis solved, or reuses one scenario whose action was
+    built once, from axes an earlier build solved."""
+    text = scenario_text(f"{name}.scn")
+    s = parse_scenario(text)
 
     def written(cold):
         out = tmp_path / ("cold" if cold else "warm")
@@ -286,13 +291,72 @@ def test_warm_solved_axes_write_what_cold_ones_write(name, tmp_path):
                               (run_trajectory, "traj.csv")):
             if cold:
                 schrodinger._SOLVED.clear()
-            command(s, out=str(out / file))
+            command(parse_scenario(text) if cold else s, out=str(out / file))
         return {path.name: path.read_bytes() for path in out.iterdir()}
 
     cold = written(cold=True)
     assert sorted(cold) == ["metric.json", "traj.csv", "traj.json", "verify.json"]
     assert written(cold=False) == cold
+    # the memo holds the axis of the last cold command, which the one warm
+    # build found there
     assert len(schrodinger._SOLVED) == (1 if name == "harmonic_numerov" else 0)
+    assert all(pair.basis is build_field(s).pairs[0].basis for pair in schrodinger._SOLVED.values())
+
+
+def counting_assembles(monkeypatch):
+    """One entry per field assembled from now on: one per build."""
+    calls = []
+    monkeypatch.setattr(scenario, "assemble_field",
+                        lambda *args: calls.append(args) or assemble_field(*args))
+    return calls
+
+
+def test_one_scenario_builds_once_for_every_command(monkeypatch, tmp_path):
+    calls = counting_assembles(monkeypatch)
+    s = parse_scenario(scenario_text("harmonic_numerov.scn"))
+    for _ in range(2):
+        run_verify(s)
+        run_metric(s)
+        run_trajectory(s, out=str(tmp_path / "traj.csv"))
+    assert len(calls) == 1
+    assert build_action(s) is build_action(s)
+    assert build_field(s) is build_action(s).field
+
+
+def test_equal_scenarios_parsed_apart_build_apart(monkeypatch):
+    """The build is kept per object, not per value."""
+    calls = counting_assembles(monkeypatch)
+    text = scenario_text("free_a2.scn")
+    first, second = parse_scenario(text), parse_scenario(text)
+    assert first == second
+    actions = [build_action(s) for s in (first, second, first, second)]
+    assert len(calls) == 2
+    assert actions[0] is actions[2] and actions[1] is actions[3]
+    assert actions[0] is not actions[1]
+
+
+def test_failed_build_is_not_kept(monkeypatch):
+    calls = counting_assembles(monkeypatch)
+    s = parse_scenario(scenario_text("harmonic_numerov.scn").replace(
+        "phi = 1.0 * u2 * u2 * u2", "phi = 2.0 * u1 * u1 * u1"))
+    for _ in range(2):
+        with pytest.raises(ProportionalSolutions):
+            build_action(s)
+    assert len(calls) == 2
+
+
+def test_a_built_scenario_keeps_its_value(monkeypatch):
+    """A kept build is no field of the Scenario: it round-trips to an equal
+    value, and a replaced copy builds its own action."""
+    calls = counting_assembles(monkeypatch)
+    s = parse_scenario(scenario_text("free_a2.scn"))
+    action = build_action(s)
+    assert s == parse_scenario(serialize_scenario(s))
+    changed = dataclasses.replace(s, a=3.0)
+    assert build_action(changed).a == 3.0
+    assert build_action(changed) is not action
+    assert build_action(dataclasses.replace(s)) is not action
+    assert len(calls) == 3
 
 
 def test_negative_zero_initial_value_is_its_own_axis(monkeypatch):
@@ -302,7 +366,7 @@ def test_negative_zero_initial_value_is_its_own_axis(monkeypatch):
     text = scenario_text("harmonic_numerov.scn")
     scenarios = [parse_scenario(text.replace("ic2 = 0, 1", f"ic2 = {zero}, 1")) for zero in ("0.0", "-0.0")]
     assert scenarios[0] == scenarios[1]
-    tables = [build_field(s).pairs[0].basis._value.__self__ for s in scenarios]
+    tables = [schrodinger._numerov_table(build_field(s).pairs[0]) for s in scenarios]
     assert calls == ["x", "x"]
     assert np.array_equal(tables[0].coef, tables[1].coef)
     assert not np.array_equal(np.signbit(tables[0].coef), np.signbit(tables[1].coef))
@@ -354,7 +418,7 @@ def test_failed_solve_is_not_kept(monkeypatch):
 
 
 def test_solved_tables_are_read_only():
-    table = build_field(parse_scenario(scenario_text("harmonic_numerov.scn"))).pairs[0].basis._value.__self__
+    table = schrodinger._numerov_table(build_field(parse_scenario(scenario_text("harmonic_numerov.scn"))).pairs[0])
     with pytest.raises(ValueError):
         table.coef[0, 0, 0] = 1.0
 
@@ -421,6 +485,36 @@ def test_run_verify_harmonic_numerov():
     assert all(d < 1e-9 for d in report.wronskian_drift)
     assert len(report.signature_census) > 1  # mixed signatures in the well
     assert report.points_evaluated + report.nodal_skips + report.singular_skips == 343
+
+
+def string_census(a_upper, ok):
+    """The census from signature strings: the three signature_chars joined
+    per point and counted by np.unique, in order of first occurrence."""
+    sigs = signature_chars(a_upper)
+    names, first, counts = np.unique((sigs[0] + sigs[1] + sigs[2])[ok], return_index=True,
+                                     return_counts=True)
+    return {str(names[i]): int(counts[i]) for i in np.argsort(first)}
+
+
+@pytest.mark.parametrize("grid", [(5, 5, 5), (9, 9, 9), (21, 21, 21)])
+def test_census_codes_count_what_signature_strings_count(grid):
+    """On grids through the turning points of harmonic_numerov, where
+    components vanish and '0' signatures occur."""
+    s = parse_scenario(scenario_text("harmonic_numerov.scn"))
+    action = build_action(s)
+    a_upper, status = a_upper_from_sample(action, sample(action, sparse_grid(s.verify.bounds, grid)))
+    census = _census(a_upper, status == OK)
+    assert list(census.items()) == list(string_census(a_upper, status == OK).items())
+    assert any("0" in name for name in census)
+    assert run_verify(s, grid=grid).signature_census == census
+
+
+def test_census_codes_on_zeros_nan_and_infinities():
+    rng = np.random.default_rng(3)
+    values = np.array([-1.0, -0.0, 0.0, 1.0, np.nan, np.inf, -np.inf])
+    a_upper = (rng.choice(values, (6, 1, 1)), rng.choice(values, (1, 5, 1)), rng.choice(values, (6, 5, 4)))
+    for ok in (rng.random((6, 5, 4)) < 0.7, np.zeros((6, 5, 4), bool)):
+        assert list(_census(a_upper, ok).items()) == list(string_census(a_upper, ok).items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,18 @@ from qhj3d import (
     solve_axis_numerov,
     wronskian,
 )
+from qhj3d.arrays import cos, sin, zeros_like
 from qhj3d.potentials import Free, HarmonicOscillator, LinearRamp
+from qhj3d.scenario import NumerovSpec, build_field, parse_scenario
 from qhj3d.schrodinger import (
     MAX_NUMEROV_STEPS,
     OVERFLOW_LIMIT,
+    AxisSolution,
+    _catalog_wave,
+    _horner,
+    _horner_slope,
     _numerov_fill,
+    _numerov_table,
     _ode_factor,
     _QuinticTable,
     catalog_energy,
@@ -29,6 +38,8 @@ from qhj3d.schrodinger import (
 )
 
 from conftest import make_field_2d, make_free_field, zero_pair
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def second_derivatives(pair, x):
@@ -284,10 +295,6 @@ def test_numerov_linear_ramp_against_dense_reference():
 # Numerov interpolant: one quintic Hermite table per axis
 # ---------------------------------------------------------------------------
 
-def table_of(pair):
-    return pair.basis._value.__self__
-
-
 def table_second_derivative(table, x):
     """(u1'', u2'') of the interpolant itself, from its coefficients."""
     (c1, c2), t = table._cell(x)
@@ -304,7 +311,8 @@ def test_quintic_table_matches_its_nodes():
     u, du, ddu = rng.normal(size=(3, 2, 41))
     table = _QuinticTable(-1.0, 3.0, u, du, ddu)
     nodes = np.linspace(-1.0, 3.0, 41)
-    for order, (got, want) in enumerate(((table.value(nodes), u), (table.derivative(nodes), du),
+    value, derivative = table.jet(nodes)
+    for order, (got, want) in enumerate(((value, u), (derivative, du),
                                          (table_second_derivative(table, nodes), ddu))):
         assert np.max(np.abs(np.array(got) - want)) < 1e-12 / table.h**order
 
@@ -313,7 +321,7 @@ def test_numerov_table_reproduces_the_ode_at_nodes(harmonic_pairs):
     """At every node the interpolant's own u'' is f u to rounding, and its
     u' agrees with the five-point derivative of its node values."""
     pair = harmonic_pairs[0]
-    table = table_of(pair)
+    table = _numerov_table(pair)
     nodes = table.lo + table.h * np.arange(table.coef.shape[2] + 1)
     u = np.array(pair.basis.value(nodes))
     fu = _ode_factor(pair.potential(nodes), pair.e_axis, pair.m0, pair.hbar) * u
@@ -328,7 +336,7 @@ def test_numerov_table_is_c2_across_cell_edges(harmonic_pairs):
     """The end of each cell polynomial (t = 1) meets the start of the next
     (t = 0) in value, first and second t-derivative, up to the rounding of
     the sums that form them."""
-    coef = table_of(harmonic_pairs[0]).coef  # (column, power, cell)
+    coef = _numerov_table(harmonic_pairs[0]).coef  # (column, power, cell)
     c, k = np.moveaxis(coef, 1, -1), np.arange(6)  # (column, cell, power)
     for weight in (np.ones(6), k, k * (k - 1)):
         left, right = (weight * c[:, :-1]).sum(-1), (weight * c[:, 1:])[..., np.argmax(weight > 0)]
@@ -342,7 +350,7 @@ def test_numerov_interpolant_ode_residual_mid_cell(harmonic_pairs):
     max |u| (worst at the table edges, where the derivative stencils are
     one-sided; 1.8e-7 absolute inside |x| < 3.9)."""
     pair = harmonic_pairs[0]
-    table = table_of(pair)
+    table = _numerov_table(pair)
     mids = table.lo + table.h * (np.arange(table.coef.shape[2]) + 0.5)
     u = np.array(pair.basis.value(mids))
     f = _ode_factor(pair.potential(mids), pair.e_axis, pair.m0, pair.hbar)
@@ -353,7 +361,7 @@ def test_numerov_interpolant_ode_residual_mid_cell(harmonic_pairs):
 
 def test_numerov_table_ends(harmonic_pairs):
     basis = harmonic_pairs[0].basis
-    table = table_of(harmonic_pairs[0])
+    table = _numerov_table(harmonic_pairs[0])
     for x in (table.lo - table.eps, table.lo, table.hi, table.hi + table.eps):
         assert all(math.isfinite(v) for v in (*basis.value(x), *basis.derivative(x)))
     for x in (table.lo - 2 * table.eps, table.hi + 2 * table.eps, np.array([0.0, table.hi + 1e-3])):
@@ -361,16 +369,102 @@ def test_numerov_table_ends(harmonic_pairs):
             basis.value(x)
         with pytest.raises(OutOfDomain, match="outside Numerov table"):
             basis.derivative(x)
+        with pytest.raises(OutOfDomain, match="outside Numerov table"):
+            basis.jet(x)
 
 
 def test_numerov_point_and_one_element_array_agree(harmonic_pairs):
     basis = harmonic_pairs[0].basis
-    table = table_of(harmonic_pairs[0])
+    table = _numerov_table(harmonic_pairs[0])
     for x in (table.lo, -1.2345, 0.0, table.lo + 17 * table.h, 2.71828, table.hi):
         for method in (basis.value, basis.derivative):
             point, array = method(x), method(np.array([x]))
             assert all(type(v) is float for v in point)
             assert list(point) == np.ravel(array).tolist()
+
+
+# ---------------------------------------------------------------------------
+# jets: both solutions and their slopes from one evaluation
+# ---------------------------------------------------------------------------
+
+def same_bits(got, want):
+    """Equal nested tuples of floats or arrays: types, shapes and bits."""
+    assert type(got) is type(want)
+    if isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same_bits(g, w)
+    else:
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def two_call_catalog(k):
+    """The catalog's value and derivative as two separate evaluations."""
+    if k != 0.0:
+        return (lambda x: (sin(k * x), cos(k * x)),
+                lambda x: (k * cos(k * x), -k * sin(k * x)))
+    return (lambda x: (1.0 + zeros_like(x), x),
+            lambda x: (zeros_like(x), 1.0 + zeros_like(x)))
+
+
+def two_call_table(table):
+    """The table's value and derivative as two lookups of the same cell."""
+    def value(x):
+        (c1, c2), t = table._cell(x)
+        return _horner(c1, t), _horner(c2, t)
+
+    def derivative(x):
+        (c1, c2), t = table._cell(x)
+        return _horner_slope(c1, t) / table.h, _horner_slope(c2, t) / table.h
+
+    return value, derivative
+
+
+def shipped_numerov_pairs():
+    pairs = []
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        s = parse_scenario(path.read_text())
+        pairs += [pair for pair, spec in zip(build_field(s).pairs, s.solutions) if isinstance(spec, NumerovSpec)]
+    return pairs
+
+
+def jet_points(lo, hi):
+    """Points at both edges and inside [lo, hi], alone, as one-element
+    arrays and together in one array."""
+    points = [lo, hi, lo + 0.3 * (hi - lo), 0.5 * (lo + hi), hi - 1e-3 * (hi - lo)]
+    return points + [np.array([x]) for x in points] + [np.array(points), np.array([[lo], [hi]])]
+
+
+@pytest.mark.parametrize("entry, params", [("free", {"k": 1.3}), ("free", {"k": -0.7}),
+                                           ("zero_energy_free", {}), ("box", {"L": 2.0, "n": 3})])
+def test_catalog_jet_is_the_two_calls(entry, params):
+    pair = solve_axis_analytic(entry, params)
+    value, derivative = two_call_catalog(_catalog_wave(entry, params)[0])
+    lo, hi = pair.domain if math.isfinite(pair.domain[0]) else (-7.5, 7.5)
+    for x in jet_points(lo, hi):
+        jet = pair.basis.jet(x)
+        same_bits(jet, (value(x), derivative(x)))
+        same_bits((pair.basis.value(x), pair.basis.derivative(x)), jet)
+
+
+def test_numerov_jet_is_the_two_calls():
+    pairs = shipped_numerov_pairs()
+    assert [pair.axis for pair in pairs] == ["x", "y", "z"]
+    for pair in pairs:
+        table = _numerov_table(pair)
+        value, derivative = two_call_table(table)
+        for x in jet_points(table.lo, table.hi) + [table.lo - table.eps, table.hi + table.eps]:
+            jet = pair.basis.jet(x)
+            same_bits(jet, (value(x), derivative(x)))
+            same_bits((pair.basis.value(x), pair.basis.derivative(x)), jet)
+
+
+def test_axis_solution_keeps_value_and_derivative_in_its_body():
+    """bench/tracer.py counts axis evaluations by rebinding these two
+    methods, which it looks up in the class dict."""
+    for name in ("value", "derivative"):
+        assert inspect.isfunction(AxisSolution.__dict__[name])
 
 
 # ---------------------------------------------------------------------------
