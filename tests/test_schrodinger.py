@@ -431,9 +431,10 @@ def shipped_numerov_pairs():
 
 def jet_points(lo, hi):
     """Points at both edges and inside [lo, hi], alone, as one-element
-    arrays and together in one array."""
+    arrays and together in one array, and a dense line across it."""
     points = [lo, hi, lo + 0.3 * (hi - lo), 0.5 * (lo + hi), hi - 1e-3 * (hi - lo)]
-    return points + [np.array([x]) for x in points] + [np.array(points), np.array([[lo], [hi]])]
+    return points + [np.array([x]) for x in points] + [np.array(points), np.array([[lo], [hi]]),
+                                                       np.linspace(lo, hi, 1001)]
 
 
 @pytest.mark.parametrize("entry, params", [("free", {"k": 1.3}), ("free", {"k": -0.7}),
