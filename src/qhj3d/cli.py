@@ -214,11 +214,16 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     div = continuity_identity_residual(action, inset, mode="divergence")
     max_div = float(np.max(div, where=~np.isnan(div), initial=0.0))
 
+    # Wronskian drift over the part of the bounds inside each axis domain;
+    # NaN (null in the report, and a FAIL) where the two do not overlap
     drifts = []
     for pair, (lo, hi) in zip(action.field.pairs, spec.bounds):
-        xs = np.linspace(max(lo, pair.domain[0]), min(hi, pair.domain[1]), 101)
+        lo, hi = max(lo, pair.domain[0]), min(hi, pair.domain[1])
+        if lo > hi:
+            drifts.append(math.nan)
+            continue
         ref = pair.wronskian_ref
-        drift = float(np.max(np.abs(wronskian(pair, xs) - ref)))
+        drift = float(np.max(np.abs(wronskian(pair, np.linspace(lo, hi, 101)) - ref)))
         drifts.append(drift / max(abs(ref), 1e-300))
     drifts = tuple(drifts)
 

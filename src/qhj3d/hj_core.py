@@ -29,8 +29,8 @@ from .schrodinger import OVERFLOW_LIMIT, FieldSample, SolutionField3D, evaluate_
 
 NODAL_EPS = 1e-12
 
-# A 1D formula that divides by S0' raises ZeroConjugateMomentum when |S0'|
-# falls below this (s0_derivatives_1d scales it by the momentum scale).
+# A momentum component vanishes where |d_mu S0| < MOMENTUM_EPS: the one rule
+# of the metric and of the 1D formulas that divide by S0'.
 MOMENTUM_EPS = 1e-12
 
 # Central-difference step of the divergence mode of the continuity check.
@@ -259,30 +259,27 @@ def s0_derivatives_1d(action: ReducedActionField, x: float):
 
 
 def _s0_derivatives_and_v_1d(action: ReducedActionField, x: float):
-    """s0_derivatives_1d(action, x), and V from the field evaluation it
-    was computed on."""
+    """s0_derivatives_1d(action, x), and V, from one sample: a node raises
+    NodalPoint, and |S0'| < MOMENTUM_EPS raises ZeroConjugateMomentum."""
     _require_1d(action.field)
     # the flat axes at the centres of their probe intervals
     (y_lo, y_hi), (z_lo, z_hi) = (pair.probe_interval() for pair in action.field.pairs[1:])
-    fs = evaluate_field(action.field, (x, 0.5 * (y_lo + y_hi), 0.5 * (z_lo + z_hi)))
-    tp, grad_tp, sec_tp = _theta_prime_parts(action, fs)
-    ph, phx, phxx = fs.phi, fs.grad_phi[0], fs.second_phi[0]
+    s = sample(action, (x, 0.5 * (y_lo + y_hi), 0.5 * (z_lo + z_hi)))
+    s1 = s.grad_s0[0]
+    if abs(s1) < MOMENTUM_EPS:
+        raise ZeroConjugateMomentum(f"S0' = {s1:.3e} at x = {x}")
+    tp, grad_tp, sec_tp = _theta_prime_parts(action, s.field)
+    ph, phx, phxx = s.field.phi, s.field.grad_phi[0], s.field.second_phi[0]
     tpx, tpxx = grad_tp[0], sec_tp[0]
 
     g = tp * tp + ph * ph
-    if g == 0.0:
-        raise NodalPoint(f"R = 0 at x = {x}")
     w = ph * tpx - tp * phx
     hbar = action.hbar
-    s1 = hbar * w / g
-    scale = math.sqrt(2.0 * action.m0 * abs(action.e)) if action.e != 0.0 else 1.0
-    if abs(s1) < MOMENTUM_EPS * max(1.0, scale):
-        raise ZeroConjugateMomentum(f"S0' = {s1:.3e} at x = {x}")
     gp = 2.0 * (tp * tpx + ph * phx)
     gpp = 2.0 * (tpx * tpx + tp * tpxx + phx * phx + ph * phxx)
     s2 = -hbar * w * gp / g**2
     s3 = hbar * w * (2.0 * gp * gp - gpp * g) / g**3
-    return (s1, s2, s3), fs.v
+    return (s1, s2, s3), s.v
 
 
 def floyd_residual_1d(action: ReducedActionField, x: float) -> float:

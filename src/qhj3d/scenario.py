@@ -351,16 +351,19 @@ def parse_scenario(text: str) -> Scenario:
         bounds = list(VerifySpec().bounds)
         for i, ax in enumerate(AXES):
             if ax in v:
-                bounds[i] = _float_list(v.pop(ax), f"verify.{ax}", 2)
+                name = f"verify.{ax}"
+                lo, hi = bounds[i] = _float_list(v.pop(ax), name, 2)
+                # lo < hi, and a width the grid spacing can be computed from
+                if not 0.0 < hi - lo < math.inf:
+                    raise ValidationError(name, "bounds need lo < hi and a finite width hi - lo")
         kwargs["bounds"] = tuple(bounds)
         for key in ("qshje_tol", "continuity_tol", "wronskian_tol"):
             if key in v:
-                kwargs[key] = _float(v.pop(key), f"verify.{key}")
+                name = f"verify.{key}"
+                kwargs[key] = check_positive(_float(v.pop(key), name), name)
         if v:
             raise ValidationError("verify", f"unexpected keys {sorted(v)}")
         verify = VerifySpec(**kwargs)
-        if any(not lo < hi for lo, hi in verify.bounds):
-            raise ValidationError("verify", "bounds need lo < hi")
 
     t = _as_dict(sections.get("trajectory", ()))
     kwargs = {}

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arrays import all_true, as_coords, at_point, cos, maximum, sin, sparse_grid, where, zeros_like
+from .arrays import all_true, as_coords, at_point, cos, sin, sparse_grid, where, zeros_like
 from .errors import (
     OK,
     OUT_OF_DOMAIN,
@@ -37,7 +37,7 @@ from .errors import (
     ProportionalSolutions,
     UnknownCatalogEntry,
 )
-from .potentials import AXES, EPS, FULL_LINE, AxisPotential, Free, SeparablePotential, check_finite
+from .potentials import AXES, FULL_LINE, AxisPotential, Free, SeparablePotential, _padded, check_finite
 
 SELECTORS = ("u1", "u2")
 
@@ -119,17 +119,15 @@ class AxisSolutionPair:
         return wronskian(self, lo if math.isfinite(lo) else 0.0)
 
     def contains(self, x: float) -> bool:
-        """Whether x lies in the axis domain and the potential's, up to
-        rounding at the edges. A potential on the whole line holds every
-        x that is not NaN, so only a bounded one is asked."""
-        lo, hi = self.domain
-        eps = 4.0 * EPS * maximum(1.0, abs(x))
-        inside = (lo - eps <= x) & (x <= hi + eps)
-        return inside & self.potential.contains(x) if self._bounded_potential else inside
+        """Whether x lies in the axis domain and the potential's (padded)."""
+        lo, hi = self._bounds
+        return (lo <= x) & (x <= hi)
 
     @cached_property
-    def _bounded_potential(self) -> bool:
-        return self.potential.domain != FULL_LINE
+    def _bounds(self) -> tuple[float, float]:
+        """The intersection of the padded axis and potential domains."""
+        (lo, hi), (p_lo, p_hi) = _padded(*self.domain), _padded(*self.potential.domain)
+        return max(lo, p_lo), min(hi, p_hi)
 
     @cached_property
     def anchor(self) -> float:
@@ -249,7 +247,7 @@ class _QuinticTable:
         nodes spanning [lo, hi], each of shape (2, n + 1)."""
         self.lo, self.hi = float(lo), float(hi)
         self.h = h = (self.hi - self.lo) / (u.shape[1] - 1)
-        self.eps = 4.0 * np.finfo(float).eps * max(1.0, abs(self.lo), abs(self.hi))
+        self.bounds = _padded(self.lo, self.hi)  # what the lookups accept
         y0, y1 = u[:, :-1], u[:, 1:]
         d0, d1 = h * du[:, :-1], h * du[:, 1:]
         s0, s1 = h * h * ddu[:, :-1], h * h * ddu[:, 1:]
@@ -266,7 +264,7 @@ class _QuinticTable:
     def _cell(self, x):
         """The two columns' coefficients of the cell holding x, indexed
         [column][power], and t in that cell."""
-        if not all_true((self.lo - self.eps <= x) & (x <= self.hi + self.eps)):
+        if not all_true((self.bounds[0] <= x) & (x <= self.bounds[1])):
             raise OutOfDomain(f"x={x} outside Numerov table [{self.lo}, {self.hi}]")
         s = (x - self.lo) / self.h
         last = self.coef.shape[2] - 1
@@ -619,9 +617,8 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) ->
         if pair.axis != label:
             raise ValueError(f"pairs must be in (x, y, z) order; got axis {pair.axis!r} in slot {label!r}")
     hbar, m0 = pairs[0].hbar, pairs[0].m0
-    for pair in pairs[1:]:
-        if abs(pair.hbar - hbar) > 1e-15 or abs(pair.m0 - m0) > 1e-15:
-            raise ValueError("all pairs must share hbar and m0")
+    if any(pair.hbar != hbar or pair.m0 != m0 for pair in pairs[1:]):
+        raise ValueError("all pairs must share hbar and m0")
 
     theta_terms = normalize_terms(theta_terms, "theta")
     phi_terms = normalize_terms(phi_terms, "phi")

@@ -27,7 +27,8 @@ from qhj3d import (
     verify_transformation,
 )
 from qhj3d.cli import run_metric
-from qhj3d.metric import NODE_EPS, TWELVE_EQUATION_LABELS
+from qhj3d.hj_core import MOMENTUM_EPS
+from qhj3d.metric import TWELVE_EQUATION_LABELS
 from qhj3d.errors import (
     NODAL,
     NODE_SINGULAR,
@@ -67,11 +68,11 @@ def _close(a, b):
 
 def _singular_axes(action, s, idx):
     """The axes along which the array sample s is node-singular at idx:
-    d_mu S0 below NODE_EPS with a quantum correction that is not flat."""
+    d_mu S0 below MOMENTUM_EPS with a quantum correction that is not flat."""
     p_scale = max(1.0, 2.0 * action.m0 * abs(action.e))
     return [mu for mu in range(3)
-            if abs(s.grad_s0[mu][idx]) < NODE_EPS
-            and abs(action.hbar**2 * s.hessian_r_diag[mu][idx] / s.amplitude[idx]) > NODE_EPS * p_scale]
+            if abs(s.grad_s0[mu][idx]) < MOMENTUM_EPS
+            and abs(action.hbar**2 * s.hessian_r_diag[mu][idx] / s.amplitude[idx]) > MOMENTUM_EPS * p_scale]
 
 
 def _check(name, bounds, grid):

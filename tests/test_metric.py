@@ -6,12 +6,14 @@ import pytest
 
 from qhj3d import (
     ClassicalTurningPoint,
+    NodalPoint,
     NodeSingularity,
     NonRiemannianPoint,
     ReducedActionField,
     ZeroConjugateMomentum,
     assemble_field,
     canonical_jacobian,
+    floyd_residual_1d,
     fm_factor_1d,
     metric_at,
     s0_derivatives_1d,
@@ -26,7 +28,7 @@ from qhj3d.metric import JacobianMatrix, QuantumMetric, TWELVE_EQUATION_LABELS, 
 from qhj3d.scenario import build_action, parse_scenario
 from qhj3d.schrodinger import evaluate_field
 
-from conftest import make_box_field
+from conftest import make_box_field, make_free_field
 
 
 def metric_from(a_upper, point=(0.0, 0.0, 0.0)):
@@ -181,6 +183,30 @@ def test_fm_consistency_triad(free_action_a2):
         schw = 1.0 + 0.5 * hbar**2 / derivs[0] ** 2 * schwarzian_1d(derivs)
         assert abs(fm - a_xx) < 1e-9
         assert abs(fm - schw) < 1e-9
+
+
+def test_1d_path_and_kernel_share_the_node_rule():
+    """Where R falls below the kernel's NODAL_EPS rule, but not to zero,
+    the 1D path raises NodalPoint as the 3D kernel does."""
+    action = ReducedActionField(make_free_field(1.0), 1e-300, 0.0)
+    x = math.pi / 2
+    for evaluate in (lambda: sample(action, (x, 0.0, 0.0)), lambda: metric_at(action, (x, 0.0, 0.0)),
+                     lambda: s0_derivatives_1d(action, x), lambda: fm_factor_1d(action, x),
+                     lambda: floyd_residual_1d(action, x)):
+        with pytest.raises(NodalPoint):
+            evaluate()
+
+
+def test_1d_path_and_kernel_share_the_momentum_rule():
+    """A small S0' that the metric accepts (|S0'| = 5e-12, above
+    MOMENTUM_EPS) is accepted by the 1D path too, whatever the energy
+    scale, and both give the same factor."""
+    action = ReducedActionField(make_free_field(10.0), 2e12, 0.0)
+    x = math.pi / 20
+    a_xx = metric_at(action, (x, 0.0, 0.0)).a_upper[0]
+    assert a_xx == pytest.approx(4.0e24, rel=1e-12)
+    assert fm_factor_1d(action, x) == pytest.approx(a_xx, rel=1e-12)
+    assert s0_derivatives_1d(action, x)[0] == pytest.approx(5e-12, rel=1e-12)
 
 
 def harmonic_1d_action(harmonic_pairs):

@@ -481,7 +481,8 @@ def test_run_verify_worst_points_reproduce_maxima(name):
 def test_run_verify_harmonic_numerov():
     s = parse_scenario(scenario_text("harmonic_numerov.scn"))
     report = run_verify(s, grid=(7, 7, 7))
-    assert report.max_qshje < 1e-5
+    assert report.passed and report.qshje_tol == 1e-9
+    assert report.max_qshje < 1e-9
     assert all(d < 1e-9 for d in report.wronskian_drift)
     assert len(report.signature_census) > 1  # mixed signatures in the well
     assert report.points_evaluated + report.nodal_skips + report.singular_skips == 343
@@ -711,8 +712,13 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "harmonic(omega = 1e300)", "potential.x"),
     ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "harmonic(omega = 1e-200)", "potential.x"),
     ("box.scn", "x = 1, 19", "x = 1, inf", "verify.x"),
-    ("harmonic_numerov.scn", "qshje_tol = 1e-5", "qshje_tol = nan", "verify.qshje_tol"),
-    ("harmonic_numerov.scn", "qshje_tol = 1e-5", "qshje_tol = inf", "verify.qshje_tol"),
+    ("harmonic_numerov.scn", "z = -2, 2", "z = -2, 2\nqshje_tol = nan", "verify.qshje_tol"),
+    ("harmonic_numerov.scn", "z = -2, 2", "z = -2, 2\nqshje_tol = inf", "verify.qshje_tol"),
+    ("free_a2.scn", "z = -3, 3", "z = -3, 3\nqshje_tol = 0", "verify.qshje_tol"),
+    ("free_a2.scn", "z = -3, 3", "z = -3, 3\ncontinuity_tol = 0", "verify.continuity_tol"),
+    ("free_a2.scn", "z = -3, 3", "z = -3, 3\nwronskian_tol = -1e-9", "verify.wronskian_tol"),
+    ("free_a2.scn", "x = -3, 3", "x = -1e308, 1e308", "verify.x"),
+    ("free_a2.scn", "y = -3, 3", "y = 3, -3", "verify.y"),
     ("box.scn", "t_end = 5.0", "t_end = inf", "trajectory.t_end"),
     ("box.scn", "points = 5, 0, 0", "points = nan, 0, 0", "metric.points"),
     ("free_a2.scn", "grid = 21, 21, 21", "grid = 1e300, 2, 2", "verify.grid"),
@@ -732,7 +738,9 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
         "a-huge", "b-huge", "coefficient-huge",
         "coefficient-nan", "selector-unknown", "phi-identical-to-theta",
         "hbar-inf", "mass-nan", "hbar-huge", "hbar-tiny", "mass-huge", "mass-tiny", "omega-huge",
-        "omega-tiny", "verify-bound-inf", "tolerance-nan", "tolerance-inf", "t-end-inf",
+        "omega-tiny", "verify-bound-inf", "tolerance-nan", "tolerance-inf", "qshje-tol-zero",
+        "continuity-tol-zero", "wronskian-tol-negative", "verify-width-overflows",
+        "verify-bounds-reversed", "t-end-inf",
         "metric-point-nan", "grid-huge", "r0-outside-domain",
         "csv-is-its-sidecar", "csv-is-the-scenario", "verify-report-is-the-scenario",
         "metric-report-resolves-to-the-scenario", "plot-script-is-the-csv",
@@ -792,6 +800,22 @@ def test_grid_ceiling_admits_100_cubed():
     assert parse_grid("100,100,100", "--grid") == (100, 100, 100)
     with pytest.raises(ValidationError, match="--grid"):
         parse_grid("101,100,100", "--grid")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_verify_bounds_outside_a_domain_write_a_fail_report(tmp_path, capsys):
+    """Bounds that miss the box along x leave nothing to evaluate and no
+    Wronskian sample on that axis: verify writes the report, with that
+    axis's drift null, and exits 3 (FAIL)."""
+    bad = tmp_path / "bad.scn"
+    bad.write_text(scenario_text("box.scn").replace("x = 1, 19", "x = 25, 30", 1))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(bad), "--out", str(out)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    report = strict_json(out.read_text())
+    assert report["wronskian_drift"][0] is None
+    assert all(d < report["wronskian_tol"] for d in report["wronskian_drift"][1:])
+    assert report["points_evaluated"] == 0 and report["passed"] is False
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from qhj3d import (
     wronskian,
 )
 from qhj3d.arrays import cos, sin, zeros_like
-from qhj3d.potentials import Free, HarmonicOscillator, LinearRamp
+from qhj3d.errors import OK, OUT_OF_DOMAIN
+from qhj3d.potentials import Free, HarmonicOscillator, LinearRamp, Tabulated, _padded
 from qhj3d.scenario import NumerovSpec, build_field, parse_scenario
 from qhj3d.schrodinger import (
     MAX_NUMEROV_STEPS,
@@ -362,9 +364,10 @@ def test_numerov_interpolant_ode_residual_mid_cell(harmonic_pairs):
 def test_numerov_table_ends(harmonic_pairs):
     basis = harmonic_pairs[0].basis
     table = _numerov_table(harmonic_pairs[0])
-    for x in (table.lo - table.eps, table.lo, table.hi, table.hi + table.eps):
+    lo, hi = table.bounds
+    for x in (lo, table.lo, table.hi, hi):
         assert all(math.isfinite(v) for v in (*basis.value(x), *basis.derivative(x)))
-    for x in (table.lo - 2 * table.eps, table.hi + 2 * table.eps, np.array([0.0, table.hi + 1e-3])):
+    for x in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), np.array([0.0, table.hi + 1e-3])):
         with pytest.raises(OutOfDomain, match="outside Numerov table"):
             basis.value(x)
         with pytest.raises(OutOfDomain, match="outside Numerov table"):
@@ -455,7 +458,7 @@ def test_numerov_jet_is_the_two_calls():
     for pair in pairs:
         table = _numerov_table(pair)
         value, derivative = two_call_table(table)
-        for x in jet_points(table.lo, table.hi) + [table.lo - table.eps, table.hi + table.eps]:
+        for x in jet_points(table.lo, table.hi) + list(table.bounds):
             jet = pair.basis.jet(x)
             same_bits(jet, (value(x), derivative(x)))
             same_bits((pair.basis.value(x), pair.basis.derivative(x)), jet)
@@ -490,6 +493,69 @@ def test_assemble_rejects_proportional():
         assemble_field(pairs,
                        [(1.0, ("u1", "u1", "u1"))],
                        [(2.0, ("u1", "u1", "u1"))])
+
+
+def test_assemble_compares_hbar_and_m0_exactly():
+    """SI-scale constants differ by far less than any absolute tolerance."""
+    def pair(kind, axis, hbar, m0):
+        params = {"k": 1.0} if kind == "free" else {}
+        return solve_axis_analytic(kind, params, axis=axis, hbar=hbar, m0=m0)
+    terms = ([(1.0, ("u1", "u1", "u1"))], [(1.0, ("u2", "u1", "u1"))])
+    for (hbar_y, m0_y) in ((2e-34, 1e-30), (1e-34, 3e-30)):
+        pairs = [pair("free", "x", 1e-34, 1e-30), pair("zero_energy_free", "y", hbar_y, m0_y),
+                 pair("zero_energy_free", "z", 1e-34, 1e-30)]
+        with pytest.raises(ValueError, match="share hbar and m0"):
+            assemble_field(pairs, *terms)
+
+
+def edge_points(lo, hi):
+    """Points around both ends of [lo, hi]: the ends, the ends of the
+    padded interval and the floats just past them."""
+    (p_lo, p_hi) = _padded(lo, hi)
+    return [math.nextafter(p_lo, -math.inf), p_lo, lo, math.nextafter(lo, math.inf),
+            math.nextafter(hi, -math.inf), hi, p_hi, math.nextafter(p_hi, math.inf)]
+
+
+def test_potential_pair_and_table_share_one_domain_rule():
+    """A tabulated potential, the Numerov pair solved on its grid and the
+    pair's table accept and reject the same points around both edges, at a
+    point and over an array."""
+    grid = np.linspace(0.0, 8.0, 33)
+    potential = Tabulated(tuple(grid), tuple(0.5 * (grid - 4.0) ** 2))
+    pair = solve_axis_numerov(potential, 0.5, (0.0, 8.0), 1e-2, (1.0, 0.0), (0.0, 1.0), ic_at=4.0)
+    table = _numerov_table(pair)
+    points = edge_points(0.0, 8.0)
+    expected = [False, True, True, True, True, True, True, False]
+    for x, inside in zip(points, expected):
+        assert bool(potential.contains(x)) is inside
+        assert bool(pair.contains(x)) is inside
+        if inside:
+            table.jet(x)
+        else:
+            with pytest.raises(OutOfDomain):
+                table.jet(x)
+    xs = np.array(points)
+    assert list(potential.contains(xs)) == list(pair.contains(xs)) == expected
+    # an infinite edge does not widen the finite one
+    assert _padded(0.0, math.inf) == (_padded(0.0, 1.0)[0], math.inf)
+
+
+def test_pair_wider_than_its_potential_marks_points_beyond_it():
+    """A pair whose domain reaches past its tabulated potential's grid
+    holds only the points of both: over arrays the field marks the rest
+    OUT_OF_DOMAIN, and at a point it raises."""
+    free = solve_axis_analytic("free", {"k": 1.0}, axis="x")
+    potential = Tabulated((0.0, 1.0, 2.0, 3.0, 4.0), (0.0,) * 5)
+    wide = replace(free, potential=potential, domain=(-1.0, 5.0))
+    field = assemble_field([wide, zero_pair("y"), zero_pair("z")],
+                           [(1.0, ("u1", "u1", "u1"))], [(1.0, ("u2", "u1", "u1"))])
+    xs = np.array([-0.5, *edge_points(0.0, 4.0), 4.5])
+    fs = evaluate_field(field, (xs, 0.0, 0.0))
+    inside = [False, False, True, True, True, True, True, True, False, False]
+    assert list(fs.status) == [OK if i else OUT_OF_DOMAIN for i in inside]
+    assert list(wide.contains(xs)) == inside
+    with pytest.raises(OutOfDomain):
+        evaluate_field(field, (4.5, 0.0, 0.0))
 
 
 def test_evaluate_field_trig_derivatives(free_field):
