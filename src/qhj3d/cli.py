@@ -142,6 +142,7 @@ class VerificationReport:
     points_evaluated: int
     nodal_skips: int
     singular_skips: int
+    domain_skips: int
     max_qshje: float
     mean_qshje: float
     worst_qshje_point: list[float] | None
@@ -186,9 +187,10 @@ def _worst_point(values, ok, axes):
 def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     """Sweep a grid: residuals, Wronskian drift, metric signature census.
 
-    Nodal and momentum-singular points are skipped and counted; the skip
-    counts plus the census total the grid size. A sweep that evaluates no
-    point fails."""
+    Nodal, node-singular and out-of-domain points are skipped and counted
+    apart; the three skip counts plus the census total the grid size. A
+    maximum over no evaluated point is NaN (null in the report), and a
+    sweep that evaluates no point fails."""
     action = build_action(scenario)
     spec = scenario.verify
     grid = tuple(grid) if grid is not None else spec.grid
@@ -201,10 +203,11 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     ok = status == OK
     evaluated = int(np.count_nonzero(ok))
     nodal = int(np.count_nonzero(status == NODAL))
-    singular = int(np.count_nonzero((status == NODE_SINGULAR) | (status == OUT_OF_DOMAIN)))
-    max_q = float(np.max(q[ok], initial=0.0))
+    singular = int(np.count_nonzero(status == NODE_SINGULAR))
+    outside = int(np.count_nonzero(status == OUT_OF_DOMAIN))
+    max_q = float(np.max(q[ok])) if evaluated else math.nan
     mean_q = float(np.mean(q[ok])) if evaluated else math.nan
-    max_ci = float(np.max(ci[ok], initial=0.0))
+    max_ci = float(np.max(ci[ok])) if evaluated else math.nan
     census = _census(a_upper, ok)
 
     # Divergence-mode continuity on a coarse subsample (finite differences
@@ -212,7 +215,8 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     mids = [0.5 * (lo + hi) for lo, hi in spec.bounds]
     inset = [m + (c - m) * (1.0 - 1e-3) for c, m in zip(sparse_grid(spec.bounds, (3, 3, 3)), mids)]
     div = continuity_identity_residual(action, inset, mode="divergence")
-    max_div = float(np.max(div, where=~np.isnan(div), initial=0.0))
+    div = div[~np.isnan(div)]
+    max_div = float(np.max(div)) if div.size else math.nan
 
     # Wronskian drift over the part of the bounds inside each axis domain;
     # NaN (null in the report, and a FAIL) where the two do not overlap
@@ -231,7 +235,7 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
               and all(d < spec.wronskian_tol for d in drifts))
     report = VerificationReport(
         grid=grid, bounds=spec.bounds, points_total=int(status.size),
-        points_evaluated=evaluated, nodal_skips=nodal, singular_skips=singular,
+        points_evaluated=evaluated, nodal_skips=nodal, singular_skips=singular, domain_skips=outside,
         max_qshje=max_q, mean_qshje=mean_q, worst_qshje_point=_worst_point(q, ok, axes),
         max_continuity_identity=max_ci, worst_continuity_point=_worst_point(ci, ok, axes),
         max_continuity_divergence=max_div, wronskian_drift=drifts,
@@ -493,7 +497,8 @@ def main(argv=None) -> int:
             report = run_verify(scenario, out=args.out, **overrides)
             print(f"grid {report.grid} over {report.bounds}")
             print(f"points: {report.points_evaluated} evaluated, "
-                  f"{report.nodal_skips} nodal, {report.singular_skips} singular")
+                  f"{report.nodal_skips} nodal, {report.singular_skips} singular, "
+                  f"{report.domain_skips} out of domain")
             print(f"max |qshje residual|      = {report.max_qshje:.3e}  (tol {report.qshje_tol:g})")
             print(f"max continuity (identity) = {report.max_continuity_identity:.3e}  (tol {report.continuity_tol:g})")
             print(f"max continuity (diverg.)  = {report.max_continuity_divergence:.3e}")

@@ -40,18 +40,19 @@ from .schrodinger import evaluate_field
 _FIELD_SINGULAR = (NodalPoint, NodeSingularity)
 
 # Dormand-Prince 5(4): 7 stages, FSAL, 5th-order propagation. Row i of A
-# holds stage i's weights, zero-padded to 7 columns; row 6 is b5.
-_DP_A = np.array([
-    [0.0] * 7,
-    [1 / 5] + [0.0] * 6,
-    [3 / 40, 9 / 40] + [0.0] * 5,
-    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_A[6] - _DP_B4
+# holds stage i's weights on the stages before it; row 6 is b5. E is b5
+# minus the embedded fourth-order weights.
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[6] + (0.0,), _DP_B4))
 
 COMPLETED = "completed"
 SINGULARITY = "singularity"
@@ -244,10 +245,13 @@ def _classify_event(action, s):
 
 
 def _hermite(y0, f0, y1, f1, h, s):
+    """The cubic Hermite interpolant of the step from (y0, f0) to (y1, f1)
+    at the fraction s of the step h, per component."""
     s2 = s * s
     s3 = s2 * s
-    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
-            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
+    c0, c1 = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h
+    c2, c3 = -2 * s3 + 3 * s2, (s3 - s2) * h
+    return [c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(y0, f0, y1, f1)]
 
 
 def _locate_event(action, position_of, y, f, y_new, f_new, h, eps, stats):
@@ -267,24 +271,55 @@ def _locate_event(action, position_of, y, f, y_new, f_new, h, eps, stats):
     return s_lo, s_hi
 
 
+# The step's sums run on lists of floats in the order numpy takes for the
+# arrays (ks rows times weights).sum(axis=0) and np.mean: from +0.0, one
+# term after another. tests/test_dynamics.py holds them to numpy bitwise.
+
+def _stage_point(y, h, weights, ks):
+    """y + h * sum_i weights[i] * ks[i], per component."""
+    point = []
+    for y_j, column in zip(y, zip(*ks)):
+        total = 0.0
+        for w, k in zip(weights, column):
+            total += w * k
+        point.append(y_j + h * total)
+    return point
+
+
+def _error_norm(y, y_new, h, ks, abs_tol, rel_tol) -> float:
+    """The RMS over components of h * sum_i E[i] * ks[i] scaled by
+    abs_tol + rel_tol * max(|y|, |y_new|), where the max is NaN if either
+    is, as np.maximum's."""
+    total = 0.0
+    for y_j, y_new_j, column in zip(y, y_new, zip(*ks)):
+        err = 0.0
+        for e, k in zip(_DP_E, column):
+            err += e * k
+        a, b = abs(y_j), abs(y_new_j)
+        q = h * err / (abs_tol + rel_tol * (b if b > a or b != b else a))
+        total += q * q
+    return math.sqrt(total / len(y))
+
+
 def _integrate(action, rhs, r0, start, config, position_of, state_of):
     """Adaptive DP54 loop shared by both trajectory routes, from the state
     y0 = start(r0).
 
-    rhs(y) returns (dy/dt, s, a_upper), with s the ActionSample at
-    position_of(y) and a_upper the a^{mumu} that dy/dt was computed from.
-    Every accepted step, the initial state included, becomes the state
-    state_of(t, y, dy/dt); its law residual, energy residual and grad S0
-    are computed from that s and a_upper when the step is accepted, and
-    both are dropped with the step. The event check reads the same s.
+    The state y and every derivative are lists of floats. rhs(y) returns
+    (dy/dt, s, a_upper), with s the ActionSample at position_of(y) and
+    a_upper the a^{mumu} that dy/dt was computed from. Every accepted step,
+    the initial state included, becomes the state state_of(t, y, dy/dt);
+    its law residual, energy residual and grad S0 are computed from that s
+    and a_upper when the step is accepted, and both are dropped with the
+    step. The event check reads the same s.
 
     If start(r0) or the first right-hand side raises NodalPoint or
     NodeSingularity, the run ends there: a singularity of kind amplitude or
     node at t = 0, with no state.
 
-    A step holds its seven stage derivatives as the rows of one array; each
-    stage point, and the error estimate, is one weighted sum over those
-    rows, added in stage order. Returns the Trajectory with its
+    A step holds its seven stage derivatives in stage order; each stage
+    point, and the error estimate, is one weighted sum over them
+    (_stage_point, _error_norm). Returns the Trajectory with its
     IntegratorStats.
     """
     t_end = config.t_end
@@ -327,12 +362,12 @@ def _integrate(action, rhs, r0, start, config, position_of, state_of):
         if h < h_floor:
             return finish(Termination(SINGULARITY, kind="step_underflow", t=t,
                                       position=tuple(position_of(y))))
-        ks = np.empty((7, y.size))
-        ks[0] = f
+        ks = [f]
         try:
             for i in range(1, 7):
-                y_stage = y + h * (_DP_A[i, :i, None] * ks[:i]).sum(axis=0)
-                ks[i], smp_new, a_new = evaluate(y_stage)
+                y_stage = _stage_point(y, h, _DP_A[i], ks)
+                k, smp_new, a_new = evaluate(y_stage)
+                ks.append(k)
         except _FIELD_SINGULAR:
             stats.singular_halvings += 1
             h *= 0.5
@@ -348,9 +383,7 @@ def _integrate(action, rhs, r0, start, config, position_of, state_of):
         # fifth-order solution, and f_new, smp_new and a_new are taken there.
         y_new, f_new = y_stage, ks[6]
 
-        err_vec = h * (_DP_E[:, None] * ks).sum(axis=0)
-        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        err = _error_norm(y, y_new, h, ks, config.abs_tol, config.rel_tol)
         if err > 1.0:
             stats.rejected += 1
             h *= max(0.2, 0.9 * err**-0.2)
@@ -377,34 +410,42 @@ def _integrate(action, rhs, r0, start, config, position_of, state_of):
     return finish(Termination(COMPLETED, t=t, position=tuple(position_of(y))))
 
 
+def _point(r0) -> list:
+    """The start r0, a 3-sequence or a length-3 array, as a list of floats."""
+    return [float(c) for c in r0]
+
+
 def integrate_first_order(action: ReducedActionField, r0, config: IntegratorConfig) -> Trajectory:
     """Integrate dr/dt = velocity_field(r) from r0.
 
     The velocity of every produced state is the velocity field at its
     position by construction (FSAL derivative storage)."""
-    r0 = np.asarray(r0, dtype=float)
-    rhs = lambda y: velocity_field(action, y)
-    return _integrate(action, rhs, r0, lambda r: r, config, position_of=lambda y: y,
-                      state_of=lambda t, y, f: TrajectoryState(t, y.copy(), f.copy()))
+
+    def rhs(y):
+        v, s, a_upper = velocity_field(action, y)
+        return v.tolist(), s, a_upper
+
+    return _integrate(action, rhs, _point(r0), lambda r: r, config, position_of=lambda y: y,
+                      state_of=lambda t, y, f: TrajectoryState(t, np.array(y), np.array(f)))
 
 
 def _hamilton_rhs(action: ReducedActionField):
-    """The second route's right-hand side y = (r, p) -> (dy/dt, s, a_upper):
-    Hamilton's equations from one order-3 field evaluation at r, plus the
-    potential gradient."""
+    """The second route's right-hand side y = (r, p) -> (dy/dt, s, a_upper)
+    on lists of floats: Hamilton's equations from one order-3 field
+    evaluation at r, plus the potential gradient."""
     m0 = action.m0
     field = action.field
     potential = field.potential
 
     def rhs(y):
-        r, p = y[:3], y[3:].tolist()
+        r, p = y[:3], y[3:]
         s, a_upper, grad_a = a_upper_gradient(action, evaluate_field(field, r, order=3), r)
-        grad_v = potential.gradient(r)
+        grad_v = potential.gradient(r).tolist()
         p2 = [pm * pm for pm in p]
         dr = [a * pm / m0 for a, pm in zip(a_upper, p)]
         dp = [-(g[0] * p2[0] + g[1] * p2[1] + g[2] * p2[2]) / (2.0 * m0) - dv
               for g, dv in zip(grad_a, grad_v)]
-        return np.array(dr + dp), s, a_upper
+        return dr + dp, s, a_upper
 
     return rhs
 
@@ -415,8 +456,8 @@ def integrate_second_order(action: ReducedActionField, r0, config: IntegratorCon
 
     A state's velocity is dr/dt = a^{mumu} p_mu / m0 and its momentum p.
     """
-    r0 = np.asarray(r0, dtype=float)
-    start = lambda r: np.concatenate((r, sample(action, r).grad_s0))
-    return _integrate(action, _hamilton_rhs(action), r0, start, config, position_of=lambda y: y[:3],
-                      state_of=lambda t, y, f: TrajectoryState(t, y[:3].copy(), f[:3].copy(),
-                                                               y[3:].copy()))
+    start = lambda r: [*r, *sample(action, r).grad_s0]
+    return _integrate(action, _hamilton_rhs(action), _point(r0), start, config,
+                      position_of=lambda y: y[:3],
+                      state_of=lambda t, y, f: TrajectoryState(t, np.array(y[:3]), np.array(f[:3]),
+                                                               np.array(y[3:])))

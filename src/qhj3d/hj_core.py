@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,15 +75,14 @@ class ReducedActionField:
         return self.hbar * self.a
 
 
-@dataclass(frozen=True)
-class ActionSample:
+class ActionSample(NamedTuple):
     """S0 (principal branch), its closed-form gradient, R, the diagonal
     Hessian of R, the local potential energy, the field evaluation they
     come from, and the status (OK, NODAL or OUT_OF_DOMAIN).
 
     Shapes follow FieldSample: per-axis quantities are (x, y, z) tuples.
     Over arrays, points whose status is not OK hold placeholders (R = 1)
-    that keep later divisions finite.
+    that keep later divisions finite. Read-only, like FieldSample.
     """
 
     s0_principal: float
@@ -96,10 +96,11 @@ class ActionSample:
 
 def _theta_prime_parts(action, fs):
     a, b = action.a, action.b
-    tp = a * fs.theta + b * fs.phi
-    grad_tp = tuple(a * gt + b * gp for gt, gp in zip(fs.grad_theta, fs.grad_phi))
-    sec_tp = tuple(a * st + b * sp for st, sp in zip(fs.second_theta, fs.second_phi))
-    return tp, grad_tp, sec_tp
+    (gt0, gt1, gt2), (gp0, gp1, gp2) = fs.grad_theta, fs.grad_phi
+    (st0, st1, st2), (sp0, sp1, sp2) = fs.second_theta, fs.second_phi
+    return (a * fs.theta + b * fs.phi,
+            (a * gt0 + b * gp0, a * gt1 + b * gp1, a * gt2 + b * gp2),
+            (a * st0 + b * sp0, a * st1 + b * sp1, a * st2 + b * sp2))
 
 
 def sample(action: ReducedActionField, r) -> ActionSample:
@@ -138,23 +139,19 @@ def _sample_field(action: ReducedActionField, fs: FieldSample, r) -> ActionSampl
     angle = where(angle > 0.5 * math.pi, angle - math.pi,
                   where(angle <= -0.5 * math.pi, angle + math.pi, angle))
 
-    grad_s0 = tuple(hbar * (ph * gtp - tp * gph) / g for gtp, gph in zip(grad_tp, grad_ph))
+    (gtp0, gtp1, gtp2), (gph0, gph1, gph2) = grad_tp, grad_ph
+    grad_s0 = (hbar * (ph * gtp0 - tp * gph0) / g, hbar * (ph * gtp1 - tp * gph1) / g,
+               hbar * (ph * gtp2 - tp * gph2) / g)
+    hess_r = (_hessian_r(tp, ph, amplitude, gtp0, gph0, sec_tp[0], sec_ph[0]),
+              _hessian_r(tp, ph, amplitude, gtp1, gph1, sec_tp[1], sec_ph[1]),
+              _hessian_r(tp, ph, amplitude, gtp2, gph2, sec_tp[2], sec_ph[2]))
+    return ActionSample(hbar * angle, grad_s0, amplitude, hess_r, fs.v, fs, status)
 
-    hess_r = []
-    for gtp, gph, stp, sph in zip(grad_tp, grad_ph, sec_tp, sec_ph):
-        grad_r = (tp * gtp + ph * gph) / amplitude
-        hess_r.append((gtp * gtp + tp * stp + gph * gph + ph * sph) / amplitude
-                      - grad_r * grad_r / amplitude)
 
-    return ActionSample(
-        s0_principal=hbar * angle,
-        grad_s0=grad_s0,
-        amplitude=amplitude,
-        hessian_r_diag=tuple(hess_r),
-        v=fs.v,
-        field=fs,
-        status=status,
-    )
+def _hessian_r(tp, ph, amplitude, gtp, gph, stp, sph):
+    """d^2_mu R from theta', phi, R and their mu-th first and second partials."""
+    grad_r = (tp * gtp + ph * gph) / amplitude
+    return (gtp * gtp + tp * stp + gph * gph + ph * sph) / amplitude - grad_r * grad_r / amplitude
 
 
 def _defined(s: ActionSample, value):

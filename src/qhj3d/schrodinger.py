@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -468,9 +468,14 @@ class SolutionField3D:
     def potential(self) -> SeparablePotential:
         return SeparablePotential(*(p.potential for p in self.pairs))
 
+    @cached_property
+    def _indexed_terms(self) -> tuple:
+        """theta_terms and phi_terms with each selector mapped to its index
+        in SELECTORS, which keys an axis's jets in _axis_eval's cache."""
+        return _indexed(self.theta_terms), _indexed(self.phi_terms)
 
-@dataclass(frozen=True)
-class FieldSample:
+
+class FieldSample(NamedTuple):
     """Values, gradients and diagonal second partials of theta and phi, the
     potential V, and the status (OK or OUT_OF_DOMAIN).
 
@@ -482,6 +487,9 @@ class FieldSample:
     hessian[nu][mu] = d_nu d_mu (its diagonal is the second partials) and
     the third partials third[nu][mu] = d_nu d_mu^2; at order 2 they are
     None.
+
+    A read-only record that builds in a fraction of a frozen dataclass's
+    time: the trajectory loop builds one per right-hand side.
     """
 
     theta: float
@@ -516,11 +524,17 @@ def normalize_terms(terms, which):
     return tuple(out)
 
 
+def _indexed(terms) -> tuple:
+    """terms with each selector replaced by its index in SELECTORS."""
+    return tuple((coef, tuple(SELECTORS.index(sel) for sel in sels)) for coef, sels in terms)
+
+
 def _axis_eval(pairs, coords, order=2):
-    """Per-axis jets (u, u', u'') for u1 and u2, the summed axis potentials,
-    and whether every coordinate lies inside its axis domain. Order 3 adds
-    u''' = f'u + f u' to each jet, f being the u''/u factor and f' its
-    derivative from the axis potential's.
+    """Per-axis jets (u, u', u'') for u1 and u2, indexed 0 and 1 as in
+    SELECTORS, the summed axis potentials, and whether every coordinate
+    lies inside its axis domain. Order 3 adds u''' = f'u + f u' to each
+    jet, f being the u''/u factor and f' its derivative from the axis
+    potential's.
 
     Each axis is evaluated once on its own coordinate (a float, or an array
     for many points). A coordinate outside its domain is evaluated at the
@@ -537,20 +551,21 @@ def _axis_eval(pairs, coords, order=2):
         c = _ode_factor(v_axis, pair.e_axis, pair.m0, pair.hbar)
         (u1, u2), (d1, d2) = pair.basis.jet(x)
         if order == 2:
-            cache.append({"u1": (u1, d1, c * u1), "u2": (u2, d2, c * u2)})
+            cache.append(((u1, d1, c * u1), (u2, d2, c * u2)))
         else:
             dc = _ode_factor(pair.potential.derivative(x), 0.0, pair.m0, pair.hbar)
-            cache.append({"u1": (u1, d1, c * u1, dc * u1 + c * d1),
-                          "u2": (u2, d2, c * u2, dc * u2 + c * d2)})
+            cache.append(((u1, d1, c * u1, dc * u1 + c * d1),
+                          (u2, d2, c * u2, dc * u2 + c * d2)))
         v = v + v_axis
         inside = inside & ok
     return cache, v, inside
 
 
 def _combine(terms, cache, order=2):
-    """Value, gradient and diagonal second partials of a sum of products.
-    Order 3, on an order-3 cache, adds the Hessian and the third partials
-    d_nu d_mu^2, both indexed [nu][mu].
+    """Value, gradient and diagonal second partials of a sum of products,
+    whose terms carry selector indices (_indexed). Order 3, on an order-3
+    cache, adds the Hessian and the third partials d_nu d_mu^2, both
+    indexed [nu][mu].
 
     Per-axis factors broadcast into the products. Sums start from +0.0 and
     run in term order, so a point and a grid entry take the same steps;
@@ -599,8 +614,9 @@ def evaluate_field(field: SolutionField3D, r, order=2) -> FieldSample:
     if at_point(status) and status != OK:
         pair, x = next((p, x) for p, x in zip(field.pairs, coords) if not p.contains(x))
         raise OutOfDomain(f"axis {pair.axis}: {x} outside domain {pair.domain}")
-    theta, grad_t, sec_t, *jets_t = _combine(field.theta_terms, cache, order)
-    phi, grad_p, sec_p, *jets_p = _combine(field.phi_terms, cache, order)
+    theta_terms, phi_terms = field._indexed_terms
+    theta, grad_t, sec_t, *jets_t = _combine(theta_terms, cache, order)
+    phi, grad_p, sec_p, *jets_p = _combine(phi_terms, cache, order)
     return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status, *jets_t, *jets_p)
 
 
@@ -625,8 +641,8 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) ->
 
     probe = sparse_grid([p.probe_interval() for p in pairs], (PROBE_POINTS,) * 3)
     cache, _, _ = _axis_eval(pairs, probe)
-    th, gt, _ = _combine(theta_terms, cache)
-    ph, gp, _ = _combine(phi_terms, cache)
+    th, gt, _ = _combine(_indexed(theta_terms), cache)
+    ph, gp, _ = _combine(_indexed(phi_terms), cache)
     gt, gp = np.array(gt), np.array(gp)
     max_cross = float(np.max(np.abs(ph * gt - th * gp)))
     max_grad = np.max(np.maximum(np.abs(gt), np.abs(gp)), axis=(1, 2, 3))

@@ -269,6 +269,109 @@ def test_kinetic_matches_numpy_bitwise(velocity, a_upper):
     assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
 
 
+# The step arithmetic as numpy forms it, on the integrator's tableau padded
+# to 7 x 7: the stage points y + h * (A[i, :i, None] * ks[:i]).sum(axis=0),
+# the error h * (E[:, None] * ks).sum(axis=0) and its scaled RMS through
+# np.maximum and np.mean. Each is written for a stack of cases on a leading
+# axis; every sum has at most seven terms, which numpy adds one after
+# another whatever the layout, so a stack takes each case's own steps.
+DP_A = np.array([list(row) + [0.0] * (7 - len(row)) for row in dynamics._DP_A])
+DP_E = np.array(dynamics._DP_E)
+
+
+def _stage_points_numpy(y, h, ks, i):
+    return y + h[:, None] * (DP_A[i, :i, None] * ks[:, :i]).sum(axis=-2)
+
+
+def _error_norms_numpy(y, y_new, h, ks, abs_tol, rel_tol):
+    err_vec = h[:, None] * (DP_E[:, None] * ks).sum(axis=-2)
+    scale = abs_tol[:, None] + rel_tol[:, None] * np.maximum(np.abs(y), np.abs(y_new))
+    return np.sqrt(np.mean((err_vec / scale) ** 2, axis=-1))
+
+
+def _step_cases(rng, count, n):
+    """count random cases of size n: y, y_new, the seven stage derivatives,
+    h and tolerances. Entries have magnitudes 1e-3 to 1e3; in a tenth of
+    the cases 1e150 to 1e300, whose products overflow. About 15% of the
+    cases have a flat component, +-0.0 in y, y_new and every derivative
+    (one in twenty of them in every component), and a third hold a few
+    +-0.0, +-inf or NaN entries."""
+    def entries(low, high, *shape):
+        return rng.standard_normal((count, *shape)) * 10.0 ** rng.uniform(low, high, (count, *shape))
+
+    huge = rng.random(count) < 0.1
+    ks = np.where(huge[:, None, None], entries(150, 300, 7, n), entries(-3, 3, 7, n))
+    y = np.where(huge[:, None], entries(150, 300, n), entries(-3, 3, n))
+    y_new = y + np.where(huge[:, None], entries(150, 300, n), entries(-9, 0, n))
+    flat = rng.random(count) < 0.15
+    signs = np.where(rng.random((count, 9, n)) < 0.5, 0.0, -0.0)
+    columns = (np.arange(n) == rng.integers(0, n, (count, 1))) | (rng.random((count, 1)) < 0.05)
+    ks = np.where((flat[:, None] & columns)[:, None, :], signs[:, :7], ks)
+    y = np.where(flat[:, None] & columns, signs[:, 7], y)
+    y_new = np.where(flat[:, None] & columns, signs[:, 8], y_new)
+    picks = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for values in (ks.reshape(count, -1), y, y_new):
+        special = (rng.random(count) < 1 / 3)[:, None] & (rng.random(values.shape) < 0.1)
+        values[special] = picks[rng.integers(0, len(picks), np.count_nonzero(special))]
+    h = 10.0 ** rng.uniform(-8, 1, count)
+    abs_tol, rel_tol = 10.0 ** rng.uniform(-14, -3, (2, count))
+    return y, y_new, ks, h, abs_tol, rel_tol
+
+
+def _same_floats(got, want):
+    """Elementwise bitwise equality, except that any NaN equals any NaN:
+    IEEE leaves the NaN of an operation on two NaNs unspecified, and a
+    compiler may swap the operands of a commutative operation."""
+    got, want = np.array(got, dtype=float), np.asarray(want, dtype=float)
+    return (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_step_arithmetic_matches_numpy_bitwise(n):
+    """The integrator's float sums give numpy's bits on 60,000 cases per
+    state size: a stage point (stage 1 + c % 6 in case c), the error norm
+    and whether the step is rejected (err > 1), among them +-0.0, +-inf,
+    NaN and overflow."""
+    rng = np.random.default_rng([2024, n])
+    y, y_new, ks, h, abs_tol, rel_tol = _step_cases(rng, 60_000, n)
+    with np.errstate(all="ignore"):
+        stages = [_stage_points_numpy(y, h, ks, i) for i in range(1, 7)]
+        norms = _error_norms_numpy(y, y_new, h, ks, abs_tol, rel_tol)
+    for kind in (np.isnan, np.isinf, lambda x: x == 0.0, lambda x: x > 1.0, lambda x: x <= 1.0):
+        assert 0.001 < np.mean(kind(norms)) < 0.95
+    got_stages, got_norms = [], []
+    cases = zip(y.tolist(), y_new.tolist(), ks.tolist(), h.tolist(), abs_tol.tolist(),
+                rel_tol.tolist())
+    for c, (y_c, y_new_c, ks_c, h_c, abs_c, rel_c) in enumerate(cases):
+        i = 1 + c % 6
+        got_stages.append(dynamics._stage_point(y_c, h_c, dynamics._DP_A[i], ks_c[:i]))
+        got_norms.append(dynamics._error_norm(y_c, y_new_c, h_c, ks_c, abs_c, rel_c))
+    want_stages = np.choose((np.arange(len(h)) % 6)[:, None], stages)
+    same = _same_floats(got_stages, want_stages).all(axis=1) & _same_floats(got_norms, norms)
+    assert same.all(), np.flatnonzero(~same)[:10]
+    assert np.array_equal(np.array(got_norms) > 1.0, norms > 1.0)
+
+
+def test_stacked_numpy_reference_is_the_single_case_form():
+    """The stacked reference above takes each case's steps: it equals the
+    single-case array expressions, y + h * (A[i, :i, None] * ks[:i]).sum(axis=0)
+    and the error norm through np.maximum and np.mean, bit for bit."""
+    rng = np.random.default_rng(7)
+    for n in (3, 6):
+        y, y_new, ks, h, abs_tol, rel_tol = _step_cases(rng, 500, n)
+        with np.errstate(all="ignore"):
+            stacked = [_stage_points_numpy(y, h, ks, i) for i in range(1, 7)]
+            norms = _error_norms_numpy(y, y_new, h, ks, abs_tol, rel_tol)
+            for c in range(len(h)):
+                for i in range(1, 7):
+                    one = y[c] + h[c] * (DP_A[i, :i, None] * ks[c, :i]).sum(axis=0)
+                    assert one.tobytes() == stacked[i - 1][c].tobytes()
+                err_vec = h[c] * (DP_E[:, None] * ks[c]).sum(axis=0)
+                scale = abs_tol[c] + rel_tol[c] * np.maximum(np.abs(y[c]), np.abs(y_new[c]))
+                err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+                assert np.array(err).tobytes() == norms[c].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # per-state columns from the step's own field sample
 # ---------------------------------------------------------------------------
@@ -284,6 +387,26 @@ def shipped_route_case(name, mixing=None, r0=None):
         scenario = dataclasses.replace(scenario, a=mixing[0], b=mixing[1])
     spec = scenario.trajectory
     return build_action(scenario), r0 if r0 is not None else spec.r0, spec
+
+
+def _trajectory_bits(tr):
+    """Every number and outcome of a trajectory, floats as their bits."""
+    states = [(st.t, st.position.tobytes(), st.velocity.tobytes(),
+               None if st.momentum is None else st.momentum.tobytes()) for st in tr.states]
+    columns = (tr.law_residuals.tobytes(), tr.energy_residuals.tobytes(), tr.grad_s0.tobytes())
+    return states, columns, tr.termination, tr.stats
+
+
+@pytest.mark.parametrize("route", [integrate_first_order, integrate_second_order],
+                         ids=["first", "second"])
+@pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "free_classical", "harmonic_numerov"])
+def test_start_as_tuple_list_or_array_gives_one_trajectory(name, route):
+    """The integrator reads r0 as floats: a tuple, a list and an ndarray
+    start the same trajectory, bit for bit."""
+    action, r0, config = shipped_route_case(f"{name}.scn")
+    runs = [_trajectory_bits(route(action, form(r0), config)) for form in (tuple, list, np.array)]
+    assert runs[0] == runs[1] == runs[2]
+    assert all(type(x) is float for x in runs[0][2].position)
 
 
 # The five shipped scenarios (field2d ends in an amplitude event), plus a

@@ -24,6 +24,7 @@ from qhj3d import (
     qshje_from_sample,
     sample,
     sparse_grid,
+    velocity_field,
     verify_transformation,
 )
 from qhj3d.cli import run_metric
@@ -41,6 +42,7 @@ from qhj3d.errors import (
     QhjError,
 )
 from qhj3d.scenario import build_action, parse_scenario
+from qhj3d.schrodinger import evaluate_field
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SHIPPED = ("box", "field2d", "free_a2", "free_classical", "harmonic_numerov")
@@ -209,3 +211,52 @@ def test_metric_batch_evaluates_the_field_once_plus_once_per_flagged_row(monkeyp
     assert len(calls) == 3
     assert [c.shape for c in calls[0]] == [(5,)] * 3
     assert calls[1:] == [(0.0, 0.8, 0.6), (4.7, 0.3, -0.2)]
+
+
+# ---------------------------------------------------------------------------
+# floats at a point
+# ---------------------------------------------------------------------------
+
+# A point may be given as any 3-sequence; the kernel reads it as floats.
+POINT_FORMS = (tuple, list, np.array)
+JETS = ("hessian_theta", "third_theta", "hessian_phi", "third_phi")
+
+
+def _leaves(value, path=""):
+    """(path, leaf) for every entry of nested records, tuples and lists."""
+    if hasattr(value, "_fields"):
+        for name in value._fields:
+            yield from _leaves(getattr(value, name), f"{path}.{name}")
+    elif isinstance(value, (tuple, list)):
+        for i, entry in enumerate(value):
+            yield from _leaves(entry, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_point_path_is_floats_in_and_floats_out(name):
+    """At a point given as a tuple, a list or an ndarray, the field
+    evaluations of order 2 and 3, sample, a_upper_from_sample and
+    velocity_field hold Python floats in every per-axis entry, never
+    np.float64, and equal values for the three forms. velocity_field's
+    velocity is the one array."""
+    s = _load(name)
+    action = build_action(s)
+    seen = []
+    for form in POINT_FORMS:
+        r = form(s.trajectory.r0)
+        smp = sample(action, r)
+        velocity, at_v, a_upper_v = velocity_field(action, r)
+        assert type(velocity) is np.ndarray and velocity.dtype == np.float64 and velocity.shape == (3,)
+        out = (evaluate_field(action.field, r), evaluate_field(action.field, r, order=3), smp,
+               a_upper_from_sample(action, smp), at_v, a_upper_v)
+        for path, leaf in _leaves(out):
+            if path.endswith(".status") or path == "[3][1]":
+                assert type(leaf) is int and leaf == OK, path
+            elif leaf is None:  # the higher jets of an order-2 evaluation
+                assert not path.startswith("[1].") and path.endswith(JETS), path
+            else:
+                assert type(leaf) is float, (path, type(leaf))
+        seen.append((out, velocity.tolist()))
+    assert seen[0] == seen[1] == seen[2]

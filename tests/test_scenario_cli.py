@@ -434,7 +434,7 @@ def test_run_verify_free_a2(tmp_path):
     assert report.passed
     assert report.max_qshje < 1e-9
     assert report.signature_census == {"+++": 729}
-    assert report.points_evaluated + report.nodal_skips + report.singular_skips == 729
+    assert report.points_evaluated + report.nodal_skips + report.singular_skips + report.domain_skips == 729
     data = json.loads(out.read_text())
     assert data["passed"] is True
 
@@ -446,16 +446,32 @@ def test_run_verify_classical_census():
     assert report.max_qshje < 1e-12
 
 
-def test_run_verify_with_no_points_fails(tmp_path):
-    s = parse_scenario(scenario_text("free_a2.scn"))
+@pytest.mark.parametrize("name, edit, grid, skips, unevaluated", [
+    ("free_a2.scn", None, (0, 2, 2), (0, 0, 0),
+     ("max_qshje", "mean_qshje", "max_continuity_identity")),
+    ("box.scn", ("x = 1, 19", "x = 25, 30"), None, (0, 0, 21**3),
+     ("max_qshje", "mean_qshje", "max_continuity_identity", "max_continuity_divergence")),
+], ids=["empty-grid", "box-outside-its-walls"])
+def test_run_verify_with_no_points_fails(name, edit, grid, skips, unevaluated, tmp_path):
+    """No grid point evaluated: the grid's maxima and mean are null, and
+    the skips, out-of-domain points counted apart, total the grid. The
+    divergence check samples its own 3x3x3 subsample of the bounds, which
+    an empty grid still has and bounds outside the box do not."""
+    text = scenario_text(name)
+    s = parse_scenario(text if edit is None else text.replace(*edit, 1))
     out = tmp_path / "report.json"
-    report = run_verify(s, grid=(0, 2, 2), out=str(out))
-    assert report.points_total == 0 and report.points_evaluated == 0
+    report = run_verify(s, grid=grid, out=str(out))
+    assert report.points_evaluated == 0
+    assert (report.nodal_skips, report.singular_skips, report.domain_skips) == skips
+    assert report.points_total == sum(skips)
     assert not report.passed
     data = strict_json(out.read_text())
     assert data["passed"] is False
-    assert data["mean_qshje"] is None
+    for key in ("max_qshje", "mean_qshje", "max_continuity_identity", "max_continuity_divergence"):
+        assert (data[key] is None) == (key in unevaluated), key
     assert data["worst_qshje_point"] is None and data["worst_continuity_point"] is None
+    keys = list(data)
+    assert keys[keys.index("singular_skips") + 1] == "domain_skips"
 
 
 @pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "free_classical", "harmonic_numerov"])
@@ -485,7 +501,8 @@ def test_run_verify_harmonic_numerov():
     assert report.max_qshje < 1e-9
     assert all(d < 1e-9 for d in report.wronskian_drift)
     assert len(report.signature_census) > 1  # mixed signatures in the well
-    assert report.points_evaluated + report.nodal_skips + report.singular_skips == 343
+    assert report.points_evaluated + report.nodal_skips + report.singular_skips + report.domain_skips == 343
+    assert report.singular_skips > 0 and report.domain_skips == 0
 
 
 def string_census(a_upper, ok):
@@ -811,8 +828,12 @@ def test_cli_verify_bounds_outside_a_domain_write_a_fail_report(tmp_path, capsys
     bad.write_text(scenario_text("box.scn").replace("x = 1, 19", "x = 25, 30", 1))
     out = tmp_path / "r.json"
     assert main(["verify", str(bad), "--out", str(out)]) == 3
-    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1] == "points: 0 evaluated, 0 nodal, 0 singular, 9261 out of domain"
+    assert printed[-1] == "FAIL"
     report = strict_json(out.read_text())
+    assert report["domain_skips"] == 9261 and report["singular_skips"] == 0
+    assert report["max_qshje"] is None and report["max_continuity_identity"] is None
     assert report["wronskian_drift"][0] is None
     assert all(d < report["wronskian_tol"] for d in report["wronskian_drift"][1:])
     assert report["points_evaluated"] == 0 and report["passed"] is False
