@@ -446,21 +446,10 @@ def test_run_verify_classical_census():
     assert report.max_qshje < 1e-12
 
 
-@pytest.mark.parametrize("name, edit, grid, skips, unevaluated", [
-    ("free_a2.scn", None, (0, 2, 2), (0, 0, 0),
-     ("max_qshje", "mean_qshje", "max_continuity_identity")),
-    ("box.scn", ("x = 1, 19", "x = 25, 30"), None, (0, 0, 21**3),
-     ("max_qshje", "mean_qshje", "max_continuity_identity", "max_continuity_divergence")),
-], ids=["empty-grid", "box-outside-its-walls"])
-def test_run_verify_with_no_points_fails(name, edit, grid, skips, unevaluated, tmp_path):
-    """No grid point evaluated: the grid's maxima and mean are null, and
-    the skips, out-of-domain points counted apart, total the grid. The
-    divergence check samples its own 3x3x3 subsample of the bounds, which
-    an empty grid still has and bounds outside the box do not."""
-    text = scenario_text(name)
-    s = parse_scenario(text if edit is None else text.replace(*edit, 1))
-    out = tmp_path / "report.json"
-    report = run_verify(s, grid=grid, out=str(out))
+def _check_nothing_evaluated(report, out, skips, unevaluated):
+    """A report that evaluated no grid point: the skips, out-of-domain
+    points counted apart, total the grid; each maximum over points that
+    were not evaluated is null; and it fails."""
     assert report.points_evaluated == 0
     assert (report.nodal_skips, report.singular_skips, report.domain_skips) == skips
     assert report.points_total == sum(skips)
@@ -472,6 +461,27 @@ def test_run_verify_with_no_points_fails(name, edit, grid, skips, unevaluated, t
     assert data["worst_qshje_point"] is None and data["worst_continuity_point"] is None
     keys = list(data)
     assert keys[keys.index("singular_skips") + 1] == "domain_skips"
+
+
+def test_run_verify_with_no_points_fails(tmp_path):
+    """An empty grid: its maxima and mean are null. The divergence check
+    samples its own 3x3x3 subsample of the bounds, which it still has."""
+    s = parse_scenario(scenario_text("free_a2.scn"))
+    out = tmp_path / "report.json"
+    report = run_verify(s, grid=(0, 2, 2), out=str(out))
+    _check_nothing_evaluated(report, out, (0, 0, 0),
+                             ("max_qshje", "mean_qshje", "max_continuity_identity"))
+
+
+def test_run_verify_outside_the_box_counts_domain_skips(tmp_path):
+    """Bounds beyond the box walls: every point is a domain skip, none is
+    singular, and every maximum is null, the divergence subsample's too."""
+    s = parse_scenario(scenario_text("box.scn").replace("x = 1, 19", "x = 25, 30", 1))
+    out = tmp_path / "report.json"
+    report = run_verify(s, out=str(out))
+    _check_nothing_evaluated(report, out, (0, 0, 21**3),
+                             ("max_qshje", "mean_qshje", "max_continuity_identity",
+                              "max_continuity_divergence"))
 
 
 @pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "free_classical", "harmonic_numerov"])
