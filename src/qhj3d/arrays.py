@@ -4,34 +4,15 @@ The evaluation chain (axis solutions -> field -> action -> metric) is
 written once and runs on two kinds of input: Python floats for a single
 point (trajectories) and numpy arrays that broadcast against each other
 for many points (grids, metric batches). These helpers let one body serve
-both. On floats they use math and plain conditionals, which allocate
+both. On floats they use builtins and plain conditionals, which allocate
 nothing; on arrays they use the numpy ufuncs. The choice follows the type
-of the argument, never a caller's flag.
+of the argument, never a caller's flag. Where a body tests the type once
+per call instead (a point branch), it calls math or numpy directly.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-
-def sin(x):
-    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
-
-
-def cos(x):
-    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
-
-
-def sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def atan2(y, x):
-    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
-        return np.arctan2(y, x)
-    return math.atan2(y, x)
 
 
 def maximum(a, b):
@@ -78,7 +59,7 @@ def stack(parts):
 def as_coords(r) -> tuple:
     """The three coordinates of r: floats for a point (a 3-sequence or a
     length-3 array), or the given arrays, which must broadcast together."""
-    return tuple(c if isinstance(c, np.ndarray) else float(c) for c in r)
+    return tuple([c if isinstance(c, np.ndarray) else float(c) for c in r])
 
 
 def sparse_grid(bounds, counts) -> tuple:

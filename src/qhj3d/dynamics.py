@@ -441,11 +441,13 @@ def _hamilton_rhs(action: ReducedActionField):
         r, p = y[:3], y[3:]
         s, a_upper, grad_a = a_upper_gradient(action, evaluate_field(field, r, order=3), r)
         grad_v = potential.gradient(r).tolist()
-        p2 = [pm * pm for pm in p]
-        dr = [a * pm / m0 for a, pm in zip(a_upper, p)]
-        dp = [-(g[0] * p2[0] + g[1] * p2[1] + g[2] * p2[2]) / (2.0 * m0) - dv
-              for g, dv in zip(grad_a, grad_v)]
-        return dr + dp, s, a_upper
+        (p0, p1, p2), (a0, a1, a2) = p, a_upper
+        q0, q1, q2 = p0 * p0, p1 * p1, p2 * p2  # p_mu^2
+        (g0, g1, g2), (v0, v1, v2) = grad_a, grad_v
+        return [a0 * p0 / m0, a1 * p1 / m0, a2 * p2 / m0,
+                -(g0[0] * q0 + g0[1] * q1 + g0[2] * q2) / (2.0 * m0) - v0,
+                -(g1[0] * q0 + g1[1] * q1 + g1[2] * q2) / (2.0 * m0) - v1,
+                -(g2[0] * q0 + g2[1] * q1 + g2[2] * q2) / (2.0 * m0) - v2], s, a_upper
 
     return rhs
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import as_coords, at_point, atan2, maximum, sqrt, where
+from .arrays import as_coords, at_point, maximum, where
 from .errors import NODAL, OK, NodalPoint, ZeroConjugateMomentum
 from .schrodinger import OVERFLOW_LIMIT, FieldSample, SolutionField3D, evaluate_field
 
@@ -119,25 +119,30 @@ def _sample_field(action: ReducedActionField, fs: FieldSample, r) -> ActionSampl
     ph, grad_ph, sec_ph = fs.phi, fs.grad_phi, fs.second_phi
 
     g = tp * tp + ph * ph
-    amplitude = sqrt(g)
-    nodal = amplitude < NODAL_EPS * maximum(maximum(1.0, abs(tp)), abs(ph))
+    # Principal arctan(theta'/phi) on (-pi/2, pi/2]; phi = 0 maps to +pi/2.
     if at_point(fs.status):
         # evaluate_field has raised unless fs.status is OK; nothing to mask
-        if nodal:
+        amplitude = math.sqrt(g)
+        if amplitude < NODAL_EPS * max(max(1.0, abs(tp)), abs(ph)):
             raise NodalPoint(f"R = {amplitude:.3e} at r = {tuple(float(c) for c in r)}")
         status = OK
+        angle = math.atan2(tp, ph)
+        if angle > 0.5 * math.pi:
+            angle = angle - math.pi
+        elif angle <= -0.5 * math.pi:
+            angle = angle + math.pi
     else:
+        amplitude = np.sqrt(g)
+        nodal = amplitude < NODAL_EPS * np.maximum(np.maximum(1.0, abs(tp)), abs(ph))
         status = np.where(fs.status == OK, np.where(nodal, NODAL, OK), fs.status)
         ok = status == OK
         g = np.where(ok, g, 1.0)
         amplitude = np.where(ok, amplitude, 1.0)
+        angle = np.arctan2(tp, ph)
+        angle = np.where(angle > 0.5 * math.pi, angle - math.pi,
+                         np.where(angle <= -0.5 * math.pi, angle + math.pi, angle))
 
     hbar = action.hbar
-
-    # Principal arctan(theta'/phi) on (-pi/2, pi/2]; phi = 0 maps to +pi/2.
-    angle = atan2(tp, ph)
-    angle = where(angle > 0.5 * math.pi, angle - math.pi,
-                  where(angle <= -0.5 * math.pi, angle + math.pi, angle))
 
     (gtp0, gtp1, gtp2), (gph0, gph1, gph2) = grad_tp, grad_ph
     grad_s0 = (hbar * (ph * gtp0 - tp * gph0) / g, hbar * (ph * gtp1 - tp * gph1) / g,

@@ -108,30 +108,36 @@ def a_upper_gradient(action: ReducedActionField, fs, r):
     and d_nu Q_mu, follow from the Hessian and third partials of psi. The
     gradient is 0 along flat axes and where a^{mumu} = 1 because
     d_mu S0 = 0.
+
+    Only entries of w, the Hessian and the third partials of psi over pairs
+    of active axes are read, so only those are formed: 3 complex
+    combinations on a field varying along one axis, 10 along two.
     """
     s = _sample_field(action, fs, r)
     a_upper, _ = a_upper_from_sample(action, s)
-    hbar2 = action.hbar**2
+    hbar = action.hbar
+    hbar2 = hbar**2
     ct, cp = complex(0.0, action.a), complex(1.0, action.b)
     inv = 1.0 / (ct * fs.theta + cp * fs.phi)
-    w = [(ct * t + cp * p) * inv for t, p in zip(fs.grad_theta, fs.grad_phi)]
-    hess, third = ([[(ct * t + cp * p) * inv for t, p in zip(row_t, row_p)]
-                    for row_t, row_p in zip(jet_t, jet_p)]
-                   for jet_t, jet_p in ((fs.hessian_theta, fs.hessian_phi),
-                                        (fs.third_theta, fs.third_phi)))
     active = [nu for nu in range(3) if action.field.active_axes[nu]]
+    w, hess, third = {}, {}, {}  # keyed by nu and by (nu, mu)
+    for nu in active:
+        w[nu] = (ct * fs.grad_theta[nu] + cp * fs.grad_phi[nu]) * inv
+        for mu in active:
+            hess[nu, mu] = (ct * fs.hessian_theta[nu][mu] + cp * fs.hessian_phi[nu][mu]) * inv
+            third[nu, mu] = (ct * fs.third_theta[nu][mu] + cp * fs.third_phi[nu][mu]) * inv
     grad_a = [[0.0] * 3 for _ in range(3)]
     for mu in active:
         p = s.grad_s0[mu]
         if abs(p) < MOMENTUM_EPS:
             continue
-        wm = w[mu]
-        q = (hess[mu][mu] - wm * wm).real + wm.real**2
+        wm, hmm = w[mu], hess[mu, mu]
+        q = (hmm - wm * wm).real + wm.real**2
         for nu in active:
-            dw = hess[nu][mu] - w[nu] * wm  # d_nu w_mu
-            d2w = third[nu][mu] - hess[mu][mu] * w[nu] - 2.0 * wm * dw  # d_nu d_mu w_mu
+            dw = hess[nu, mu] - w[nu] * wm  # d_nu w_mu
+            d2w = third[nu, mu] - hmm * w[nu] - 2.0 * wm * dw  # d_nu d_mu w_mu
             dq = d2w.real + 2.0 * wm.real * dw.real
-            dp = action.hbar * dw.imag
+            dp = hbar * dw.imag
             grad_a[nu][mu] = -hbar2 * (dq - 2.0 * q * dp / p) / (p * p)
     return s, a_upper, grad_a
 

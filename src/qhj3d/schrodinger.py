@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .arrays import all_true, as_coords, at_point, cos, sin, sparse_grid, where, zeros_like
+from .arrays import all_true, as_coords, sparse_grid
 from .errors import (
     OK,
     OUT_OF_DOMAIN,
@@ -60,18 +60,27 @@ RK4_SUBSTEPS = 32
 PROBE_POINTS = 5
 
 
-def _ode_factor(v, e_axis, m0, hbar):
-    """(2 m0/hbar^2)(v - E_axis) at the potential value v: the u''/u factor
-    that the field kernel and the Numerov recurrence both use."""
-    return 2.0 * m0 / hbar**2 * (v - e_axis)
+def _ode_scale(m0, hbar):
+    """The prefactor 2 m0/hbar^2 of _ode_factor. An AxisSolutionPair keeps
+    its own (ode_scale); the Numerov build computes it once per solve."""
+    return 2.0 * m0 / hbar**2
+
+
+def _ode_factor(v, e_axis, scale):
+    """(2 m0/hbar^2)(v - E_axis) at the potential value v, given the
+    prefactor scale = _ode_scale(m0, hbar): the u''/u factor that the field
+    kernel and the Numerov recurrence both use. The product runs left to
+    right as in 2.0 * m0 / hbar**2 * (v - E_axis), so a kept prefactor
+    gives the same bits."""
+    return scale * (v - e_axis)
 
 
 def check_ode_scale(m0, hbar):
-    """ValueError unless the prefactor 2 m0/hbar^2 of _ode_factor is a
+    """ValueError unless the prefactor 2 m0/hbar^2 (_ode_scale) is a
     finite normal float: neither it nor its reciprocal hbar^2/2 m0, which
     the quantum potential uses, may overflow or vanish."""
     try:
-        scale = _ode_factor(1.0, 0.0, m0, hbar)
+        scale = _ode_scale(m0, hbar)
     except ArithmeticError:  # hbar^2 overflowed, or underflowed to 0
         scale = math.nan
     if not (math.isfinite(scale) and scale >= sys.float_info.min):
@@ -110,6 +119,11 @@ class AxisSolutionPair:
     m0: float
     hbar: float
     domain: tuple[float, float]
+
+    @cached_property
+    def ode_scale(self) -> float:
+        """2 m0/hbar^2, the prefactor of every _ode_factor on this axis."""
+        return _ode_scale(self.m0, self.hbar)
 
     @cached_property
     def wronskian_ref(self) -> float:
@@ -214,15 +228,20 @@ def solve_axis_analytic(kind, params=None, e_axis=None, *, m0=1.0, hbar=1.0, axi
     """Closed-form solution pair of a CATALOG entry."""
     energy = catalog_energy(kind, params, e_axis, m0=m0, hbar=hbar)
     k, domain = _catalog_wave(kind, params)
+    # Each jet picks math or numpy once per call, from the type of k x.
     if k != 0.0:
         def jet(x):
             kx = k * x
-            s, c = sin(kx), cos(kx)
+            if isinstance(kx, np.ndarray):
+                s, c = np.sin(kx), np.cos(kx)
+            else:
+                s, c = math.sin(kx), math.cos(kx)
             return (s, c), (k * c, -k * s)
     else:
         def jet(x):
-            one = 1.0 + zeros_like(x)
-            return (one, x), (zeros_like(x), one)
+            zero = 0.0 * abs(x)  # arrays.zeros_like(x)
+            one = 1.0 + zero
+            return (one, x), (zero, one)
     return AxisSolutionPair(axis=axis, e_axis=energy, basis=AxisSolution(jet), potential=Free(),
                             m0=m0, hbar=hbar, domain=domain)
 
@@ -263,38 +282,34 @@ class _QuinticTable:
 
     def _cell(self, x):
         """The two columns' coefficients of the cell holding x, indexed
-        [column][power], and t in that cell."""
-        if not all_true((self.bounds[0] <= x) & (x <= self.bounds[1])):
+        [column][power] (nested lists at a point), and t in that cell."""
+        lo, hi = self.bounds
+        point = not isinstance(x, np.ndarray)
+        if not (lo <= x <= hi if point else ((lo <= x) & (x <= hi)).all()):
             raise OutOfDomain(f"x={x} outside Numerov table [{self.lo}, {self.hi}]")
         s = (x - self.lo) / self.h
         last = self.coef.shape[2] - 1
-        if isinstance(x, np.ndarray):
-            i = np.minimum(s.astype(np.intp), last)
-            return np.take(self.coef, i, axis=2), s - i
-        i = min(int(s), last)
-        return self.coef[:, :, i].tolist(), s - i
+        if point:
+            i = min(int(s), last)
+            return self.coef[:, :, i].tolist(), s - i
+        i = np.minimum(s.astype(np.intp), last)
+        return np.take(self.coef, i, axis=2), s - i
 
     def jet(self, x):
-        """((u1, u2), (u1', u2')) at x."""
-        (c1, c2), t = self._cell(x)
-        return ((_horner(c1, t), _horner(c2, t)),
-                (_horner_slope(c1, t) / self.h, _horner_slope(c2, t) / self.h))
+        """((u1, u2), (u1', u2')) at x: each column sum_k c_k t^k and its
+        slope, by Horner's rule on the cell's coefficients."""
+        ((a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5)), t = self._cell(x)
+        u1 = ((((a5 * t + a4) * t + a3) * t + a2) * t + a1) * t + a0
+        u2 = ((((b5 * t + b4) * t + b3) * t + b2) * t + b1) * t + b0
+        d1 = (((5.0 * a5 * t + 4.0 * a4) * t + 3.0 * a3) * t + 2.0 * a2) * t + a1
+        d2 = (((5.0 * b5 * t + 4.0 * b4) * t + 3.0 * b3) * t + 2.0 * b2) * t + b1
+        return (u1, u2), (d1 / self.h, d2 / self.h)
 
 
 def _numerov_table(pair: AxisSolutionPair) -> _QuinticTable:
     """The table behind a Numerov pair's basis, whose coefficients the
     tests read."""
     return pair.basis.jet.__self__
-
-
-def _horner(c, t):
-    """sum_k c[k] t^k for k = 0..5."""
-    return ((((c[5] * t + c[4]) * t + c[3]) * t + c[2]) * t + c[1]) * t + c[0]
-
-
-def _horner_slope(c, t):
-    """d/dt of sum_k c[k] t^k for k = 0..5."""
-    return (((5.0 * c[5] * t + 4.0 * c[4]) * t + 3.0 * c[3]) * t + 2.0 * c[2]) * t + c[1]
 
 
 def _rk4_segment(factor, x0, u, up, x1):
@@ -419,7 +434,8 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     if pair is None:
         h = (x_hi - x_lo) / n_int
         xs = np.linspace(x_lo, x_hi, n_int + 1)
-        factor = lambda x: _ode_factor(axis_potential(x), e_axis, m0, hbar)
+        scale = _ode_scale(m0, hbar)
+        factor = lambda x: _ode_factor(axis_potential(x), e_axis, scale)
         tables = np.zeros((2, n_int + 1))
         # an overflow on the way to the table is caught by _numerov_fill's check
         with np.errstate(over="ignore", invalid="ignore"):
@@ -539,21 +555,30 @@ def _axis_eval(pairs, coords, order=2):
     Each axis is evaluated once on its own coordinate (a float, or an array
     for many points). A coordinate outside its domain is evaluated at the
     axis anchor instead, so one stray point never stops an array
-    evaluation; the returned flag marks it.
+    evaluation; the returned flag marks it. The domain test and the anchor
+    are those of AxisSolutionPair.contains and np.where, taken as a plain
+    conditional on a float.
     """
     cache = []
     v = 0.0
     inside = True
     for pair, x in zip(pairs, coords):
-        ok = pair.contains(x)
-        x = where(ok, x, pair.anchor)
+        lo, hi = pair._bounds
+        if isinstance(x, np.ndarray):
+            ok = (lo <= x) & (x <= hi)
+            x = np.where(ok, x, pair.anchor)
+        else:
+            ok = lo <= x <= hi
+            if not ok:
+                x = pair.anchor
+        scale = pair.ode_scale
         v_axis = pair.potential(x)
-        c = _ode_factor(v_axis, pair.e_axis, pair.m0, pair.hbar)
+        c = _ode_factor(v_axis, pair.e_axis, scale)
         (u1, u2), (d1, d2) = pair.basis.jet(x)
         if order == 2:
             cache.append(((u1, d1, c * u1), (u2, d2, c * u2)))
         else:
-            dc = _ode_factor(pair.potential.derivative(x), 0.0, pair.m0, pair.hbar)
+            dc = _ode_factor(pair.potential.derivative(x), 0.0, scale)
             cache.append(((u1, d1, c * u1, dc * u1 + c * d1),
                           (u2, d2, c * u2, dc * u2 + c * d2)))
         v = v + v_axis
@@ -610,8 +635,11 @@ def evaluate_field(field: SolutionField3D, r, order=2) -> FieldSample:
     """
     coords = as_coords(r)
     cache, v, inside = _axis_eval(field.pairs, coords, order)
-    status = where(inside, OK, OUT_OF_DOMAIN)
-    if at_point(status) and status != OK:
+    if isinstance(inside, np.ndarray):
+        status = np.where(inside, OK, OUT_OF_DOMAIN)
+    elif inside:
+        status = OK
+    else:
         pair, x = next((p, x) for p, x in zip(field.pairs, coords) if not p.contains(x))
         raise OutOfDomain(f"axis {pair.axis}: {x} outside domain {pair.domain}")
     theta_terms, phi_terms = field._indexed_terms

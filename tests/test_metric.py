@@ -23,8 +23,11 @@ from qhj3d import (
     sparse_grid,
     verify_transformation,
 )
+from qhj3d import dynamics
 from qhj3d.errors import QhjError
-from qhj3d.metric import JacobianMatrix, QuantumMetric, TWELVE_EQUATION_LABELS, a_upper_gradient
+from qhj3d.hj_core import MOMENTUM_EPS, _sample_field
+from qhj3d.metric import (JacobianMatrix, QuantumMetric, TWELVE_EQUATION_LABELS, a_upper_from_sample,
+                          a_upper_gradient)
 from qhj3d.scenario import build_action, parse_scenario
 from qhj3d.schrodinger import evaluate_field
 
@@ -335,3 +338,75 @@ def test_a_upper_gradient_matches_central_differences(name):
         assert s.grad_s0 == sample(action, r).grad_s0
         estimate = central_difference(lambda x: metric_at(action, x).a_upper, r)
         assert_close(grad_a, estimate, r)
+
+
+def all_axes_a_upper_gradient(action, fs, r):
+    """a_upper_gradient with w, the Hessian and the third partials of psi
+    formed on all three axes and read by the same loop over active axes:
+    the reference for the form that builds them on active axes only."""
+    s = _sample_field(action, fs, r)
+    a_upper, _ = a_upper_from_sample(action, s)
+    hbar2 = action.hbar**2
+    ct, cp = complex(0.0, action.a), complex(1.0, action.b)
+    inv = 1.0 / (ct * fs.theta + cp * fs.phi)
+    w = [(ct * t + cp * p) * inv for t, p in zip(fs.grad_theta, fs.grad_phi)]
+    hess, third = ([[(ct * t + cp * p) * inv for t, p in zip(row_t, row_p)]
+                    for row_t, row_p in zip(jet_t, jet_p)]
+                   for jet_t, jet_p in ((fs.hessian_theta, fs.hessian_phi),
+                                        (fs.third_theta, fs.third_phi)))
+    active = [nu for nu in range(3) if action.field.active_axes[nu]]
+    grad_a = [[0.0] * 3 for _ in range(3)]
+    for mu in active:
+        p = s.grad_s0[mu]
+        if abs(p) < MOMENTUM_EPS:
+            continue
+        wm = w[mu]
+        q = (hess[mu][mu] - wm * wm).real + wm.real**2
+        for nu in active:
+            dw = hess[nu][mu] - w[nu] * wm
+            d2w = third[nu][mu] - hess[mu][mu] * w[nu] - 2.0 * wm * dw
+            dq = d2w.real + 2.0 * wm.real * dw.real
+            dp = action.hbar * dw.imag
+            grad_a[nu][mu] = -hbar2 * (dq - 2.0 * q * dp / p) / (p * p)
+    return s, a_upper, grad_a
+
+
+def float_bits(values) -> bytes:
+    """The bits of a float or of nested lists of floats, which must be
+    Python floats."""
+    flat = np.ravel(np.array(values, dtype=object))
+    assert all(type(v) is float for v in flat)
+    return np.array(flat, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_upper_gradient_equals_the_all_axes_form(name, monkeypatch):
+    """Forming psi's combinations on active axes only changes no bit:
+    grad_a equals the all-axes oracle, each entry in a row or column of a
+    flat axis is +0.0, and the second route's right-hand side returns the
+    floats of the one built on the oracle, for p = grad S0 and for a p
+    with nonzero components on the flat axes."""
+    action, points = shipped_off_node_points(name)
+    flat = [nu for nu in range(3) if not action.field.active_axes[nu]]
+    rhs = dynamics._hamilton_rhs(action)
+    cases = []
+    for r in points:
+        r = [float(x) for x in r]
+        fs = evaluate_field(action.field, r, order=3)
+        s, a_upper, grad_a = a_upper_gradient(action, fs, r)
+        s_oracle, a_oracle, grad_oracle = all_axes_a_upper_gradient(action, fs, r)
+        assert float_bits(grad_a) == float_bits(grad_oracle)
+        assert float_bits(a_upper) == float_bits(a_oracle)
+        assert float_bits(s.grad_s0) == float_bits(s_oracle.grad_s0)
+        for mu in flat:
+            for nu in range(3):
+                assert float_bits([grad_a[mu][nu], grad_a[nu][mu]]) == float_bits([0.0, 0.0])
+        for p in (list(s.grad_s0), [c + d for c, d in zip(s.grad_s0, (0.25, -0.5, 0.75))]):
+            y = r + p
+            cases.append((y, rhs(y)))
+    monkeypatch.setattr(dynamics, "a_upper_gradient", all_axes_a_upper_gradient)
+    oracle_rhs = dynamics._hamilton_rhs(action)
+    for y, (dy, _, a_upper) in cases:
+        dy_oracle, _, a_oracle = oracle_rhs(y)
+        assert float_bits(dy) == float_bits(dy_oracle)
+        assert float_bits(a_upper) == float_bits(a_oracle)

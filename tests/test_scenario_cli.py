@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from qhj3d import (
 )
 from qhj3d.arrays import sparse_grid
 from qhj3d.cli import CSV_HEADER, _census, main, run_metric, run_trajectory, run_verify
-from qhj3d.errors import OK
+from qhj3d.errors import OK, QhjError
 from qhj3d.hj_core import (
     continuity_identity_from_sample,
     continuity_identity_residual,
@@ -502,6 +503,49 @@ def test_run_verify_worst_points_reproduce_maxima(name):
         index = tuple(int(np.flatnonzero(ax == x)[0]) for ax, x in zip(axes, point))
         assert np.broadcast_to(on_grid, swept.status.shape)[index] == worst
         assert abs(abs(residual(action, tuple(point))) - worst) <= 1e-12 * max(1.0, worst)
+
+
+@pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "harmonic_numerov"])
+def test_run_verify_mean_qshje_is_the_mean_over_evaluated_points(name):
+    """mean_qshje is np.mean of |QSHJE| over the points the sweep
+    evaluated, each sampled alone here: the points where sample and
+    a^{mumu} raise nothing, in grid order. On these grids the median
+    differs from the mean, so a report of the median fails."""
+    s = parse_scenario(scenario_text(f"{name}.scn"))
+    report = run_verify(s)
+    action = build_action(s)
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(s.verify.bounds, report.grid)]
+    residuals = []
+    for point in itertools.product(*axes):
+        try:
+            smp = sample(action, point)
+            a_upper_from_sample(action, smp)
+        except QhjError:
+            continue
+        residuals.append(abs(qshje_from_sample(action, smp)))
+    assert len(residuals) == report.points_evaluated
+    assert np.median(residuals) != np.mean(residuals)
+    assert report.mean_qshje == np.mean(residuals)
+
+
+def test_run_verify_wronskian_drift_is_relative():
+    """Scaling both initial conditions of every Numerov axis by 1024 scales
+    each solution, and so the Wronskian, exactly (2^10 and 2^20); the
+    reported drift is relative to that Wronskian and keeps every bit. The
+    scaled sweep fails on its absolute continuity tolerance, so only the
+    drift is compared."""
+    text = scenario_text("harmonic_numerov.scn")
+    scaled = text.replace("ic1 = 1, 0", "ic1 = 1024, 0").replace("ic2 = 0, 1", "ic2 = 0, 1024")
+    assert scaled.count("1024") == 6
+    reports, pairs = [], []
+    for source in (text, scaled):
+        s = parse_scenario(source)
+        reports.append(run_verify(s))
+        pairs.append(build_action(s).field.pairs)
+    assert reports[1].wronskian_drift == reports[0].wronskian_drift
+    assert all(d > 0.0 for d in reports[0].wronskian_drift)
+    for pair, scaled_pair in zip(*pairs):
+        assert scaled_pair.wronskian_ref == pair.wronskian_ref * 2**20
 
 
 def test_run_verify_harmonic_numerov():

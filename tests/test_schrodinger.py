@@ -20,7 +20,7 @@ from qhj3d import (
     solve_axis_numerov,
     wronskian,
 )
-from qhj3d.arrays import cos, sin, zeros_like
+from qhj3d.arrays import zeros_like
 from qhj3d.errors import OK, OUT_OF_DOMAIN
 from qhj3d.potentials import Free, HarmonicOscillator, LinearRamp, Tabulated, _padded
 from qhj3d.scenario import NumerovSpec, build_field, parse_scenario
@@ -29,8 +29,6 @@ from qhj3d.schrodinger import (
     OVERFLOW_LIMIT,
     AxisSolution,
     _catalog_wave,
-    _horner,
-    _horner_slope,
     _numerov_fill,
     _numerov_table,
     _ode_factor,
@@ -46,7 +44,7 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 def second_derivatives(pair, x):
     """(u1'', u2'') as the field kernel forms them: the u''/u factor times u."""
-    factor = _ode_factor(pair.potential(x), pair.e_axis, pair.m0, pair.hbar)
+    factor = _ode_factor(pair.potential(x), pair.e_axis, pair.ode_scale)
     u1, u2 = pair.basis.value(x)
     return factor * u1, factor * u2
 
@@ -326,7 +324,7 @@ def test_numerov_table_reproduces_the_ode_at_nodes(harmonic_pairs):
     table = _numerov_table(pair)
     nodes = table.lo + table.h * np.arange(table.coef.shape[2] + 1)
     u = np.array(pair.basis.value(nodes))
-    fu = _ode_factor(pair.potential(nodes), pair.e_axis, pair.m0, pair.hbar) * u
+    fu = _ode_factor(pair.potential(nodes), pair.e_axis, pair.ode_scale) * u
     assert np.max(np.abs(np.array(table_second_derivative(table, nodes)) - fu)) < 1e-14 * np.max(np.abs(fu))
     h = table.h
     five_point = (-u[:, 4:] + 8.0 * u[:, 3:-1] - 8.0 * u[:, 1:-3] + u[:, :-4]) / (12.0 * h)
@@ -355,7 +353,7 @@ def test_numerov_interpolant_ode_residual_mid_cell(harmonic_pairs):
     table = _numerov_table(pair)
     mids = table.lo + table.h * (np.arange(table.coef.shape[2]) + 0.5)
     u = np.array(pair.basis.value(mids))
-    f = _ode_factor(pair.potential(mids), pair.e_axis, pair.m0, pair.hbar)
+    f = _ode_factor(pair.potential(mids), pair.e_axis, pair.ode_scale)
     residual = np.abs(np.array(table_second_derivative(table, mids)) - f * u)
     assert np.max(residual) < 1e-6 * np.max(np.abs(u))
     assert np.max(residual[:, np.abs(mids) < 3.9]) < 1e-6
@@ -402,8 +400,17 @@ def same_bits(got, want):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def sin(x):
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+
+
+def cos(x):
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
 def two_call_catalog(k):
-    """The catalog's value and derivative as two separate evaluations."""
+    """The catalog's value and derivative as two separate evaluations, each
+    picking math or numpy per value."""
     if k != 0.0:
         return (lambda x: (sin(k * x), cos(k * x)),
                 lambda x: (k * cos(k * x), -k * sin(k * x)))
@@ -411,15 +418,25 @@ def two_call_catalog(k):
             lambda x: (zeros_like(x), 1.0 + zeros_like(x)))
 
 
+def horner(c, t):
+    """sum_k c[k] t^k for k = 0..5."""
+    return ((((c[5] * t + c[4]) * t + c[3]) * t + c[2]) * t + c[1]) * t + c[0]
+
+
+def horner_slope(c, t):
+    """d/dt of sum_k c[k] t^k for k = 0..5."""
+    return (((5.0 * c[5] * t + 4.0 * c[4]) * t + 3.0 * c[3]) * t + 2.0 * c[2]) * t + c[1]
+
+
 def two_call_table(table):
     """The table's value and derivative as two lookups of the same cell."""
     def value(x):
         (c1, c2), t = table._cell(x)
-        return _horner(c1, t), _horner(c2, t)
+        return horner(c1, t), horner(c2, t)
 
     def derivative(x):
         (c1, c2), t = table._cell(x)
-        return _horner_slope(c1, t) / table.h, _horner_slope(c2, t) / table.h
+        return horner_slope(c1, t) / table.h, horner_slope(c2, t) / table.h
 
     return value, derivative
 
