@@ -4,10 +4,12 @@
 For a fixed solution field the whole construction is exact for any a != 0,
 so the residual landscape is a map of floating-point noise, not physics.
 Prints a table of max |qshje| and max continuity residual per mixing and
-writes mixing_sweep.csv.
+writes mixing_sweep.csv. As in verify, a maximum over no evaluated point is
+NaN (nan in the CSV).
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -46,9 +48,10 @@ def main():
         for b in np.linspace(-args.bmax, args.bmax, args.steps):
             action = ReducedActionField(field, float(a), float(b))
             s = sample(action, grid)
-            used = a_upper_from_sample(action, s)[1] == OK  # verify's skips: nodal, node-singular
-            worst_q = float(np.max(np.abs(qshje_from_sample(action, s))[used], initial=0.0))
-            worst_c = float(np.max(continuity_identity_from_sample(action, s)[used], initial=0.0))
+            used = a_upper_from_sample(action, s)[1] == OK  # verify's skips: nodal, node-singular, out of domain
+            q = np.abs(qshje_from_sample(action, s))[used]
+            c = continuity_identity_from_sample(action, s)[used]
+            worst_q, worst_c = (float(np.max(v)) if v.size else math.nan for v in (q, c))
             skipped = int(np.count_nonzero(~used))
             print(f"{a:8.3f} {b:8.3f} {worst_q:14.3e} {worst_c:16.3e} {skipped:8d}")
             rows.append((a, b, worst_q, worst_c, skipped))

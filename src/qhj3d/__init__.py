@@ -1,7 +1,6 @@
 """Quantum trajectories from 3D stationary Hamilton-Jacobi solution pairs."""
 
 from .errors import (
-    ClassicalTurningPoint,
     DegenerateICs,
     InconsistentEnergy,
     NodalPoint,
@@ -15,7 +14,6 @@ from .errors import (
     ScenarioError,
     UnknownCatalogEntry,
     ValidationError,
-    ZeroConjugateMomentum,
 )
 from .arrays import sparse_grid
 from .potentials import (
@@ -42,10 +40,8 @@ from .hj_core import (
     ReducedActionField,
     continuity_identity_from_sample,
     continuity_identity_residual,
-    floyd_residual_1d,
     qshje_from_sample,
     qshje_residual,
-    s0_derivatives_1d,
     sample,
 )
 from .metric import (
@@ -54,9 +50,7 @@ from .metric import (
     TWELVE_EQUATION_LABELS,
     a_upper_from_sample,
     canonical_jacobian,
-    fm_factor_1d,
     metric_at,
-    schwarzian_1d,
     verify_transformation,
 )
 from .dynamics import (
@@ -69,15 +63,12 @@ from .dynamics import (
     integrate_first_order,
     integrate_second_order,
     law_residual,
-    quantum_lagrangian,
-    reduce_1d_check,
     velocity_field,
 )
 from .scenario import (
     Scenario,
     build_action,
     build_field,
-    build_potential,
     parse_scenario,
     serialize_scenario,
 )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodalPoint, NodeSingularity, OutOfDomain
-from .hj_core import ReducedActionField, sample, _require_1d
+from .hj_core import ReducedActionField, sample
 from .metric import a_upper_from_sample, a_upper_gradient
 from .schrodinger import evaluate_field
 
@@ -189,31 +189,11 @@ def _energy(action, velocity, s, a_upper) -> float:
     return _kinetic(action, velocity, a_upper) + s.v - action.e
 
 
-def _sampled(action, state):
-    """The ActionSample at the state and a^{mumu} from it."""
-    s = sample(action, state.position)
-    return s, a_upper_from_sample(action, s)[0]
-
 
 def energy_residual(action: ReducedActionField, state: TrajectoryState) -> float:
     """(m0/2) sum a_{mumu} v_mu^2 + V - E; an exact first integral."""
-    return _energy(action, state.velocity, *_sampled(action, state))
-
-
-def quantum_lagrangian(action: ReducedActionField, state: TrajectoryState) -> float:
-    """(m0/2) sum a_{mumu} v_mu^2 - V."""
-    s, a_upper = _sampled(action, state)
-    return _kinetic(action, state.velocity, a_upper) - s.v
-
-
-def reduce_1d_check(action: ReducedActionField, trajectory: Trajectory) -> float:
-    """max over states of |xdot dS0/dx - 2 (E - V)| for an x-only field."""
-    _require_1d(action.field)
-    worst = 0.0
-    for st in trajectory.states:
-        s = sample(action, st.position)
-        worst = max(worst, abs(st.velocity[0] * s.grad_s0[0] - 2.0 * (action.e - s.v)))
-    return worst
+    s = sample(action, state.position)
+    return _energy(action, state.velocity, s, a_upper_from_sample(action, s)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -59,14 +59,6 @@ class NodeSingularity(QhjError):
         super().__init__(message or f"metric component undefined along axis {axis}")
 
 
-class ZeroConjugateMomentum(QhjError):
-    """dS0/dx ~ 0 where a 1D formula needs to divide by it."""
-
-
-class ClassicalTurningPoint(QhjError):
-    """E - V ~ 0: the 1D coordinate factor degenerates."""
-
-
 class NonRiemannianPoint(QhjError):
     """Some diagonal metric component is <= 0, so no real Jacobian square
     root exists at this point (the metric itself is still well defined)."""

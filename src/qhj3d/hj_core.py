@@ -25,13 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import as_coords, at_point, maximum, where
-from .errors import NODAL, OK, NodalPoint, ZeroConjugateMomentum
+from .errors import NODAL, OK, NodalPoint
 from .schrodinger import OVERFLOW_LIMIT, FieldSample, SolutionField3D, evaluate_field
 
 NODAL_EPS = 1e-12
 
 # A momentum component vanishes where |d_mu S0| < MOMENTUM_EPS: the one rule
-# of the metric and of the 1D formulas that divide by S0'.
+# of every formula that divides by d_mu S0.
 MOMENTUM_EPS = 1e-12
 
 # Central-difference step of the divergence mode of the continuity check.
@@ -241,55 +241,3 @@ def continuity_identity_residual(action: ReducedActionField, r, mode="identity")
         value = where(ok, abs(div), math.nan)
         return float(value) if point else value
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _require_1d(field: SolutionField3D) -> None:
-    if field.active_axes != (True, False, False):
-        raise ValueError("operation needs a field varying along x only")
-
-
-def s0_derivatives_1d(action: ReducedActionField, x: float):
-    """(S0', S0'', S0''') along x for a field varying along x only.
-
-    Uses S0' = hbar W / g with W = phi theta'_x - theta' phi_x and
-    g = theta'^2 + phi^2. W is the (sign-flipped) Wronskian of two
-    solutions of the same 1D equation, hence constant, so the higher
-    derivatives need only g' and g'' -- all available exactly from the
-    per-axis ODE identity.
-    """
-    return _s0_derivatives_and_v_1d(action, x)[0]
-
-
-def _s0_derivatives_and_v_1d(action: ReducedActionField, x: float):
-    """s0_derivatives_1d(action, x), and V, from one sample: a node raises
-    NodalPoint, and |S0'| < MOMENTUM_EPS raises ZeroConjugateMomentum."""
-    _require_1d(action.field)
-    # the flat axes at the centres of their probe intervals
-    (y_lo, y_hi), (z_lo, z_hi) = (pair.probe_interval() for pair in action.field.pairs[1:])
-    s = sample(action, (x, 0.5 * (y_lo + y_hi), 0.5 * (z_lo + z_hi)))
-    s1 = s.grad_s0[0]
-    if abs(s1) < MOMENTUM_EPS:
-        raise ZeroConjugateMomentum(f"S0' = {s1:.3e} at x = {x}")
-    tp, grad_tp, sec_tp = _theta_prime_parts(action, s.field)
-    ph, phx, phxx = s.field.phi, s.field.grad_phi[0], s.field.second_phi[0]
-    tpx, tpxx = grad_tp[0], sec_tp[0]
-
-    g = tp * tp + ph * ph
-    w = ph * tpx - tp * phx
-    hbar = action.hbar
-    gp = 2.0 * (tp * tpx + ph * phx)
-    gpp = 2.0 * (tpx * tpx + tp * tpxx + phx * phx + ph * phxx)
-    s2 = -hbar * w * gp / g**2
-    s3 = hbar * w * (2.0 * gp * gp - gpp * g) / g**3
-    return (s1, s2, s3), s.v
-
-
-def floyd_residual_1d(action: ReducedActionField, x: float) -> float:
-    """Residual of the 1D equation with the Schwarzian-bracket quantum term:
-
-    (S0')^2/2m0 - (hbar^2/4m0) [ (3/2)(S0''/S0')^2 - S0'''/S0' ] + V - E.
-    """
-    (s1, s2, s3), v_total = _s0_derivatives_and_v_1d(action, x)
-    m0 = action.m0
-    bracket = 1.5 * (s2 / s1) ** 2 - s3 / s1
-    return s1 * s1 / (2.0 * m0) - action.hbar**2 / (4.0 * m0) * bracket + v_total - action.e

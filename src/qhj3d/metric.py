@@ -20,17 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import as_coords, at_point, stack, where
-from .errors import (
-    NODE_SINGULAR,
-    NON_RIEMANNIAN,
-    OK,
-    ClassicalTurningPoint,
-    NodeSingularity,
-    NonRiemannianPoint,
-    ZeroConjugateMomentum,
-)
-from .hj_core import (MOMENTUM_EPS, ReducedActionField, sample, _require_1d, _s0_derivatives_and_v_1d,
-                      _sample_field)
+from .errors import NODE_SINGULAR, NON_RIEMANNIAN, OK, NodeSingularity, NonRiemannianPoint
+from .hj_core import MOMENTUM_EPS, ReducedActionField, sample, _sample_field
 
 TWELVE_EQUATION_LABELS = (
     "row_norm_x", "row_norm_y", "row_norm_z",
@@ -204,26 +195,3 @@ def verify_transformation(jacobian: JacobianMatrix, metric: QuantumMetric) -> np
         np.diagonal(cols, axis1=-2, axis2=-1) - 1.0,
         cols[..., _UPPER[0], _UPPER[1]],
     ], axis=-1))
-
-
-def schwarzian_1d(s0_derivs) -> float:
-    """{S0, x} = S0'''/S0' - (3/2)(S0''/S0')^2, standard convention."""
-    s1, s2, s3 = s0_derivs
-    if abs(s1) < MOMENTUM_EPS:
-        raise ZeroConjugateMomentum(f"S0' = {s1:.3e}")
-    return s3 / s1 - 1.5 * (s2 / s1) ** 2
-
-
-def fm_factor_1d(action: ReducedActionField, x: float) -> float:
-    """(dx/dxhat)^2 for a field varying along x only.
-
-    Computed as 2 m0 (E - V) / (S0')^2, the form the 1D classical-form
-    equation forces. Equals 1 + (hbar^2/2)(S0')^{-2}{S0,x} and the 1D
-    a^{xx} wherever all three are defined.
-    """
-    _require_1d(action.field)
-    (s1, _, _), v_total = _s0_derivatives_and_v_1d(action, x)
-    gap = action.e - v_total
-    if abs(gap) < 1e-14:
-        raise ClassicalTurningPoint(f"E - V = {gap:.3e} at x = {x}")
-    return 2.0 * action.m0 * gap / (s1 * s1)

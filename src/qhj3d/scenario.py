@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParseError, QhjError, ValidationError
-from .potentials import AXES, AxisPotential, SeparablePotential, axis_potential
+from .potentials import AXES, AxisPotential, axis_potential
 from .schrodinger import (
     CATALOG,
     SolutionField3D,
@@ -459,10 +459,6 @@ def serialize_scenario(s: Scenario) -> str:
 # ---------------------------------------------------------------------------
 # Builders: Scenario -> live objects
 # ---------------------------------------------------------------------------
-
-def build_potential(s: Scenario) -> SeparablePotential:
-    return SeparablePotential(*s.potentials)
-
 
 def build_field(s: Scenario) -> SolutionField3D:
     """The scenario's 3D field, from one solve per axis, built on the first

@@ -15,16 +15,11 @@ from qhj3d import (
     canonical_jacobian,
     continuity_identity_from_sample,
     continuity_identity_residual,
-    fm_factor_1d,
-    floyd_residual_1d,
     integrate_first_order,
     integrate_second_order,
     metric_at,
     qshje_from_sample,
-    reduce_1d_check,
-    s0_derivatives_1d,
     sample,
-    schwarzian_1d,
     solve_axis_numerov,
     sparse_grid,
     velocity_field,
@@ -36,6 +31,8 @@ from qhj3d.metric import JacobianMatrix, verify_transformation
 from qhj3d.potentials import Free, HarmonicOscillator
 
 from conftest import make_box_field, make_free_field
+from reduction_1d import (fm_factor_1d, floyd_residual_1d, reduce_1d_check, s0_derivatives_1d,
+                          schwarzian_1d)
 
 MIXINGS = ((1.0, 0.0), (2.0, 0.0), (1.5, 0.5), (3.0, -1.0), (0.5, 2.0))
 
@@ -211,8 +208,8 @@ def test_c7_1d_consistency_triad(free_field, box_field):
         for x in xs:
             fm = fm_factor_1d(action, x)
             a_xx = metric_at(action, (x, 0.0, 0.0)).a_upper[0]
-            derivs = s0_derivatives_1d(action, x)
-            schw = 1.0 + 0.5 * hbar**2 / derivs[0] ** 2 * schwarzian_1d(derivs)
+            s1, s2, s3, _ = s0_derivatives_1d(action, x)
+            schw = 1.0 + 0.5 * hbar**2 / s1**2 * schwarzian_1d(s1, s2, s3)
             worst_triad = max(worst_triad, abs(fm - a_xx), abs(fm - schw), abs(a_xx - schw))
             worst_floyd = max(worst_floyd, abs(floyd_residual_1d(action, x)))
     assert worst_triad < 1e-9

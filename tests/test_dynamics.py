@@ -15,8 +15,7 @@ from qhj3d import (
     integrate_first_order,
     integrate_second_order,
     law_residual,
-    quantum_lagrangian,
-    reduce_1d_check,
+    metric_at,
     sample,
     velocity_field,
 )
@@ -27,6 +26,7 @@ from qhj3d.potentials import SeparablePotential
 from qhj3d.scenario import build_action, parse_scenario
 
 from conftest import make_box_field, make_field_2d
+from reduction_1d import reduce_1d_check
 
 
 def state(t, r, v):
@@ -66,6 +66,12 @@ def test_energy_residual_values(free_action_a1, free_action_a2):
     assert energy_residual(free_action_a2, state(0, (0, 0, 0), (0.5, 0, 0))) == pytest.approx(0.0, abs=1e-14)
     corrupted = state(0, (0, 0, 0), (1.0, 0, 0))
     assert energy_residual(free_action_a2, corrupted) == pytest.approx(1.5)
+
+
+def quantum_lagrangian(action, st_):
+    """(m0/2) sum a_{mumu} v_mu^2 - V at the state."""
+    kinetic = 0.5 * action.m0 * float(np.sum(metric_at(action, st_.position).a_lower * st_.velocity**2))
+    return kinetic - sample(action, st_.position).v
 
 
 def test_quantum_lagrangian_values(free_action_a1, free_action_a2):
@@ -163,6 +169,20 @@ def test_flat_axes_stay_put(free_action_a2):
     tr = integrate_first_order(free_action_a2, (0.0, 0.7, -0.4), IntegratorConfig(t_end=2.0))
     assert tr.final_state.position[1] == pytest.approx(0.7, abs=1e-14)
     assert tr.final_state.position[2] == pytest.approx(-0.4, abs=1e-14)
+
+
+def test_hermite_step_reproduces_cubics():
+    """The event interpolant is the cubic Hermite step: from the values and
+    slopes at both ends it gives back any cubic, per component."""
+    cubics = [(1.0, -2.0, 0.5, 3.0), (-0.4, 1.0, 0.0, -2.0)]  # c0 + c1 t + c2 t^2 + c3 t^3
+    value = lambda c, t: c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+    slope = lambda c, t: c[1] + t * (2.0 * c[2] + 3.0 * t * c[3])
+    t0, h = 0.3, 0.7
+    ends = [[fn(c, t) for c in cubics] for t in (t0, t0 + h) for fn in (value, slope)]
+    for s in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0):
+        got = dynamics._hermite(*ends, h, s)
+        want = [value(c, t0 + s * h) for c in cubics]
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14, s
 
 
 # ---------------------------------------------------------------------------

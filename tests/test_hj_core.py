@@ -11,20 +11,19 @@ from qhj3d import (
     ReducedActionField,
     assemble_field,
     continuity_identity_residual,
-    floyd_residual_1d,
     hj_core,
     qshje_residual,
-    s0_derivatives_1d,
     sample,
     solve_axis_analytic,
     sparse_grid,
 )
 from qhj3d.cli import run_verify
-from qhj3d.errors import OK
+from qhj3d.errors import NODAL, OK
 from qhj3d.hj_core import DIVERGENCE_STEP, check_mixing
 from qhj3d.scenario import build_action, parse_scenario
 
-from conftest import make_box_field, make_field_2d, zero_pair
+from conftest import make_box_field, make_field_2d, make_free_field, zero_pair
+from reduction_1d import floyd_residual_1d, s0_derivatives_1d
 
 mixings = st.tuples(
     st.floats(min_value=0.05, max_value=10.0),
@@ -76,6 +75,21 @@ def test_nodal_point_raises():
     action = ReducedActionField(make_field_2d(), 1.0, 0.0)
     with pytest.raises(NodalPoint):
         sample(action, (math.pi / 2, math.pi / 2, 0.0))
+
+
+def test_node_rule_is_one_part_in_1e12_of_the_scale():
+    """theta' = 1e-300 sin x and phi = cos x near x = pi/2, where the scale
+    max(1, |theta'|, |phi|) is 1 and R is the distance to the node: R = 1e-9
+    is evaluated and R = 1e-13 is a node (NODAL_EPS = 1e-12), at a point and
+    over arrays."""
+    action = ReducedActionField(make_free_field(1.0), 1e-300, 0.0)
+    near, at_node = (math.pi / 2 + 1e-9, 0.0, 0.0), (math.pi / 2 + 1e-13, 0.0, 0.0)
+    assert sample(action, near).amplitude == pytest.approx(1e-9, rel=1e-7)
+    with pytest.raises(NodalPoint):
+        sample(action, at_node)
+    s = sample(action, tuple(np.array(c) for c in zip(near, at_node)))
+    assert s.status.tolist() == [OK, NODAL]
+    assert s.amplitude[0] == pytest.approx(1e-9, rel=1e-7)
 
 
 def test_qshje_residual_classical(free_action_a1):
@@ -215,7 +229,7 @@ def test_floyd_requires_1d_field():
 
 def test_s0_derivatives_match_finite_differences(free_action_a2):
     x = 0.8
-    s1, s2, s3 = s0_derivatives_1d(free_action_a2, x)
+    s1, s2, s3, _ = s0_derivatives_1d(free_action_a2, x)
     h = 1e-4
     vals = [s0_derivatives_1d(free_action_a2, x + i * h)[0] for i in (-2, -1, 0, 1, 2)]
     fd2 = (vals[3] - vals[1]) / (2 * h)

@@ -5,20 +5,14 @@ import numpy as np
 import pytest
 
 from qhj3d import (
-    ClassicalTurningPoint,
     NodalPoint,
     NodeSingularity,
     NonRiemannianPoint,
     ReducedActionField,
-    ZeroConjugateMomentum,
     assemble_field,
     canonical_jacobian,
-    floyd_residual_1d,
-    fm_factor_1d,
     metric_at,
-    s0_derivatives_1d,
     sample,
-    schwarzian_1d,
     solve_axis_analytic,
     sparse_grid,
     verify_transformation,
@@ -32,6 +26,8 @@ from qhj3d.scenario import build_action, parse_scenario
 from qhj3d.schrodinger import evaluate_field
 
 from conftest import make_box_field, make_free_field
+from reduction_1d import (ClassicalTurningPoint, ZeroConjugateMomentum, floyd_residual_1d, fm_factor_1d,
+                          s0_derivatives_1d, schwarzian_1d)
 
 
 def metric_from(a_upper, point=(0.0, 0.0, 0.0)):
@@ -152,17 +148,17 @@ def test_rotation_family_preserves_all_twelve(free_action_a2, harmonic_action):
 # ---------------------------------------------------------------------------
 
 def test_schwarzian_linear_action_vanishes():
-    assert schwarzian_1d((2.0, 0.0, 0.0)) == 0.0
+    assert schwarzian_1d(2.0, 0.0, 0.0) == 0.0
 
 
 def test_schwarzian_arithmetic():
-    assert schwarzian_1d((1.0, 1.0, 0.0)) == pytest.approx(-1.5)
-    assert schwarzian_1d((2.0, 2.0, 3.0)) == pytest.approx(0.0)
+    assert schwarzian_1d(1.0, 1.0, 0.0) == pytest.approx(-1.5)
+    assert schwarzian_1d(2.0, 2.0, 3.0) == pytest.approx(0.0)
 
 
 def test_schwarzian_zero_momentum():
     with pytest.raises(ZeroConjugateMomentum):
-        schwarzian_1d((0.0, 1.0, 1.0))
+        schwarzian_1d(0.0, 1.0, 1.0)
 
 
 def test_fm_factor_classical(free_action_a1):
@@ -182,8 +178,8 @@ def test_fm_consistency_triad(free_action_a2):
     for x in np.linspace(-3.0, 3.0, 100):
         fm = fm_factor_1d(free_action_a2, x)
         a_xx = metric_at(free_action_a2, (x, 0.0, 0.0)).a_upper[0]
-        derivs = s0_derivatives_1d(free_action_a2, x)
-        schw = 1.0 + 0.5 * hbar**2 / derivs[0] ** 2 * schwarzian_1d(derivs)
+        s1, s2, s3, _ = s0_derivatives_1d(free_action_a2, x)
+        schw = 1.0 + 0.5 * hbar**2 / s1**2 * schwarzian_1d(s1, s2, s3)
         assert abs(fm - a_xx) < 1e-9
         assert abs(fm - schw) < 1e-9
 

@@ -39,7 +39,6 @@ from qhj3d.scenario import (
     NumerovSpec,
     build_action,
     build_field,
-    build_potential,
     parse_grid,
     parse_scenario,
     serialize_scenario,
@@ -194,7 +193,7 @@ def test_parse_constructs_each_potential_once_and_builds_use_them(monkeypatch):
     assert made == ["tabulated", "linear", "harmonic"]
     action = build_action(s)
     assert len(made) == 3
-    assert all(built is parsed for built, parsed in zip(build_potential(s).axes, s.potentials))
+    assert all(built is parsed for built, parsed in zip(action.field.potential.axes, s.potentials))
     assert all(pair.potential is parsed for pair, parsed in zip(action.field.pairs, s.potentials))
 
 
@@ -241,7 +240,7 @@ def test_shared_numerov_axes_evaluate_as_independent_builds():
     s = parse_scenario(scenario_text("harmonic_numerov.scn"))
     shared = build_field(s)
     pairs = []
-    for ax, spec, potential in zip("xyz", s.solutions, build_potential(s).axes):
+    for ax, spec, potential in zip("xyz", s.solutions, s.potentials):
         schrodinger._SOLVED.clear()
         pairs.append(solve_axis_numerov(potential, spec.e_axis, spec.domain, spec.step, spec.ic1,
                                         spec.ic2, m0=s.mass, hbar=s.hbar, axis=ax, ic_at=spec.ic_at))

@@ -54,6 +54,25 @@ def test_residual_sweep_skips_what_verify_skips(monkeypatch, tmp_path):
         assert [int(row["skipped"]) for row in csv.DictReader(handle)] == [331] * 6
 
 
+def test_residual_sweep_writes_nan_where_it_evaluated_nothing(monkeypatch, tmp_path, capsys):
+    """Verify bounds outside the box's walls leave every mixing with no
+    evaluated point: its maxima are NaN, as in verify, not 0."""
+    with open(scenario("box.scn")) as handle:
+        text = handle.read()
+    assert text.count("x = 1, 19\n") == 1
+    (tmp_path / "outside.scn").write_text(text.replace("x = 1, 19\n", "x = 25, 30\n"))
+    run_script("residual_sweep.py", "outside.scn", "--n", "3", "--steps", "3", "--out", "sweep.csv",
+               monkeypatch=monkeypatch, tmp_path=tmp_path)
+    with open(tmp_path / "sweep.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 6
+    for row in rows:
+        assert row["max_qshje"] == row["max_continuity"] == "nan"
+        assert int(row["skipped"]) == 27
+    table = capsys.readouterr().out.splitlines()[1:7]
+    assert all(line.split()[2:] == ["nan", "nan", "27"] for line in table)
+
+
 @pytest.mark.parametrize("name", ["field2d.scn", "harmonic_numerov.scn"])
 def test_signature_scan(name, monkeypatch, tmp_path, capsys):
     n = 7
