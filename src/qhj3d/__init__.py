@@ -41,7 +41,6 @@ from .hj_core import (
     continuity_identity_from_sample,
     continuity_identity_residual,
     qshje_from_sample,
-    qshje_residual,
     sample,
 )
 from .metric import (

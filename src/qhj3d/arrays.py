@@ -37,11 +37,6 @@ def all_true(cond) -> bool:
     return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
 
 
-def like(x, y):
-    """y as a float when the input x is a point; as is for array input."""
-    return y if isinstance(x, np.ndarray) else float(y)
-
-
 def at_point(status) -> bool:
     """Whether an evaluation covered one point, which reports a bad status
     by raising, rather than arrays, which report it per point."""

@@ -175,15 +175,6 @@ def qshje_from_sample(action: ReducedActionField, s: ActionSample) -> float:
     return _defined(s, kinetic - quantum + s.v - action.e)
 
 
-def qshje_residual(action: ReducedActionField, r) -> float:
-    """(grad S0)^2/2m0 - (hbar^2/2m0) (Lap R)/R + V - E.
-
-    Zero in exact arithmetic whenever theta and phi solve the Schrodinger
-    equation at E, so the returned value measures numerical error only.
-    """
-    return qshje_from_sample(action, sample(action, r))
-
-
 def continuity_identity_from_sample(action: ReducedActionField, s: ActionSample) -> float:
     """max over mu of |R^2 d_mu S0 - hbar a (phi d_mu theta - theta d_mu phi)|,
     from the field evaluation the sample was built on; NaN where its status

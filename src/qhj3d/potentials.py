@@ -9,6 +9,7 @@ a float or an array of coordinates and returns the same kind.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import numbers
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .arrays import all_true, like, zeros_like
+from .arrays import all_true, zeros_like
 from .errors import OutOfDomain
 
 AXES = ("x", "y", "z")
@@ -121,27 +122,52 @@ class LinearRamp(AxisPotential):
         return self.slope + zeros_like(x)
 
 
+def _not_a_knot_slopes(x, y) -> tuple[float, ...]:
+    """Node slopes of the not-a-knot cubic spline through (x, y), 4 or more
+    ascending nodes (de Boor, ch. IV): second derivative continuous inside,
+    third across the second node from each end; O(n) elimination, positive
+    pivots. ValueError unless divided differences and slopes are finite."""
+    h = [b - a for a, b in zip(x, x[1:])]
+    delta = [(b - a) / dx for a, b, dx in zip(y, y[1:], h)]
+    # rows i of lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = h + [d1]  # lower[0] is not read
+    diag = [h[1]] + [2.0 * (a + b) for a, b in zip(h, h[1:])] + [h[-2]]
+    upper = [d0] + h[:-1] + [0.0]
+    rhs = ([((h[0] + 2.0 * d0) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d0]
+           + [3.0 * (b * da + a * db) for a, b, da, db in zip(h, h[1:], delta, delta[1:])]
+           + [(h[-1] ** 2 * delta[-2] + (2.0 * d1 + h[-1]) * h[-2] * delta[-1]) / d1])
+    for i in range(1, len(x)):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(len(x) - 2, -1, -1):
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+    if not all(map(math.isfinite, rhs)):
+        raise ValueError("tabulated values overflow the spline's divided differences or slopes")
+    return tuple(rhs)
+
+
 @dataclass(frozen=True)
 class Tabulated(AxisPotential):
-    """Cubic interpolation through (grid, values) nodes.
+    """Not-a-knot cubic spline through (grid, values) nodes.
 
     Cubic order keeps the second derivative continuous, which the Numerov
-    recurrence and the amplitude Hessian both need. Queries outside the
-    grid raise OutOfDomain.
+    recurrence and the amplitude Hessian both need. Each cell holds the
+    cubic Hermite interpolant of the node values and slopes at its ends,
+    summed from the constant term up as scipy's CubicSpline sums it; inside
+    the rounding pad past the grid, the end cell's cubic. Queries further
+    out raise OutOfDomain.
     """
 
     grid: tuple[float, ...]
     values: tuple[float, ...]
-    _spline: object = dc_field(init=False, repr=False, compare=False, default=None)
-    _dspline: object = dc_field(init=False, repr=False, compare=False, default=None)
+    _slopes: tuple[float, ...] = dc_field(init=False, repr=False, compare=False, default=())
 
     kind = "tabulated"
 
     def __post_init__(self):
-        # scipy is imported here, and only for a tabulated potential: its
-        # import costs more than the rest of the package together
-        from scipy.interpolate import CubicSpline
-
         grid = tuple(check_finite(g, "grid") for g in np.atleast_1d(self.grid))
         values = tuple(check_finite(v, "values") for v in np.atleast_1d(self.values))
         object.__setattr__(self, "grid", grid)
@@ -152,26 +178,35 @@ class Tabulated(AxisPotential):
             raise ValueError("grid and values must have equal length")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("tabulated grid must be strictly ascending")
-        spline = CubicSpline(grid, values)
-        object.__setattr__(self, "_spline", spline)
-        object.__setattr__(self, "_dspline", spline.derivative())
+        object.__setattr__(self, "_slopes", _not_a_knot_slopes(grid, values))
 
     @property
     def domain(self) -> tuple[float, float]:
         return (self.grid[0], self.grid[-1])
 
-    def _check(self, x) -> None:
+    def _cubic(self, x):
+        """(t, y, s, c2, c3): the cubic y + s t + c2 t^2 + c3 t^3 of the cell
+        [left, right) that holds x, clamped to the end cells, at t = x - left."""
         if not all_true(self.contains(x)):
-            lo, hi = self.domain
-            raise OutOfDomain(f"x={x} outside tabulated grid [{lo}, {hi}]")
+            raise OutOfDomain(f"x={x} outside tabulated grid [{self.grid[0]}, {self.grid[-1]}]")
+        g, y, s = self.grid, self.values, self._slopes
+        if isinstance(x, np.ndarray):
+            g, y, s = np.asarray(g), np.asarray(y), np.asarray(s)
+            i = np.clip(np.searchsorted(g, x, side="right") - 1, 0, len(g) - 2)
+        else:
+            i = min(max(bisect.bisect_right(g, x) - 1, 0), len(g) - 2)
+        h = g[i + 1] - g[i]
+        delta = (y[i + 1] - y[i]) / h
+        e = (s[i] + s[i + 1] - 2.0 * delta) / h
+        return x - g[i], y[i], s[i], (delta - s[i]) / h - e, e / h
 
     def __call__(self, x: float) -> float:
-        self._check(x)
-        return like(x, self._spline(x))
+        t, y, s, c2, c3 = self._cubic(x)
+        return y + s * t + c2 * (t * t) + c3 * (t * t * t)
 
     def derivative(self, x: float) -> float:
-        self._check(x)
-        return like(x, self._dspline(x))
+        t, _, s, c2, c3 = self._cubic(x)
+        return s + 2.0 * c2 * t + 3.0 * c3 * (t * t)
 
 
 POTENTIALS = {cls.kind: cls for cls in (Free, HarmonicOscillator, LinearRamp, Tabulated)}

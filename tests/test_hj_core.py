@@ -12,7 +12,7 @@ from qhj3d import (
     assemble_field,
     continuity_identity_residual,
     hj_core,
-    qshje_residual,
+    qshje_from_sample,
     sample,
     solve_axis_analytic,
     sparse_grid,
@@ -93,11 +93,11 @@ def test_node_rule_is_one_part_in_1e12_of_the_scale():
 
 
 def test_qshje_residual_classical(free_action_a1):
-    assert abs(qshje_residual(free_action_a1, (0.3, 0.0, 0.0))) < 1e-12
+    assert abs(qshje_from_sample(free_action_a1, sample(free_action_a1, (0.3, 0.0, 0.0)))) < 1e-12
 
 
 def test_qshje_residual_a2(free_action_a2):
-    assert abs(qshje_residual(free_action_a2, (0.7, 1.0, 1.0))) < 1e-10
+    assert abs(qshje_from_sample(free_action_a2, sample(free_action_a2, (0.7, 1.0, 1.0)))) < 1e-10
 
 
 def test_qshje_residual_2d_grid_sweep():
@@ -106,7 +106,7 @@ def test_qshje_residual_2d_grid_sweep():
     for x in np.linspace(-1.5, 1.5, 5):
         for y in np.linspace(-1.5, 1.5, 5):
             for z in np.linspace(-1.5, 1.5, 5):
-                worst = max(worst, abs(qshje_residual(action, (x, y, z))))
+                worst = max(worst, abs(qshje_from_sample(action, sample(action, (x, y, z)))))
     assert worst < 1e-9
 
 
@@ -259,7 +259,7 @@ def test_qshje_residual_any_mixing(mix, x, y):
     mag, sign, b = mix
     action = ReducedActionField(make_field_2d(), mag * sign, b)
     try:
-        res = qshje_residual(action, (x, y, 0.5))
+        res = qshje_from_sample(action, sample(action, (x, y, 0.5)))
     except NodalPoint:
         assume(False)
     assert abs(res) < 1e-9
@@ -280,4 +280,4 @@ def test_common_scaling_invariance(c, sign, x):
     s, s_c = sample(act, r), sample(act_c, r)
     assert s_c.grad_s0 == pytest.approx(s.grad_s0, rel=1e-12)
     assert s_c.amplitude == pytest.approx(abs(c) * s.amplitude, rel=1e-12)
-    assert qshje_residual(act_c, r) == pytest.approx(qshje_residual(act, r), abs=1e-11)
+    assert qshje_from_sample(act_c, s_c) == pytest.approx(qshje_from_sample(act, s), abs=1e-11)

@@ -11,6 +11,7 @@ from qhj3d.potentials import (
     LinearRamp,
     SeparablePotential,
     Tabulated,
+    _padded,
     axis_potential,
 )
 
@@ -67,6 +68,45 @@ def test_tabulated_validation():
         Tabulated((0.0, 1.0, 2.0), (0.0, 0.0, 0.0))  # too few points
     with pytest.raises(ValueError):
         Tabulated((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, math.inf, 9.0))
+    with pytest.raises(ValueError, match="overflow"):
+        Tabulated((0.0, 1.0, 2.0, 3.0), (0.0, 1.7e308, -1.7e308, 0.0))
+    with pytest.raises(ValueError, match="overflow"):
+        Tabulated((0.0, 1.0, 2.0, 3.0), (0.0, 1e308, 0.0, 1e308))
+
+
+def spline_cases():
+    """(grid, values) of 4 to 80 nodes with cells 0.1 to 10 wide and values
+    of magnitude 1e-3 to 1e3, four nodes first; then x^2/2 + sin 3x on
+    uniform grids of 4 to 1001 nodes over [-4, 4]."""
+    rng = np.random.default_rng(23)
+    for n in [4] * 20 + rng.integers(5, 81, 180).tolist():
+        grid = np.cumsum(10.0 ** rng.uniform(-1.0, 1.0, n)) - 20.0
+        yield grid, rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    for n in (4, 5, 33, 101, 1001):
+        grid = np.linspace(-4.0, 4.0, n)
+        yield grid, 0.5 * grid**2 + np.sin(3.0 * grid)
+
+
+def test_tabulated_is_the_not_a_knot_spline():
+    """Value and derivative agree with scipy's not-a-knot CubicSpline, the
+    test-only reference, at random points, at the nodes and at both padded
+    edges, where both extrapolate the end cell's cubic. A float argument
+    gives a float, bit for bit the array entry."""
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for grid, values in spline_cases():
+        tab, ref = Tabulated(tuple(grid), tuple(values)), CubicSpline(grid, values)
+        lo, hi = _padded(grid[0], grid[-1])
+        assert tab.contains(lo) and tab.contains(hi)
+        xs = np.concatenate([rng.uniform(grid[0], grid[-1], 50), grid, [lo, hi]])
+        for f, expected in ((tab, ref(xs)), (tab.derivative, ref(xs, 1))):
+            got = f(xs)
+            worst = max(worst, np.max(np.abs(got - expected)) / max(1.0, np.max(np.abs(expected))))
+            for x, y in zip(xs[-3:], got[-3:]):
+                assert type(f(float(x))) is float and f(float(x)) == y
+    assert worst <= 1e-13, worst
 
 
 def test_harmonic_validation():

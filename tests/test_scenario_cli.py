@@ -29,7 +29,6 @@ from qhj3d.hj_core import (
     continuity_identity_from_sample,
     continuity_identity_residual,
     qshje_from_sample,
-    qshje_residual,
     sample,
 )
 from qhj3d.metric import a_upper_from_sample, signature_chars
@@ -496,7 +495,7 @@ def test_run_verify_worst_points_reproduce_maxima(name):
     swept = sample(action, sparse_grid(s.verify.bounds, report.grid))
     for point, worst, on_grid, residual in (
             (report.worst_qshje_point, report.max_qshje,
-             np.abs(qshje_from_sample(action, swept)), qshje_residual),
+             np.abs(qshje_from_sample(action, swept)), lambda a, r: qshje_from_sample(a, sample(a, r))),
             (report.worst_continuity_point, report.max_continuity_identity,
              continuity_identity_from_sample(action, swept), continuity_identity_residual)):
         index = tuple(int(np.flatnonzero(ax == x)[0]) for ax, x in zip(axes, point))
@@ -741,6 +740,7 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, old, new, field", [
     ("free_a2.scn", "a = 2.0", "a = 0.0", "action.a"),
     ("box.scn", "n = 1", "n = 2.5", "solutions.x"),
@@ -765,6 +765,7 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     ("harmonic_numerov.scn", "harmonic(omega = 1.0)", "harmonic(slope = 1.0)", "potential.x"),
     ("harmonic_numerov.scn", "harmonic(omega = 1.0)",
      "tabulated(grid = -1 -0.5 0 0.5 1, values = 0.5 0.125 0 0.125 0.5)", "solutions.x.domain"),
+    ("tabulated_harmonic.scn", "values = 8 ", "values = 1.7e308 ", "potential.x"),
     ("harmonic_numerov.scn", "a = 1.5", "a = nan", "action.a"),
     ("harmonic_numerov.scn", "a = 1.5", "a = inf", "action.a"),
     ("harmonic_numerov.scn", "a = 1.5", "a = 1e300", "action.a"),
@@ -804,7 +805,8 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
         "free-energy-overflow", "e-axis-conflict", "numerov-too-few-steps", "numerov-too-many-steps",
         "numerov-domain-inf", "numerov-ic-at-outside", "numerov-parallel-ics", "numerov-e-axis-nan",
         "numerov-ic1-nan", "omega-inf", "omega-zero", "slope-nan", "tabulated-not-ascending",
-        "potential-wrong-parameter", "tabulated-narrower-than-numerov-domain", "a-nan", "a-inf",
+        "potential-wrong-parameter", "tabulated-narrower-than-numerov-domain",
+        "tabulated-overflows", "a-nan", "a-inf",
         "a-huge", "b-huge", "coefficient-huge",
         "coefficient-nan", "selector-unknown", "phi-identical-to-theta",
         "hbar-inf", "mass-nan", "hbar-huge", "hbar-tiny", "mass-huge", "mass-tiny", "omega-huge",
@@ -816,10 +818,10 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
         "metric-report-resolves-to-the-scenario", "plot-script-is-the-csv",
         "plot-script-is-the-sidecar", "plot-script-is-the-scenario"])
 def test_cli_validation_exit_two(name, old, new, field, tmp_path, capsys, monkeypatch):
-    """A broken rule exits 2 naming its field, before any file is written
-    and with the scenario file unchanged. The start point is checked against
-    the built domain by the command that reads it, trajectory; every other
-    scenario rule by verify. A case with old None breaks no scenario rule:
+    """A broken rule exits 2 naming its field, with no warning, before any
+    file is written and with the scenario file unchanged. The start point
+    is checked against the built domain by the command that reads it,
+    trajectory; every other scenario rule by verify. A case with old None breaks no scenario rule:
     new is the command line after the scenario, whose output path resolves
     to the scenario file or to another output of the run."""
     monkeypatch.chdir(tmp_path)
@@ -920,9 +922,9 @@ def test_cli_huge_numerov_initial_value_exits_three(command, tmp_path, capsys):
 
 
 def test_cli_and_shipped_scenarios_load_no_scipy():
-    """Only a tabulated potential imports scipy: in a fresh interpreter,
-    importing the CLI and parsing and building every shipped scenario
-    loads no scipy module."""
+    """The package runs on numpy alone: in a fresh interpreter, importing
+    the CLI and parsing and building every shipped scenario, a tabulated
+    potential among them, loads no scipy module."""
     code = ("import pathlib, sys\n"
             "import qhj3d.cli\n"
             "from qhj3d.scenario import build_action, parse_scenario\n"
