@@ -58,10 +58,8 @@ from .dynamics import (
     Termination,
     Trajectory,
     TrajectoryState,
-    energy_residual,
     integrate_first_order,
     integrate_second_order,
-    law_residual,
     velocity_field,
 )
 from .scenario import (

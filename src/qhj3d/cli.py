@@ -376,7 +376,7 @@ def _point_row(action, p, row) -> dict:
         met = metric_at(action, p)
     except QhjError as exc:
         return {**row, "error": f"{type(exc).__name__}: {exc}"}
-    one = QuantumMetric(point=met.point[None], a_upper=met.a_upper[None], a_lower=met.a_lower[None],
+    one = QuantumMetric(a_upper=met.a_upper[None], a_lower=met.a_lower[None],
                         signature=tuple(np.array([c]) for c in met.signature), status=np.array([OK]))
     return _metric_rows([p], one)[0]
 

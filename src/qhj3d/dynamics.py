@@ -13,9 +13,13 @@ H = sum_mu a^{mumu} p_mu^2 / 2 m0 + V in canonical form,
 
 from p = grad S0(r0). Both flows coincide in exact arithmetic, where p stays
 equal to grad S0 along the route; H - E (the energy residual) and
-|p - grad S0| are the route's residuals. They use only the upper metric,
-whose exact gradient comes from one order-3 field evaluation per
-right-hand side (metric.a_upper_gradient).
+|p - grad S0| are the route's residuals. They use only the upper metric.
+Every product term of the field solves u'' = f_mu u on each axis, so
+a^{mumu} = 2 m0 (E_mu - V_mu) / (d_mu S0)^2 and the law holds axis by
+axis, v^mu = 2 (E_mu - V_mu) / d_mu S0. The exact gradient of a^{mumu}
+(metric.a_upper_gradient) needs only the Hessian of the field and the
+potential gradient: one field evaluation with hessian=True and one
+gradient per right-hand side.
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI-free step
 control. Singularities (a conjugate-momentum component or the amplitude R
@@ -163,11 +167,6 @@ def _law(action, velocity, s) -> float:
     return float(velocity @ s.grad_s0) - 2.0 * (action.e - s.v)
 
 
-def law_residual(action: ReducedActionField, state: TrajectoryState) -> float:
-    """v . grad S0 - 2 (E - V) at the state."""
-    return _law(action, state.velocity, sample(action, state.position))
-
-
 def _kinetic(action, velocity, a_upper) -> float:
     """(m0/2) sum a_{mumu} v_mu^2 with a_{mumu} = 1/a^{mumu} at the state.
 
@@ -187,13 +186,6 @@ def _kinetic(action, velocity, a_upper) -> float:
 
 def _energy(action, velocity, s, a_upper) -> float:
     return _kinetic(action, velocity, a_upper) + s.v - action.e
-
-
-
-def energy_residual(action: ReducedActionField, state: TrajectoryState) -> float:
-    """(m0/2) sum a_{mumu} v_mu^2 + V - E; an exact first integral."""
-    s = sample(action, state.position)
-    return _energy(action, state.velocity, s, a_upper_from_sample(action, s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +403,18 @@ def integrate_first_order(action: ReducedActionField, r0, config: IntegratorConf
 
 def _hamilton_rhs(action: ReducedActionField):
     """The second route's right-hand side y = (r, p) -> (dy/dt, s, a_upper)
-    on lists of floats: Hamilton's equations from one order-3 field
-    evaluation at r, plus the potential gradient."""
+    on lists of floats: Hamilton's equations from one field evaluation
+    with the Hessian at r and one potential gradient, which both d_mu V
+    and the metric gradient use."""
     m0 = action.m0
     field = action.field
     potential = field.potential
 
     def rhs(y):
         r, p = y[:3], y[3:]
-        s, a_upper, grad_a = a_upper_gradient(action, evaluate_field(field, r, order=3), r)
+        fs = evaluate_field(field, r, hessian=True)
         grad_v = potential.gradient(r).tolist()
+        s, a_upper, grad_a = a_upper_gradient(action, fs, r, grad_v)
         (p0, p1, p2), (a0, a1, a2) = p, a_upper
         q0, q1, q2 = p0 * p0, p1 * p1, p2 * p2  # p_mu^2
         (g0, g1, g2), (v0, v1, v2) = grad_a, grad_v

@@ -114,7 +114,8 @@ def sample(action: ReducedActionField, r) -> ActionSample:
 
 
 def _sample_field(action: ReducedActionField, fs: FieldSample, r) -> ActionSample:
-    """sample(action, r) built on fs, a field evaluation at r of any order."""
+    """sample(action, r) built on fs, a field evaluation at r, with or
+    without the Hessian."""
     tp, grad_tp, sec_tp = _theta_prime_parts(action, fs)
     ph, grad_ph, sec_ph = fs.phi, fs.grad_phi, fs.second_phi
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import as_coords, at_point, stack, where
+from .arrays import at_point, stack, where
 from .errors import NODE_SINGULAR, NON_RIEMANNIAN, OK, NodeSingularity, NonRiemannianPoint
 from .hj_core import MOMENTUM_EPS, ReducedActionField, sample, _sample_field
 
@@ -40,7 +40,6 @@ class QuantumMetric:
     node-singular and out-of-domain points, whose components are
     placeholders."""
 
-    point: np.ndarray
     a_upper: np.ndarray
     a_lower: np.ndarray
     signature: tuple
@@ -87,49 +86,43 @@ def a_upper_from_sample(action: ReducedActionField, s):
     return tuple(a_upper), status
 
 
-def a_upper_gradient(action: ReducedActionField, fs, r):
-    """The ActionSample at the point r built on fs, an order-3 field
-    evaluation there; a^{mumu} from it (a_upper_from_sample, which raises
-    NodeSingularity); and its exact gradient grad_a[nu][mu] = d_nu a^{mumu}.
+def a_upper_gradient(action: ReducedActionField, fs, r, grad_v):
+    """The ActionSample at the point r built on fs, a field evaluation there
+    with hessian=True; a^{mumu} from it (a_upper_from_sample, which raises
+    NodeSingularity); and its exact gradient grad_a[nu][mu] = d_nu a^{mumu},
+    given grad_v, the potential gradient at r.
 
     With psi = phi + i theta' = R exp(i S0 / hbar) and w_mu = d_mu psi / psi,
-    p_mu = d_mu S0 = hbar Im w_mu and d_mu ln R = Re w_mu, so
-    Q_mu = (d^2_mu R)/R = Re d_mu w_mu + (Re w_mu)^2 and
-    a^{mumu} = 1 - hbar^2 Q_mu / p_mu^2. The derivatives of w, hence d_nu p_mu
-    and d_nu Q_mu, follow from the Hessian and third partials of psi. The
-    gradient is 0 along flat axes and where a^{mumu} = 1 because
-    d_mu S0 = 0.
+    p_mu = d_mu S0 = hbar Im w_mu. Every product term solves u'' = f_mu u on
+    axis mu, f_mu = 2 m0 (V_mu - E_mu) / hbar^2, so d_mu^2 psi = f_mu psi and
+    a^{mumu} = 1 - hbar^2 (d^2_mu R / R) / p_mu^2 = 2 m0 (E_mu - V_mu) / p_mu^2.
+    Hence
 
-    Only entries of w, the Hessian and the third partials of psi over pairs
-    of active axes are read, so only those are formed: 3 complex
-    combinations on a field varying along one axis, 10 along two.
+        d_nu a^{mumu} = -2 a^{mumu} (d_nu p_mu) / p_mu - delta_numu 2 m0 d_mu V / p_mu^2,
+
+    with d_nu p_mu = hbar Im(d_nu d_mu psi / psi - w_nu w_mu) from the
+    Hessian of psi. The gradient is 0 along flat axes and where
+    a^{mumu} = 1 because d_mu S0 = 0. Only entries over pairs of active
+    axes are formed: 1 Hessian entry of psi on a field varying along one
+    axis, 4 along two.
     """
     s = _sample_field(action, fs, r)
     a_upper, _ = a_upper_from_sample(action, s)
-    hbar = action.hbar
-    hbar2 = hbar**2
+    hbar, two_m0 = action.hbar, 2.0 * action.m0
     ct, cp = complex(0.0, action.a), complex(1.0, action.b)
     inv = 1.0 / (ct * fs.theta + cp * fs.phi)
     active = [nu for nu in range(3) if action.field.active_axes[nu]]
-    w, hess, third = {}, {}, {}  # keyed by nu and by (nu, mu)
-    for nu in active:
-        w[nu] = (ct * fs.grad_theta[nu] + cp * fs.grad_phi[nu]) * inv
-        for mu in active:
-            hess[nu, mu] = (ct * fs.hessian_theta[nu][mu] + cp * fs.hessian_phi[nu][mu]) * inv
-            third[nu, mu] = (ct * fs.third_theta[nu][mu] + cp * fs.third_phi[nu][mu]) * inv
+    w = {nu: (ct * fs.grad_theta[nu] + cp * fs.grad_phi[nu]) * inv for nu in active}
     grad_a = [[0.0] * 3 for _ in range(3)]
     for mu in active:
         p = s.grad_s0[mu]
         if abs(p) < MOMENTUM_EPS:
             continue
-        wm, hmm = w[mu], hess[mu, mu]
-        q = (hmm - wm * wm).real + wm.real**2
         for nu in active:
-            dw = hess[nu, mu] - w[nu] * wm  # d_nu w_mu
-            d2w = third[nu, mu] - hmm * w[nu] - 2.0 * wm * dw  # d_nu d_mu w_mu
-            dq = d2w.real + 2.0 * wm.real * dw.real
-            dp = hbar * dw.imag
-            grad_a[nu][mu] = -hbar2 * (dq - 2.0 * q * dp / p) / (p * p)
+            hess = (ct * fs.hessian_theta[nu][mu] + cp * fs.hessian_phi[nu][mu]) * inv
+            dp = hbar * (hess - w[nu] * w[mu]).imag
+            grad_a[nu][mu] = -2.0 * a_upper[mu] * dp / p
+        grad_a[mu][mu] -= two_m0 * grad_v[mu] / (p * p)
     return s, a_upper, grad_a
 
 
@@ -149,13 +142,7 @@ def metric_at(action: ReducedActionField, r) -> QuantumMetric:
     a_upper = stack(a_upper)
     with np.errstate(divide="ignore"):
         a_lower = 1.0 / a_upper
-    return QuantumMetric(
-        point=stack(as_coords(r)),
-        a_upper=a_upper,
-        a_lower=a_lower,
-        signature=signature,
-        status=status,
-    )
+    return QuantumMetric(a_upper=a_upper, a_lower=a_lower, signature=signature, status=status)
 
 
 def canonical_jacobian(metric: QuantumMetric) -> JacobianMatrix:

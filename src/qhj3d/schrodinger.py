@@ -499,10 +499,9 @@ class FieldSample(NamedTuple):
     float; over arrays every entry has the broadcast shape, and points
     outside the domain hold the values at the axis anchors.
 
-    An order-3 evaluation also holds, for theta and phi, the Hessian
-    hessian[nu][mu] = d_nu d_mu (its diagonal is the second partials) and
-    the third partials third[nu][mu] = d_nu d_mu^2; at order 2 they are
-    None.
+    An evaluation with hessian=True also holds, for theta and phi, the
+    Hessian hessian[nu][mu] = d_nu d_mu, whose diagonal is the second
+    partials; otherwise it is None.
 
     A read-only record that builds in a fraction of a frozen dataclass's
     time: the trajectory loop builds one per right-hand side.
@@ -517,9 +516,7 @@ class FieldSample(NamedTuple):
     v: float
     status: int
     hessian_theta: tuple | None = None
-    third_theta: tuple | None = None
     hessian_phi: tuple | None = None
-    third_phi: tuple | None = None
 
 
 def normalize_terms(terms, which):
@@ -545,12 +542,10 @@ def _indexed(terms) -> tuple:
     return tuple((coef, tuple(SELECTORS.index(sel) for sel in sels)) for coef, sels in terms)
 
 
-def _axis_eval(pairs, coords, order=2):
+def _axis_eval(pairs, coords):
     """Per-axis jets (u, u', u'') for u1 and u2, indexed 0 and 1 as in
     SELECTORS, the summed axis potentials, and whether every coordinate
-    lies inside its axis domain. Order 3 adds u''' = f'u + f u' to each
-    jet, f being the u''/u factor and f' its derivative from the axis
-    potential's.
+    lies inside its axis domain.
 
     Each axis is evaluated once on its own coordinate (a float, or an array
     for many points). A coordinate outside its domain is evaluated at the
@@ -571,70 +566,54 @@ def _axis_eval(pairs, coords, order=2):
             ok = lo <= x <= hi
             if not ok:
                 x = pair.anchor
-        scale = pair.ode_scale
         v_axis = pair.potential(x)
-        c = _ode_factor(v_axis, pair.e_axis, scale)
+        c = _ode_factor(v_axis, pair.e_axis, pair.ode_scale)
         (u1, u2), (d1, d2) = pair.basis.jet(x)
-        if order == 2:
-            cache.append(((u1, d1, c * u1), (u2, d2, c * u2)))
-        else:
-            dc = _ode_factor(pair.potential.derivative(x), 0.0, scale)
-            cache.append(((u1, d1, c * u1, dc * u1 + c * d1),
-                          (u2, d2, c * u2, dc * u2 + c * d2)))
+        cache.append(((u1, d1, c * u1), (u2, d2, c * u2)))
         v = v + v_axis
         inside = inside & ok
     return cache, v, inside
 
 
-def _combine(terms, cache, order=2):
+def _combine(terms, cache, hessian=False):
     """Value, gradient and diagonal second partials of a sum of products,
-    whose terms carry selector indices (_indexed). Order 3, on an order-3
-    cache, adds the Hessian and the third partials d_nu d_mu^2, both
-    indexed [nu][mu].
+    whose terms carry selector indices (_indexed); hessian=True adds the
+    Hessian, indexed [nu][mu].
 
     Per-axis factors broadcast into the products. Sums start from +0.0 and
-    run in term order, so a point and a grid entry take the same steps;
-    the order-2 parts do not depend on the order.
+    run in term order, so a point and a grid entry take the same steps.
     """
     value = g0 = g1 = g2 = e0 = e1 = e2 = 0.0
     h01 = h02 = h12 = 0.0
-    t00 = t01 = t02 = t10 = t11 = t12 = t20 = t21 = t22 = 0.0
     jets0, jets1, jets2 = cache
     for coef, (sel0, sel1, sel2) in terms:
         f0, f1, f2 = jets0[sel0], jets1[sel1], jets2[sel2]
         u0, u1, u2 = f0[0], f1[0], f2[0]
         d0, d1, d2 = f0[1], f1[1], f2[1]
-        s0, s1, s2 = f0[2], f1[2], f2[2]
         c0, c1 = coef * u0, coef * u1
         # o_mu: coef times the values of the two axes other than mu
         o0, o1, o2 = c1 * u2, c0 * u2, c0 * u1
         value = value + o2 * u2
         g0, g1, g2 = g0 + d0 * o0, g1 + d1 * o1, g2 + d2 * o2
-        e0, e1, e2 = e0 + s0 * o0, e1 + s1 * o1, e2 + s2 * o2
-        if order == 3:
+        e0, e1, e2 = e0 + f0[2] * o0, e1 + f1[2] * o1, e2 + f2[2] * o2
+        if hessian:
             c2 = coef * u2
             h01, h02, h12 = h01 + d0 * d1 * c2, h02 + d0 * d2 * c1, h12 + d1 * d2 * c0
-            t00, t11, t22 = t00 + f0[3] * o0, t11 + f1[3] * o1, t22 + f2[3] * o2
-            t01, t10 = t01 + d0 * s1 * c2, t10 + d1 * s0 * c2
-            t02, t20 = t02 + d0 * s2 * c1, t20 + d2 * s0 * c1
-            t12, t21 = t12 + d1 * s2 * c0, t21 + d2 * s1 * c0
-    if order == 2:
+    if not hessian:
         return value, (g0, g1, g2), (e0, e1, e2)
-    hessian = ((e0, h01, h02), (h01, e1, h12), (h02, h12, e2))
-    third = ((t00, t01, t02), (t10, t11, t12), (t20, t21, t22))
-    return value, (g0, g1, g2), (e0, e1, e2), hessian, third
+    return value, (g0, g1, g2), (e0, e1, e2), ((e0, h01, h02), (h01, e1, h12), (h02, h12, e2))
 
 
-def evaluate_field(field: SolutionField3D, r, order=2) -> FieldSample:
+def evaluate_field(field: SolutionField3D, r, hessian=False) -> FieldSample:
     """theta and phi with exact second partials at r: a point, or three
     coordinate arrays that broadcast together (see arrays.sparse_grid).
-    order=3 adds the Hessians and third partials (see FieldSample).
+    hessian=True adds their Hessians (see FieldSample).
 
     A point outside the domain raises OutOfDomain; over arrays such points
     are marked OUT_OF_DOMAIN in the status.
     """
     coords = as_coords(r)
-    cache, v, inside = _axis_eval(field.pairs, coords, order)
+    cache, v, inside = _axis_eval(field.pairs, coords)
     if isinstance(inside, np.ndarray):
         status = np.where(inside, OK, OUT_OF_DOMAIN)
     elif inside:
@@ -643,9 +622,9 @@ def evaluate_field(field: SolutionField3D, r, order=2) -> FieldSample:
         pair, x = next((p, x) for p, x in zip(field.pairs, coords) if not p.contains(x))
         raise OutOfDomain(f"axis {pair.axis}: {x} outside domain {pair.domain}")
     theta_terms, phi_terms = field._indexed_terms
-    theta, grad_t, sec_t, *jets_t = _combine(theta_terms, cache, order)
-    phi, grad_p, sec_p, *jets_p = _combine(phi_terms, cache, order)
-    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status, *jets_t, *jets_p)
+    theta, grad_t, sec_t, *hess_t = _combine(theta_terms, cache, hessian)
+    phi, grad_p, sec_p, *hess_p = _combine(phi_terms, cache, hessian)
+    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status, *hess_t, *hess_p)
 
 
 def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) -> SolutionField3D:

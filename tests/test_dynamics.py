@@ -11,10 +11,9 @@ from qhj3d import (
     IntegratorConfig,
     ReducedActionField,
     TrajectoryState,
-    energy_residual,
+    a_upper_from_sample,
     integrate_first_order,
     integrate_second_order,
-    law_residual,
     metric_at,
     sample,
     velocity_field,
@@ -31,6 +30,18 @@ from reduction_1d import reduce_1d_check
 
 def state(t, r, v):
     return TrajectoryState(t, np.asarray(r, dtype=float), np.asarray(v, dtype=float))
+
+
+def law_residual(action, st_):
+    """v . grad S0 - 2 (E - V) at the state, from a fresh sample there."""
+    return dynamics._law(action, st_.velocity, sample(action, st_.position))
+
+
+def energy_residual(action, st_):
+    """(m0/2) sum a_{mumu} v_mu^2 + V - E at the state, an exact first
+    integral, from a fresh sample there."""
+    s = sample(action, st_.position)
+    return dynamics._energy(action, st_.velocity, s, a_upper_from_sample(action, s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +517,7 @@ def test_first_route_extra_samples_are_bisection_probes(case, monkeypatch):
 def test_integrator_stats_account_for_the_loop(case, route, monkeypatch):
     """The counts a trajectory carries are the calls its loop made: one
     right-hand side per velocity_field call on the first route and per
-    order-3 evaluate_field on the second, one probe per _event_margin.
+    evaluate_field on the second, one probe per _event_margin.
     Each attempted step is accepted, rejected, halved or the last one, and
     costs at most six right-hand sides (seven with the event's own)."""
     name, mixing, r0, ended = COLUMN_CASES[case]
@@ -627,7 +638,7 @@ def test_second_route_matches_dop853_oracle(stratum):
 
 def test_second_route_one_field_evaluation_per_rhs(monkeypatch):
     """Each right-hand side (one potential gradient) evaluates the field
-    once, at order 3, and calls metric_at never; the only other field
+    once, with the Hessian, and calls metric_at never; the only other field
     evaluation is the sample that sets p0."""
     action, start, config = route_centre("field2d")
     rhs = count_calls(monkeypatch, SeparablePotential, "gradient")

@@ -219,7 +219,7 @@ def test_metric_batch_evaluates_the_field_once_plus_once_per_flagged_row(monkeyp
 
 # A point may be given as any 3-sequence; the kernel reads it as floats.
 POINT_FORMS = (tuple, list, np.array)
-JETS = ("hessian_theta", "third_theta", "hessian_phi", "third_phi")
+JETS = ("hessian_theta", "hessian_phi")
 
 
 def _leaves(value, path=""):
@@ -237,10 +237,10 @@ def _leaves(value, path=""):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_point_path_is_floats_in_and_floats_out(name):
     """At a point given as a tuple, a list or an ndarray, the field
-    evaluations of order 2 and 3, sample, a_upper_from_sample and
-    velocity_field hold Python floats in every per-axis entry, never
-    np.float64, and equal values for the three forms. velocity_field's
-    velocity is the one array."""
+    evaluations without and with the Hessian, sample,
+    a_upper_from_sample and velocity_field hold Python floats in every
+    per-axis entry, never np.float64, and equal values for the three
+    forms. velocity_field's velocity is the one array."""
     s = _load(name)
     action = build_action(s)
     seen = []
@@ -249,12 +249,12 @@ def test_point_path_is_floats_in_and_floats_out(name):
         smp = sample(action, r)
         velocity, at_v, a_upper_v = velocity_field(action, r)
         assert type(velocity) is np.ndarray and velocity.dtype == np.float64 and velocity.shape == (3,)
-        out = (evaluate_field(action.field, r), evaluate_field(action.field, r, order=3), smp,
+        out = (evaluate_field(action.field, r), evaluate_field(action.field, r, hessian=True), smp,
                a_upper_from_sample(action, smp), at_v, a_upper_v)
         for path, leaf in _leaves(out):
             if path.endswith(".status") or path == "[3][1]":
                 assert type(leaf) is int and leaf == OK, path
-            elif leaf is None:  # the higher jets of an order-2 evaluation
+            elif leaf is None:  # the Hessians of an evaluation without hessian=True
                 assert not path.startswith("[1].") and path.endswith(JETS), path
             else:
                 assert type(leaf) is float, (path, type(leaf))

@@ -18,8 +18,8 @@ from qhj3d import (
     verify_transformation,
 )
 from qhj3d import dynamics
-from qhj3d.errors import QhjError
-from qhj3d.hj_core import MOMENTUM_EPS, _sample_field
+from qhj3d.errors import OK, QhjError
+from qhj3d.hj_core import MOMENTUM_EPS
 from qhj3d.metric import (JacobianMatrix, QuantumMetric, TWELVE_EQUATION_LABELS, a_upper_from_sample,
                           a_upper_gradient)
 from qhj3d.scenario import build_action, parse_scenario
@@ -30,13 +30,12 @@ from reduction_1d import (ClassicalTurningPoint, ZeroConjugateMomentum, floyd_re
                           s0_derivatives_1d, schwarzian_1d)
 
 
-def metric_from(a_upper, point=(0.0, 0.0, 0.0)):
+def metric_from(a_upper):
     a_upper = np.asarray(a_upper, dtype=float)
     with np.errstate(divide="ignore"):
         a_lower = 1.0 / a_upper
     sig = tuple("+" if a > 0 else ("-" if a < 0 else "0") for a in a_upper)
-    return QuantumMetric(point=np.asarray(point, dtype=float), a_upper=a_upper,
-                         a_lower=a_lower, signature=sig)
+    return QuantumMetric(a_upper=a_upper, a_lower=a_lower, signature=sig)
 
 
 def random_rotation(rng):
@@ -248,7 +247,7 @@ def test_box_field_is_riemannian_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# order-3 field evaluation and the exact gradient of a^{mumu}
+# the Hessian of the field and the exact gradient of a^{mumu}
 # ---------------------------------------------------------------------------
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -295,12 +294,14 @@ def assert_close(exact, estimate, what):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_order3_keeps_order2_fields_bitwise(name):
+    """An evaluation with hessian=True holds the fields of one without,
+    bit for bit, and adds the Hessians."""
     action, points = shipped_off_node_points(name)
     scenario = parse_scenario((SCENARIOS / f"{name}.scn").read_text())
     grid = sparse_grid(scenario.verify.bounds, scenario.verify.grid)
     for r in (*points, grid):
-        two, three = evaluate_field(action.field, r), evaluate_field(action.field, r, order=3)
-        assert two.hessian_theta is None and three.third_phi is not None
+        two, three = evaluate_field(action.field, r), evaluate_field(action.field, r, hessian=True)
+        assert two.hessian_theta is None and three.hessian_phi is not None
         for f in ("theta", "phi", "grad_theta", "grad_phi", "second_theta", "second_phi", "v", "status"):
             assert np.array_equal(getattr(two, f), getattr(three, f)), f
             assert np.asarray(getattr(two, f)).tobytes() == np.asarray(getattr(three, f)).tobytes(), f
@@ -308,18 +309,21 @@ def test_order3_keeps_order2_fields_bitwise(name):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_order3_partials_match_central_differences(name):
-    """hessian[nu][mu] = d_nu d_mu and third[nu][mu] = d_nu d_mu^2 of theta
-    and phi against central differences of the order-2 gradient and
-    second partials."""
+    """hessian[nu][mu] = d_nu d_mu of theta and phi against central
+    differences of the gradient."""
     action, points = shipped_off_node_points(name)
     field = action.field
     for r in points:
-        fs = evaluate_field(field, r, order=3)
+        fs = evaluate_field(field, r, hessian=True)
         for which in ("theta", "phi"):
             hessian = central_difference(lambda x: getattr(evaluate_field(field, x), f"grad_{which}"), r)
-            third = central_difference(lambda x: getattr(evaluate_field(field, x), f"second_{which}"), r)
             assert_close(getattr(fs, f"hessian_{which}"), hessian, (which, "hessian", r))
-            assert_close(getattr(fs, f"third_{which}"), third, (which, "third", r))
+
+
+def gradient_at(action, r):
+    """a_upper_gradient at the point r as the second route calls it."""
+    return a_upper_gradient(action, evaluate_field(action.field, r, hessian=True), r,
+                            action.field.potential.gradient(r).tolist())
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -329,42 +333,33 @@ def test_a_upper_gradient_matches_central_differences(name):
     metric_at at the point, bit for bit."""
     action, points = shipped_off_node_points(name)
     for r in points:
-        s, a_upper, grad_a = a_upper_gradient(action, evaluate_field(action.field, r, order=3), r)
+        s, a_upper, grad_a = gradient_at(action, r)
         assert np.array(a_upper).tobytes() == metric_at(action, r).a_upper.tobytes()
         assert s.grad_s0 == sample(action, r).grad_s0
         estimate = central_difference(lambda x: metric_at(action, x).a_upper, r)
         assert_close(grad_a, estimate, r)
 
 
-def all_axes_a_upper_gradient(action, fs, r):
-    """a_upper_gradient with w, the Hessian and the third partials of psi
-    formed on all three axes and read by the same loop over active axes:
-    the reference for the form that builds them on active axes only."""
-    s = _sample_field(action, fs, r)
-    a_upper, _ = a_upper_from_sample(action, s)
-    hbar2 = action.hbar**2
-    ct, cp = complex(0.0, action.a), complex(1.0, action.b)
-    inv = 1.0 / (ct * fs.theta + cp * fs.phi)
-    w = [(ct * t + cp * p) * inv for t, p in zip(fs.grad_theta, fs.grad_phi)]
-    hess, third = ([[(ct * t + cp * p) * inv for t, p in zip(row_t, row_p)]
-                    for row_t, row_p in zip(jet_t, jet_p)]
-                   for jet_t, jet_p in ((fs.hessian_theta, fs.hessian_phi),
-                                        (fs.third_theta, fs.third_phi)))
-    active = [nu for nu in range(3) if action.field.active_axes[nu]]
-    grad_a = [[0.0] * 3 for _ in range(3)]
-    for mu in active:
-        p = s.grad_s0[mu]
-        if abs(p) < MOMENTUM_EPS:
-            continue
-        wm = w[mu]
-        q = (hess[mu][mu] - wm * wm).real + wm.real**2
-        for nu in active:
-            dw = hess[nu][mu] - w[nu] * wm
-            d2w = third[nu][mu] - hess[mu][mu] * w[nu] - 2.0 * wm * dw
-            dq = d2w.real + 2.0 * wm.real * dw.real
-            dp = action.hbar * dw.imag
-            grad_a[nu][mu] = -hbar2 * (dq - 2.0 * q * dp / p) / (p * p)
-    return s, a_upper, grad_a
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda path: path.stem)
+def test_a_upper_is_the_closed_form_on_verify_grids(path):
+    """Each product term solves u'' = f_mu u on axis mu, so
+    a^{mumu} = 1 - hbar^2 (d^2_mu R / R) / (d_mu S0)^2 is 2 m0 (E_mu - V_mu) / (d_mu S0)^2,
+    the form a_upper_gradient differentiates: at every OK point of the
+    verify grid with |d_mu S0| >= MOMENTUM_EPS, to 1e-12 of max(1, |a^{mumu}|)."""
+    scenario = parse_scenario(path.read_text())
+    action = build_action(scenario)
+    grid = sparse_grid(scenario.verify.bounds, scenario.verify.grid)
+    shape = np.broadcast(*grid).shape
+    s = sample(action, grid)
+    a_upper, status = a_upper_from_sample(action, s)
+    checked = 0
+    for pair, x, a, p in zip(action.field.pairs, grid, a_upper, s.grad_s0):
+        moving = np.broadcast_to((status == OK) & (np.abs(p) >= MOMENTUM_EPS), shape)
+        closed = 2.0 * action.m0 * (pair.e_axis - pair.potential(x)) / np.where(moving, p * p, 1.0)
+        error = np.abs(a - closed) / np.maximum(1.0, np.abs(a))
+        assert np.all(np.broadcast_to(error, shape)[moving] <= 1e-12)
+        checked += int(np.count_nonzero(moving))
+    assert checked > 0
 
 
 def float_bits(values) -> bytes:
@@ -376,33 +371,33 @@ def float_bits(values) -> bytes:
 
 
 @pytest.mark.parametrize("name", SHIPPED)
-def test_a_upper_gradient_equals_the_all_axes_form(name, monkeypatch):
-    """Forming psi's combinations on active axes only changes no bit:
-    grad_a equals the all-axes oracle, each entry in a row or column of a
-    flat axis is +0.0, and the second route's right-hand side returns the
-    floats of the one built on the oracle, for p = grad S0 and for a p
-    with nonzero components on the flat axes."""
+def test_a_upper_gradient_is_positive_zero_on_flat_axes(name):
+    """Each entry of grad_a in a row or column of a flat axis is +0.0."""
     action, points = shipped_off_node_points(name)
     flat = [nu for nu in range(3) if not action.field.active_axes[nu]]
-    rhs = dynamics._hamilton_rhs(action)
-    cases = []
     for r in points:
-        r = [float(x) for x in r]
-        fs = evaluate_field(action.field, r, order=3)
-        s, a_upper, grad_a = a_upper_gradient(action, fs, r)
-        s_oracle, a_oracle, grad_oracle = all_axes_a_upper_gradient(action, fs, r)
-        assert float_bits(grad_a) == float_bits(grad_oracle)
-        assert float_bits(a_upper) == float_bits(a_oracle)
-        assert float_bits(s.grad_s0) == float_bits(s_oracle.grad_s0)
+        _, _, grad_a = gradient_at(action, [float(x) for x in r])
         for mu in flat:
             for nu in range(3):
                 assert float_bits([grad_a[mu][nu], grad_a[nu][mu]]) == float_bits([0.0, 0.0])
-        for p in (list(s.grad_s0), [c + d for c, d in zip(s.grad_s0, (0.25, -0.5, 0.75))]):
-            y = r + p
-            cases.append((y, rhs(y)))
-    monkeypatch.setattr(dynamics, "a_upper_gradient", all_axes_a_upper_gradient)
-    oracle_rhs = dynamics._hamilton_rhs(action)
-    for y, (dy, _, a_upper) in cases:
-        dy_oracle, _, a_oracle = oracle_rhs(y)
-        assert float_bits(dy) == float_bits(dy_oracle)
-        assert float_bits(a_upper) == float_bits(a_oracle)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_second_route_rhs_differentiates_each_axis_potential_once(name, monkeypatch):
+    """One second-route right-hand side calls AxisPotential.derivative
+    once per axis, in axis order: the potential gradient that d_mu V and
+    the metric gradient share."""
+    action, points = shipped_off_node_points(name)
+    calls = []
+    for cls in {type(pair.potential) for pair in action.field.pairs}:
+        def counting(self, x, derivative=cls.derivative):
+            calls.append(self)
+            return derivative(self, x)
+        monkeypatch.setattr(cls, "derivative", counting)
+    rhs = dynamics._hamilton_rhs(action)
+    for r in points:
+        r = [float(x) for x in r]
+        y = r + list(sample(action, r).grad_s0)
+        calls.clear()
+        rhs(y)
+        assert [id(c) for c in calls] == [id(pair.potential) for pair in action.field.pairs]
