@@ -46,12 +46,7 @@ from .errors import (
     ScenarioError,
     ValidationError,
 )
-from .hj_core import (
-    continuity_identity_from_sample,
-    continuity_identity_residual,
-    qshje_from_sample,
-    sample,
-)
+from .hj_core import continuity_identity_from_sample, qshje_from_sample, sample
 from .metric import (
     TWELVE_EQUATION_LABELS,
     QuantumMetric,
@@ -60,6 +55,7 @@ from .metric import (
     metric_at,
     verify_transformation,
 )
+from .potentials import AXES
 from .scenario import (
     Scenario,
     build_action,
@@ -69,7 +65,7 @@ from .scenario import (
     parse_scenario,
     trajectory_setting,
 )
-from .schrodinger import wronskian
+from .schrodinger import ode_residual, wronskian
 
 CSV_HEADER = "t,x,y,z,vx,vy,vz,dS0dx,dS0dy,dS0dz,law_residual,energy_residual"
 
@@ -148,12 +144,14 @@ class VerificationReport:
     worst_qshje_point: list[float] | None
     max_continuity_identity: float
     worst_continuity_point: list[float] | None
-    max_continuity_divergence: float
     wronskian_drift: tuple[float, float, float]
+    ode_residual: tuple[float, float, float]
+    worst_ode_coordinate: tuple[float | None, float | None, float | None]
     signature_census: dict[str, int]
     qshje_tol: float
     continuity_tol: float
     wronskian_tol: float
+    ode_tol: float
     passed: bool
 
     def to_dict(self):
@@ -185,7 +183,8 @@ def _worst_point(values, ok, axes):
 
 
 def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
-    """Sweep a grid: residuals, Wronskian drift, metric signature census.
+    """Sweep a grid: residuals, Wronskian drift and ODE residual per axis,
+    metric signature census.
 
     Nodal, node-singular and out-of-domain points are skipped and counted
     apart; the three skip counts plus the census total the grid size. A
@@ -210,42 +209,63 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
     max_ci = float(np.max(ci[ok])) if evaluated else math.nan
     census = _census(a_upper, ok)
 
-    # Divergence-mode continuity on a coarse subsample (finite differences
-    # need interior room, so points at the bounds are inset toward center).
-    mids = [0.5 * (lo + hi) for lo, hi in spec.bounds]
-    inset = [m + (c - m) * (1.0 - 1e-3) for c, m in zip(sparse_grid(spec.bounds, (3, 3, 3)), mids)]
-    div = continuity_identity_residual(action, inset, mode="divergence")
-    div = div[~np.isnan(div)]
-    max_div = float(np.max(div)) if div.size else math.nan
-
-    # Wronskian drift over the part of the bounds inside each axis domain;
-    # NaN (null in the report, and a FAIL) where the two do not overlap
-    drifts = []
+    # Wronskian drift and the solve's ODE residual over the part of the
+    # bounds inside each axis domain; NaN (null in the report, and a FAIL)
+    # where the two do not overlap
+    drifts, residuals, coordinates = [], [], []
     for pair, (lo, hi) in zip(action.field.pairs, spec.bounds):
         lo, hi = max(lo, pair.domain[0]), min(hi, pair.domain[1])
         if lo > hi:
             drifts.append(math.nan)
+            residuals.append(math.nan)
+            coordinates.append(None)
             continue
         ref = pair.wronskian_ref
         drift = float(np.max(np.abs(wronskian(pair, np.linspace(lo, hi, 101)) - ref)))
         drifts.append(drift / max(abs(ref), 1e-300))
-    drifts = tuple(drifts)
+        residual, at = ode_residual(pair, lo, hi)
+        residuals.append(residual)
+        coordinates.append(at)
 
     passed = (evaluated > 0 and max_q < spec.qshje_tol and max_ci < spec.continuity_tol
-              and all(d < spec.wronskian_tol for d in drifts))
+              and all(d < spec.wronskian_tol for d in drifts)
+              and all(r < spec.ode_tol for r in residuals))
     report = VerificationReport(
         grid=grid, bounds=spec.bounds, points_total=int(status.size),
         points_evaluated=evaluated, nodal_skips=nodal, singular_skips=singular, domain_skips=outside,
         max_qshje=max_q, mean_qshje=mean_q, worst_qshje_point=_worst_point(q, ok, axes),
         max_continuity_identity=max_ci, worst_continuity_point=_worst_point(ci, ok, axes),
-        max_continuity_divergence=max_div, wronskian_drift=drifts,
-        signature_census=census, qshje_tol=spec.qshje_tol,
-        continuity_tol=spec.continuity_tol, wronskian_tol=spec.wronskian_tol,
-        passed=passed,
+        wronskian_drift=tuple(drifts), ode_residual=tuple(residuals),
+        worst_ode_coordinate=tuple(coordinates), signature_census=census,
+        qshje_tol=spec.qshje_tol, continuity_tol=spec.continuity_tol,
+        wronskian_tol=spec.wronskian_tol, ode_tol=spec.ode_tol, passed=passed,
     )
     if out:
         _atomic_write(out, _json_text(report.to_dict()))
     return report
+
+
+def _print_verify_report(report):
+    """The report on stdout, a line naming each axis that fails a per-axis
+    check, and PASS or FAIL last."""
+    print(f"grid {report.grid} over {report.bounds}")
+    print(f"points: {report.points_evaluated} evaluated, "
+          f"{report.nodal_skips} nodal, {report.singular_skips} singular, "
+          f"{report.domain_skips} out of domain")
+    print(f"max |qshje residual|      = {report.max_qshje:.3e}  (tol {report.qshje_tol:g})")
+    print(f"max continuity (identity) = {report.max_continuity_identity:.3e}  (tol {report.continuity_tol:g})")
+    print(f"wronskian drift per axis  = {[f'{d:.3e}' for d in report.wronskian_drift]}  "
+          f"(tol {report.wronskian_tol:g})")
+    print(f"ode residual per axis     = {[f'{r:.3e}' for r in report.ode_residual]}  (tol {report.ode_tol:g})")
+    print(f"signature census          = {report.signature_census}")
+    for axis, drift, residual, at in zip(AXES, report.wronskian_drift, report.ode_residual,
+                                         report.worst_ode_coordinate):
+        if not drift < report.wronskian_tol:
+            print(f"axis {axis}: wronskian drift {drift:.3e} is not below {report.wronskian_tol:g}")
+        if not residual < report.ode_tol:
+            where = "" if at is None else f" at {axis} = {at:.6g}"
+            print(f"axis {axis}: ode residual {residual:.3e}{where} is not below {report.ode_tol:g}")
+    print("PASS" if report.passed else "FAIL")
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +515,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             report = run_verify(scenario, out=args.out, **overrides)
-            print(f"grid {report.grid} over {report.bounds}")
-            print(f"points: {report.points_evaluated} evaluated, "
-                  f"{report.nodal_skips} nodal, {report.singular_skips} singular, "
-                  f"{report.domain_skips} out of domain")
-            print(f"max |qshje residual|      = {report.max_qshje:.3e}  (tol {report.qshje_tol:g})")
-            print(f"max continuity (identity) = {report.max_continuity_identity:.3e}  (tol {report.continuity_tol:g})")
-            print(f"max continuity (diverg.)  = {report.max_continuity_divergence:.3e}")
-            print(f"wronskian drift per axis  = {[f'{d:.3e}' for d in report.wronskian_drift]}")
-            print(f"signature census          = {report.signature_census}")
-            print("PASS" if report.passed else "FAIL")
+            _print_verify_report(report)
             return 0 if report.passed else 3
 
         if args.command == "trajectory":

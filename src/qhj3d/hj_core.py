@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import as_coords, at_point, maximum, where
+from .arrays import at_point, maximum, where
 from .errors import NODAL, OK, NodalPoint
 from .schrodinger import OVERFLOW_LIMIT, FieldSample, SolutionField3D, evaluate_field
 
@@ -33,9 +33,6 @@ NODAL_EPS = 1e-12
 # A momentum component vanishes where |d_mu S0| < MOMENTUM_EPS: the one rule
 # of every formula that divides by d_mu S0.
 MOMENTUM_EPS = 1e-12
-
-# Central-difference step of the divergence mode of the continuity check.
-DIVERGENCE_STEP = 1e-5
 
 
 def check_mixing(a: float, b: float) -> None:
@@ -189,47 +186,9 @@ def continuity_identity_from_sample(action: ReducedActionField, s: ActionSample)
     return _defined(s, worst)
 
 
-def _shifted_copies(coords) -> list:
-    """The six copies of coords that the divergence mode samples, stacked
-    on a new leading axis: copy k moves axis k // 2 by +DIVERGENCE_STEP (k
-    even) or -DIVERGENCE_STEP (k odd). Each axis keeps its own shape behind
-    that axis, so a sparse grid stays sparse."""
-    ndim = max(np.ndim(c) for c in coords)
-    steps = (DIVERGENCE_STEP, -DIVERGENCE_STEP) * 3
-    copies = []
-    for nu, c in enumerate(coords):
-        c = np.reshape(c, (1,) * (ndim - np.ndim(c)) + np.shape(c))
-        copies.append(np.stack([c + step if k // 2 == nu else c for k, step in enumerate(steps)]))
-    return copies
-
-
-def continuity_identity_residual(action: ReducedActionField, r, mode="identity") -> float:
-    """Residual of the continuity law R^2 grad S0 = hbar a (phi grad theta - theta grad phi).
-
-    identity mode compares the two closed forms componentwise (guards
-    against implementation drift; zero up to rounding). divergence mode
-    checks div(R^2 grad S0) = 0 by central differences of step
-    DIVERGENCE_STEP along each axis. It samples the six shifted copies of r
-    in one call, stacked on a new leading axis (see _shifted_copies). Over
-    arrays it reads NaN where any of a point's copies is undefined; at a
-    point it raises what sample raises at the first undefined copy.
-    """
-    if mode == "identity":
-        return continuity_identity_from_sample(action, sample(action, r))
-    if mode == "divergence":
-        coords = as_coords(r)
-        copies = _shifted_copies(coords)
-        s = sample(action, copies)
-        ok = np.all(s.status == OK, axis=0)
-        point = not any(isinstance(c, np.ndarray) for c in coords)
-        if point and not ok:
-            # at a point sample raises NodalPoint or OutOfDomain
-            k = next(k for k in range(6) if s.status[k] != OK)
-            sample(action, [c[k] for c in copies])
-        div = 0.0
-        for mu in range(3):
-            plus, minus = (s.amplitude[k] ** 2 * s.grad_s0[mu][k] for k in (2 * mu, 2 * mu + 1))
-            div = div + (plus - minus) / (2.0 * DIVERGENCE_STEP)
-        value = where(ok, abs(div), math.nan)
-        return float(value) if point else value
-    raise ValueError(f"unknown mode {mode!r}")
+def continuity_identity_residual(action: ReducedActionField, r) -> float:
+    """Residual of the continuity law R^2 grad S0 = hbar a (phi grad theta - theta grad phi):
+    the two closed forms compared componentwise (guards against
+    implementation drift; zero up to rounding). See
+    continuity_identity_from_sample."""
+    return continuity_identity_from_sample(action, sample(action, r))

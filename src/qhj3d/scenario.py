@@ -65,6 +65,7 @@ class VerifySpec:
     qshje_tol: float = 1e-9
     continuity_tol: float = 1e-13
     wronskian_tol: float = 1e-9
+    ode_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -357,7 +358,7 @@ def parse_scenario(text: str) -> Scenario:
                 if not 0.0 < hi - lo < math.inf:
                     raise ValidationError(name, "bounds need lo < hi and a finite width hi - lo")
         kwargs["bounds"] = tuple(bounds)
-        for key in ("qshje_tol", "continuity_tol", "wronskian_tol"):
+        for key in ("qshje_tol", "continuity_tol", "wronskian_tol", "ode_tol"):
             if key in v:
                 name = f"verify.{key}"
                 kwargs[key] = check_positive(_float(v.pop(key), name), name)

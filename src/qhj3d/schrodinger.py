@@ -258,7 +258,8 @@ class _QuinticTable:
     matching u, u' and u'' at both ends of the cell: the interpolant is C^2
     and satisfies the ODE at every node. The grid is uniform, so a point
     finds its cell without a search. jet(x) evaluates the two columns and
-    their slopes from one cell lookup.
+    their slopes from one cell lookup. A table that solve_axis_numerov
+    builds also holds ode_residual, one read-only float per cell.
     """
 
     def __init__(self, lo, hi, u, du, ddu):
@@ -310,6 +311,50 @@ def _numerov_table(pair: AxisSolutionPair) -> _QuinticTable:
     """The table behind a Numerov pair's basis, whose coefficients the
     tests read."""
     return pair.basis.jet.__self__
+
+
+# Fractions of a cell at which _cell_ode_residuals probes a Numerov table:
+# away from the nodes, where the table matches u'' = f u by construction.
+ODE_PROBES = (0.25, 0.5, 0.75)
+
+
+def _cell_ode_residuals(table: _QuinticTable, pair: AxisSolutionPair) -> np.ndarray:
+    """One float per cell of table: the largest |u'' - f u| / max(|f u|, 1)
+    over both columns and the probes ODE_PROBES of the cell, with u and u''
+    from the cell's own quintic and f the factor that the field kernel
+    forms for pair (_axis_eval).
+
+    The residual is relative where |f u| > 1, so that it does not grow with
+    a solution that grows through a forbidden region, and absolute where
+    f u vanishes, at turning points and nodes. A residual that overflows,
+    as on a step so fine that h^2 underflows, reads inf or NaN."""
+    c = table.coef  # (column, power, cell)
+    cells = np.arange(c.shape[2])
+    worst = np.zeros(c.shape[2])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in ODE_PROBES:
+            u = ((((c[:, 5] * t + c[:, 4]) * t + c[:, 3]) * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
+            upp = (((20.0 * c[:, 5] * t + 12.0 * c[:, 4]) * t + 6.0 * c[:, 3]) * t + 2.0 * c[:, 2]) / table.h**2
+            x = table.lo + table.h * (cells + t)
+            fu = _ode_factor(pair.potential(x), pair.e_axis, pair.ode_scale) * u
+            worst = np.maximum(worst, np.max(np.abs(upp - fu) / np.maximum(np.abs(fu), 1.0), axis=0))
+    return worst
+
+
+def ode_residual(pair: AxisSolutionPair, lo: float, hi: float) -> tuple:
+    """The pair's ODE residual over [lo, hi], inside its domain: the
+    largest _cell_ode_residuals value of the cells that meet [lo, hi], and
+    the midpoint of that cell. A catalog pair solves its equation in closed
+    form and gives (0.0, None)."""
+    table = getattr(pair.basis.jet, "__self__", None)
+    if not isinstance(table, _QuinticTable):
+        return 0.0, None
+    n = len(table.ode_residual)
+    first = min(int((lo - table.lo) / table.h), n - 1)
+    last = max(math.ceil((hi - table.lo) / table.h), first + 1)
+    cells = table.ode_residual[first:last]
+    i = int(np.argmax(cells))
+    return float(cells[i]), table.lo + table.h * (first + i + 0.5)
 
 
 def _rk4_segment(factor, x0, u, up, x1):
@@ -406,6 +451,27 @@ def numerov_grid(e_axis, domain, step, ic1, ic2, ic_at=None):
     return x_lo, x_hi, n_int, i0, (v1, s1), (v2, s2)
 
 
+def _numerov_solve(factor, x_lo, x_hi, n_int, i0, ics, axis) -> _QuinticTable:
+    """The quintic table of the two solutions of u'' = factor(x) u whose
+    (value, slope) pairs ics hold at node i0 of the n_int uniform intervals
+    spanning [x_lo, x_hi]."""
+    h = (x_hi - x_lo) / n_int
+    xs = np.linspace(x_lo, x_hi, n_int + 1)
+    tables = np.zeros((2, n_int + 1))
+    # an overflow on the way to the table is caught by _numerov_fill's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        fvals = factor(xs)
+        for u, (value, slope) in zip(tables, ics):
+            u[i0] = value
+            if i0 + 1 <= n_int:
+                u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
+            if i0 - 1 >= 0:
+                u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
+        _numerov_fill(tables, fvals, h, i0, axis)
+    du = np.array([_five_point_derivative(u, h) for u in tables])
+    return _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)
+
+
 # Solved pairs, least recently used first, keyed by the repr of all that a
 # solve reads: exact for floats (-0.0 included) and package potentials; an
 # id-based repr's object stays alive in its entry, so its id is not reused.
@@ -425,34 +491,25 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     Each node carries u, u' from O(h^4) five-point stencils, and
     u'' = f u with the factor f the recurrence used; values and derivatives
     between the nodes come from one quintic Hermite table over the two
-    solutions (_QuinticTable). Calls that read equal inputs share one
-    solved pair, relabelled with their axis (_SOLVED).
+    solutions (_QuinticTable). The table keeps its ode_residual per cell
+    (_cell_ode_residuals), taken against the equation of the pair that the
+    kernel reads, not the factor that built the table. Calls that read
+    equal inputs share one solved pair, relabelled with their axis
+    (_SOLVED).
     """
     x_lo, x_hi, n_int, i0, (v1, s1), (v2, s2) = numerov_grid(e_axis, domain, step, ic1, ic2, ic_at)
     key = repr((axis_potential, e_axis, x_lo, x_hi, n_int, i0, v1, s1, v2, s2, m0, hbar))
     pair = _SOLVED.pop(key, None)
     if pair is None:
-        h = (x_hi - x_lo) / n_int
-        xs = np.linspace(x_lo, x_hi, n_int + 1)
         scale = _ode_scale(m0, hbar)
         factor = lambda x: _ode_factor(axis_potential(x), e_axis, scale)
-        tables = np.zeros((2, n_int + 1))
-        # an overflow on the way to the table is caught by _numerov_fill's check
-        with np.errstate(over="ignore", invalid="ignore"):
-            fvals = factor(xs)
-            for u, (value, slope) in zip(tables, ((v1, s1), (v2, s2))):
-                u[i0] = value
-                if i0 + 1 <= n_int:
-                    u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
-                if i0 - 1 >= 0:
-                    u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
-            _numerov_fill(tables, fvals, h, i0, axis)
-        du = np.array([_five_point_derivative(u, h) for u in tables])
-        table = _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)
+        table = _numerov_solve(factor, x_lo, x_hi, n_int, i0, ((v1, s1), (v2, s2)), axis)
         pair = AxisSolutionPair(
             axis=axis, e_axis=float(e_axis), basis=AxisSolution(table.jet),
             potential=axis_potential, m0=m0, hbar=hbar, domain=(x_lo, x_hi),
         )
+        table.ode_residual = _cell_ode_residuals(table, pair)
+        table.ode_residual.flags.writeable = False
     _SOLVED[key] = pair
     if len(_SOLVED) > 3:
         del _SOLVED[next(iter(_SOLVED))]

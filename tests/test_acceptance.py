@@ -14,7 +14,6 @@ from qhj3d import (
     ReducedActionField,
     canonical_jacobian,
     continuity_identity_from_sample,
-    continuity_identity_residual,
     integrate_first_order,
     integrate_second_order,
     metric_at,
@@ -31,6 +30,7 @@ from qhj3d.metric import JacobianMatrix, verify_transformation
 from qhj3d.potentials import Free, HarmonicOscillator
 
 from conftest import make_box_field, make_free_field
+from continuity_divergence import continuity_divergence
 from reduction_1d import (fm_factor_1d, floyd_residual_1d, reduce_1d_check, s0_derivatives_1d,
                           schwarzian_1d)
 
@@ -102,8 +102,7 @@ def test_c2_continuity_law(analytic_sweeps, field_2d):
     worst_id = max(v[1] for v in analytic_sweeps.values())
     assert worst_id < 1e-13
     action = ReducedActionField(field_2d, 3.0, -1.0)
-    div = continuity_identity_residual(action, sparse_grid(((-1, 1),) * 3, (3, 3, 3)),
-                                       mode="divergence")
+    div = continuity_divergence(action, sparse_grid(((-1, 1),) * 3, (3, 3, 3)))
     worst_div = float(np.max(div))
     assert worst_div < 1e-5
     print(f"\n[acceptance] C2 continuity law: PASS "

@@ -15,14 +15,14 @@ from qhj3d import (
     qshje_from_sample,
     sample,
     solve_axis_analytic,
-    sparse_grid,
 )
 from qhj3d.cli import run_verify
 from qhj3d.errors import NODAL, OK
-from qhj3d.hj_core import DIVERGENCE_STEP, check_mixing
+from qhj3d.hj_core import check_mixing
 from qhj3d.scenario import build_action, parse_scenario
 
 from conftest import make_box_field, make_field_2d, make_free_field, zero_pair
+from continuity_divergence import DIVERGENCE_STEP, continuity_divergence
 from reduction_1d import floyd_residual_1d, s0_derivatives_1d
 
 mixings = st.tuples(
@@ -115,7 +115,7 @@ def test_continuity_identity_mode(free_action_a2):
 
 
 def test_continuity_divergence_mode_free(free_action_a1):
-    assert continuity_identity_residual(free_action_a1, (1.0, 1.0, 1.0), mode="divergence") < 1e-6
+    assert continuity_divergence(free_action_a1, (1.0, 1.0, 1.0)) < 1e-6
 
 
 def test_continuity_divergence_mode_2d_grid():
@@ -124,7 +124,7 @@ def test_continuity_divergence_mode_2d_grid():
     for x in np.linspace(-1.0, 1.0, 3):
         for y in np.linspace(-1.0, 1.0, 3):
             for z in np.linspace(-1.0, 1.0, 3):
-                worst = max(worst, continuity_identity_residual(action, (x, y, z), mode="divergence"))
+                worst = max(worst, continuity_divergence(action, (x, y, z)))
     assert worst < 1e-5
 
 
@@ -135,49 +135,6 @@ def _shipped(name):
     return parse_scenario((SCENARIOS / f"{name}.scn").read_text())
 
 
-def _inset(bounds):
-    """The 3x3x3 subsample of run_verify's divergence check, inset toward
-    the centre of bounds."""
-    mids = [0.5 * (lo + hi) for lo, hi in bounds]
-    return [m + (c - m) * (1.0 - 1e-3) for c, m in zip(sparse_grid(bounds, (3, 3, 3)), mids)]
-
-
-def _six_call_divergence(action, coords):
-    """The divergence mode as six sample calls, one per axis and sign of
-    the shift; NaN where any of them is undefined."""
-    div = 0.0
-    ok = True
-    for mu in range(3):
-        flux = []
-        for step in (DIVERGENCE_STEP, -DIVERGENCE_STEP):
-            shifted = list(coords)
-            shifted[mu] = coords[mu] + step
-            s = sample(action, shifted)
-            ok = ok & (s.status == OK)
-            flux.append(s.amplitude**2 * s.grad_s0[mu])
-        div = div + (flux[0] - flux[1]) / (2.0 * DIVERGENCE_STEP)
-    return np.where(ok, abs(div), math.nan)
-
-
-@pytest.mark.parametrize("name", ["field2d", "box", "harmonic_numerov"])
-def test_divergence_over_arrays_equals_six_sample_calls_bitwise(name):
-    scenario = _shipped(name)
-    action = build_action(scenario)
-    coords = _inset(scenario.verify.bounds)
-    if name == "box":
-        # one more x plane, whose +x copy lies past the wall at 20
-        coords[0] = np.append(coords[0], 20.0 - 0.5 * DIVERGENCE_STEP).reshape(-1, 1, 1)
-    got = continuity_identity_residual(action, coords, mode="divergence")
-    want = _six_call_divergence(action, coords)
-    assert got.shape == want.shape == np.broadcast_shapes(*(c.shape for c in coords))
-    assert got.tobytes() == want.tobytes()
-    undefined = np.isnan(got)
-    if name == "box":
-        assert undefined[-1].all() and not undefined[:-1].any()
-    else:
-        assert not undefined.any()
-
-
 @pytest.mark.parametrize("r, error", [
     ((20.0 - 0.5 * DIVERGENCE_STEP, 0.0, 0.0), OutOfDomain),
     ((0.5 * DIVERGENCE_STEP, 0.0, 0.0), OutOfDomain),
@@ -186,7 +143,7 @@ def test_divergence_at_a_point_raises_near_a_wall(r, error):
     action = build_action(_shipped("box"))
     sample(action, r)
     with pytest.raises(error):
-        continuity_identity_residual(action, r, mode="divergence")
+        continuity_divergence(action, r)
 
 
 def test_divergence_at_a_point_raises_on_a_shifted_node():
@@ -195,17 +152,17 @@ def test_divergence_at_a_point_raises_on_a_shifted_node():
     r = (math.pi / 2 - DIVERGENCE_STEP, math.pi / 2, 0.0)
     sample(action, r)
     with pytest.raises(NodalPoint):
-        continuity_identity_residual(action, r, mode="divergence")
+        continuity_divergence(action, r)
 
 
-def test_run_verify_evaluates_the_field_twice(monkeypatch):
-    """One field evaluation for the grid and one for the six shifted copies
-    of the divergence subsample."""
+def test_run_verify_evaluates_the_field_once(monkeypatch):
+    """One field evaluation, on the grid: the per-axis checks read the
+    axis tables, not the field."""
     calls = []
     evaluate = hj_core.evaluate_field
     monkeypatch.setattr(hj_core, "evaluate_field", lambda *a, **k: calls.append(a[1]) or evaluate(*a, **k))
     run_verify(_shipped("harmonic_numerov"))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_floyd_residual_classical(free_action_a1):

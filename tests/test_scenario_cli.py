@@ -176,6 +176,10 @@ def test_roundtrip_all_shipped_scenarios():
     assert [p.kind for p in s.potentials] == ["tabulated", "linear", "harmonic"]
     assert s.potentials[2].mass == 2.5
     assert "z = harmonic(omega = 1.5)\n" in canonical
+    tuned = parse_scenario(scenario_text("harmonic_numerov.scn").replace("z = -2, 2", "z = -2, 2\node_tol = 3e-06"))
+    assert tuned.verify.ode_tol == 3e-06
+    assert "ode_tol = 3e-06\n" in serialize_scenario(tuned)
+    assert parse_scenario(serialize_scenario(tuned)) == tuned
 
 
 def test_parse_constructs_each_potential_once_and_builds_use_them(monkeypatch):
@@ -445,42 +449,43 @@ def test_run_verify_classical_census():
     assert report.max_qshje < 1e-12
 
 
-def _check_nothing_evaluated(report, out, skips, unevaluated):
+def _check_nothing_evaluated(report, out, skips):
     """A report that evaluated no grid point: the skips, out-of-domain
-    points counted apart, total the grid; each maximum over points that
-    were not evaluated is null; and it fails."""
+    points counted apart, total the grid; each maximum over grid points
+    is null; and it fails."""
     assert report.points_evaluated == 0
     assert (report.nodal_skips, report.singular_skips, report.domain_skips) == skips
     assert report.points_total == sum(skips)
     assert not report.passed
     data = strict_json(out.read_text())
     assert data["passed"] is False
-    for key in ("max_qshje", "mean_qshje", "max_continuity_identity", "max_continuity_divergence"):
-        assert (data[key] is None) == (key in unevaluated), key
+    for key in ("max_qshje", "mean_qshje", "max_continuity_identity"):
+        assert data[key] is None, key
     assert data["worst_qshje_point"] is None and data["worst_continuity_point"] is None
     keys = list(data)
     assert keys[keys.index("singular_skips") + 1] == "domain_skips"
 
 
 def test_run_verify_with_no_points_fails(tmp_path):
-    """An empty grid: its maxima and mean are null. The divergence check
-    samples its own 3x3x3 subsample of the bounds, which it still has."""
+    """An empty grid: its maxima and mean are null. The per-axis checks
+    read the bounds, which it still has."""
     s = parse_scenario(scenario_text("free_a2.scn"))
     out = tmp_path / "report.json"
     report = run_verify(s, grid=(0, 2, 2), out=str(out))
-    _check_nothing_evaluated(report, out, (0, 0, 0),
-                             ("max_qshje", "mean_qshje", "max_continuity_identity"))
+    _check_nothing_evaluated(report, out, (0, 0, 0))
+    assert report.ode_residual == (0.0, 0.0, 0.0)
 
 
 def test_run_verify_outside_the_box_counts_domain_skips(tmp_path):
     """Bounds beyond the box walls: every point is a domain skip, none is
-    singular, and every maximum is null, the divergence subsample's too."""
+    singular, and every maximum is null, as is the x axis's ODE residual."""
     s = parse_scenario(scenario_text("box.scn").replace("x = 1, 19", "x = 25, 30", 1))
     out = tmp_path / "report.json"
     report = run_verify(s, out=str(out))
-    _check_nothing_evaluated(report, out, (0, 0, 21**3),
-                             ("max_qshje", "mean_qshje", "max_continuity_identity",
-                              "max_continuity_divergence"))
+    _check_nothing_evaluated(report, out, (0, 0, 21**3))
+    data = strict_json(out.read_text())
+    assert data["ode_residual"] == [None, 0.0, 0.0]
+    assert data["worst_ode_coordinate"] == [None, None, None]
 
 
 @pytest.mark.parametrize("name", ["box", "field2d", "free_a2", "free_classical", "harmonic_numerov"])
@@ -544,6 +549,92 @@ def test_run_verify_wronskian_drift_is_relative():
     assert all(d > 0.0 for d in reports[0].wronskian_drift)
     for pair, scaled_pair in zip(*pairs):
         assert scaled_pair.wronskian_ref == pair.wronskian_ref * 2**20
+
+
+def _mutate_y_solve(monkeypatch, table=None, factor_shift=0.0, slope_scale=1.0):
+    """Solve the y axis of _mutant_scenario wrongly: its table made by
+    table in place of _QuinticTable, or built from the factor
+    f - factor_shift (at the energy E_y + factor_shift / 2, since
+    2 m0/hbar^2 = 2 here), or with every slope times slope_scale. The memo
+    of solved axes starts empty and is restored afterwards, so no other
+    test sees the table."""
+    monkeypatch.setattr(schrodinger, "_SOLVED", {})
+    solve = schrodinger._numerov_solve
+
+    def mutated(factor, *args):
+        if args[-1] != "y":
+            return solve(factor, *args)
+        with monkeypatch.context() as m:
+            if table is not None:
+                m.setattr(schrodinger, "_QuinticTable", table)
+            five_point = schrodinger._five_point_derivative
+            m.setattr(schrodinger, "_five_point_derivative", lambda u, h: slope_scale * five_point(u, h))
+            return solve(lambda x: factor(x) - factor_shift, *args)
+
+    monkeypatch.setattr(schrodinger, "_numerov_solve", mutated)
+
+
+QuinticTable = schrodinger._QuinticTable
+
+
+def _bent_u1(lo, hi, u, du, ddu):
+    """u1 times g = 1 + 1e-3 cos 3x at the nodes, its slope by the product
+    rule and its u'' = f u1 g: a consistent table of a wrong solution."""
+    x = np.linspace(lo, hi, u.shape[1])
+    g, dg = 1.0 + 1e-3 * np.cos(3.0 * x), -3e-3 * np.sin(3.0 * x)
+    u, du, ddu = u.copy(), du.copy(), ddu.copy()
+    du[0] = du[0] * g + u[0] * dg
+    u[0], ddu[0] = u[0] * g, ddu[0] * g
+    return QuinticTable(lo, hi, u, du, ddu)
+
+
+def _swapped_slopes(lo, hi, u, du, ddu):
+    return QuinticTable(lo, hi, u, du[::-1], ddu)
+
+
+# Wrong y-axis tables, each caught by the ODE residual, and whether the
+# Wronskian drift catches it too. The ODE residual is the only check that
+# sees a slope table scaled alike for both columns or a table solved at
+# another energy: the QSHJE and continuity residuals are identities once
+# the kernel sets u'' = f u, and the relative drift is blind to a common
+# factor and to a table that solves its own equation.
+MUTANTS = {
+    "slopes-times-1.01": (dict(slope_scale=1.01), False),
+    "slopes-times-2": (dict(slope_scale=2.0), False),
+    "table-at-e-axis-plus-1e-3": (dict(factor_shift=2e-3), False),
+    "u1-times-1-plus-1e-3-cos-3x": (dict(table=_bent_u1), True),
+    "slope-columns-swapped": (dict(table=_swapped_slopes), True),
+}
+
+
+def _mutant_scenario(step="1e-3"):
+    """harmonic_numerov with its y axis on a narrower domain, so that it is
+    solved apart from x and z."""
+    text = on_axis(scenario_text("harmonic_numerov.scn"), "y", "domain = -4, 4", "domain = -3.5, 3.5")
+    return on_axis(text, "y", "step = 1e-3", f"step = {step}")
+
+
+@pytest.mark.parametrize("name", ["none", *MUTANTS, "step-0.05"])
+def test_verify_fails_a_wrong_axis_table_and_names_the_axis(name, monkeypatch, tmp_path, capsys):
+    """A wrong y table exits 3 with a line naming axis y for each check it
+    fails, whose report values are over their tolerances on y alone; the
+    unmutated scenario PASSes. A step of 0.05 on y fails both checks."""
+    kwargs, drifts = MUTANTS.get(name, ({}, True))
+    _mutate_y_solve(monkeypatch, **kwargs)
+    path = tmp_path / "mutant.scn"
+    path.write_text(_mutant_scenario("0.05" if name == "step-0.05" else "1e-3"))
+    out = tmp_path / "report.json"
+    code = main(["verify", str(path), "--out", str(out)])
+    printed = capsys.readouterr().out.splitlines()
+    report = strict_json(out.read_text())
+    failed = name != "none"
+    assert (code, printed[-1]) == ((3, "FAIL") if failed else (0, "PASS"))
+    checks = (("ode residual", report["ode_residual"], report["ode_tol"], failed),
+              ("wronskian drift", report["wronskian_drift"], report["wronskian_tol"], failed and drifts))
+    for label, values, tol, fails in checks:
+        assert [v < tol for v in values] == [True, not fails, True], label
+        assert any(line.startswith(f"axis y: {label} ") for line in printed) == fails, label
+    assert not any(line.startswith(("axis x:", "axis z:")) for line in printed)
 
 
 def test_run_verify_harmonic_numerov():
@@ -788,6 +879,10 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     ("free_a2.scn", "z = -3, 3", "z = -3, 3\nqshje_tol = 0", "verify.qshje_tol"),
     ("free_a2.scn", "z = -3, 3", "z = -3, 3\ncontinuity_tol = 0", "verify.continuity_tol"),
     ("free_a2.scn", "z = -3, 3", "z = -3, 3\nwronskian_tol = -1e-9", "verify.wronskian_tol"),
+    ("harmonic_numerov.scn", "z = -2, 2", "z = -2, 2\node_tol = 0", "verify.ode_tol"),
+    ("harmonic_numerov.scn", "z = -2, 2", "z = -2, 2\node_tol = -1e-6", "verify.ode_tol"),
+    ("harmonic_numerov.scn", "z = -2, 2", "z = -2, 2\node_tol = inf", "verify.ode_tol"),
+    ("harmonic_numerov.scn", "z = -2, 2", "z = -2, 2\node_tol = nan", "verify.ode_tol"),
     ("free_a2.scn", "x = -3, 3", "x = -1e308, 1e308", "verify.x"),
     ("free_a2.scn", "y = -3, 3", "y = 3, -3", "verify.y"),
     ("box.scn", "t_end = 5.0", "t_end = inf", "trajectory.t_end"),
@@ -811,7 +906,8 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
         "coefficient-nan", "selector-unknown", "phi-identical-to-theta",
         "hbar-inf", "mass-nan", "hbar-huge", "hbar-tiny", "mass-huge", "mass-tiny", "omega-huge",
         "omega-tiny", "verify-bound-inf", "tolerance-nan", "tolerance-inf", "qshje-tol-zero",
-        "continuity-tol-zero", "wronskian-tol-negative", "verify-width-overflows",
+        "continuity-tol-zero", "wronskian-tol-negative", "ode-tol-zero", "ode-tol-negative",
+        "ode-tol-inf", "ode-tol-nan", "verify-width-overflows",
         "verify-bounds-reversed", "t-end-inf",
         "metric-point-nan", "grid-huge", "r0-outside-domain",
         "csv-is-its-sidecar", "csv-is-the-scenario", "verify-report-is-the-scenario",
