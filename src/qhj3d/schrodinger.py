@@ -307,10 +307,10 @@ class _QuinticTable:
         return (u1, u2), (d1 / self.h, d2 / self.h)
 
 
-def _numerov_table(pair: AxisSolutionPair) -> _QuinticTable:
-    """The table behind a Numerov pair's basis, whose coefficients the
-    tests read."""
-    return pair.basis.jet.__self__
+def _numerov_table(pair: AxisSolutionPair) -> _QuinticTable | None:
+    """The table behind a Numerov pair's basis; None for a catalog pair,
+    whose jet is a plain function."""
+    return getattr(pair.basis.jet, "__self__", None)
 
 
 # Fractions of a cell at which _cell_ode_residuals probes a Numerov table:
@@ -346,8 +346,8 @@ def ode_residual(pair: AxisSolutionPair, lo: float, hi: float) -> tuple:
     largest _cell_ode_residuals value of the cells that meet [lo, hi], and
     the midpoint of that cell. A catalog pair solves its equation in closed
     form and gives (0.0, None)."""
-    table = getattr(pair.basis.jet, "__self__", None)
-    if not isinstance(table, _QuinticTable):
+    table = _numerov_table(pair)
+    if table is None:
         return 0.0, None
     n = len(table.ode_residual)
     first = min(int((lo - table.lo) / table.h), n - 1)

@@ -196,6 +196,22 @@ def test_catalog_ode_residual_exact():
         assert abs(second_derivatives(pair, x)[0] + 4.0 * pair.basis.value(x)[0]) < 1e-12
 
 
+@pytest.mark.parametrize("entry, params", [("free", {"k": 1.3}), ("free", {"k": -0.7}),
+                                           ("zero_energy_free", {}), ("box", {"L": 2.0, "n": 3})])
+def test_catalog_derivative_is_the_derivative_of_value(entry, params):
+    """verify reports a catalog axis's ODE residual as 0, since u'' = f u
+    holds in closed form; that rests on each derivative being the
+    derivative of its value: the five-point central difference of value,
+    step 1e-3, whose truncation k^5 h^4 / 30 stays below 1e-10 here."""
+    pair = solve_axis_analytic(entry, params)
+    lo, hi = pair.domain if math.isfinite(pair.domain[0]) else (-7.5, 7.5)
+    h = 1e-3
+    for x in np.linspace(lo + 2 * h, hi - 2 * h, 37):
+        value = lambda y: np.array(pair.basis.value(y))
+        fd = (-value(x + 2 * h) + 8 * value(x + h) - 8 * value(x - h) + value(x - 2 * h)) / (12 * h)
+        assert np.max(np.abs(fd - np.array(pair.basis.derivative(x)))) < 1e-9
+
+
 def test_numerov_degenerate_ics():
     with pytest.raises(DegenerateICs):
         solve_axis_numerov(Free(), 0.5, (0.0, 10.0), 1e-3, (1.0, 1.0), (2.0, 2.0))
