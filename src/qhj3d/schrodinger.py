@@ -258,8 +258,8 @@ class _QuinticTable:
     matching u, u' and u'' at both ends of the cell: the interpolant is C^2
     and satisfies the ODE at every node. The grid is uniform, so a point
     finds its cell without a search. jet(x) evaluates the two columns and
-    their slopes from one cell lookup. A table that solve_axis_numerov
-    builds also holds ode_residual, one read-only float per cell.
+    their slopes from one cell lookup. ode_cache holds the table's ODE
+    residual per cell once a pair has asked for it (_cell_ode_residuals).
     """
 
     def __init__(self, lo, hi, u, du, ddu):
@@ -280,6 +280,7 @@ class _QuinticTable:
         self.coef = np.stack((y0, d0, 0.5 * s0, 10.0 * a - 4.0 * b + 0.5 * c,
                               -15.0 * a + 7.0 * b - c, 6.0 * a - 3.0 * b + 0.5 * c), axis=1)
         self.coef.flags.writeable = False  # solves share tables (_SOLVED)
+        self.ode_cache = None
 
     def _cell(self, x):
         """The two columns' coefficients of the cell holding x, indexed
@@ -308,9 +309,10 @@ class _QuinticTable:
 
 
 def _numerov_table(pair: AxisSolutionPair) -> _QuinticTable | None:
-    """The table behind a Numerov pair's basis; None for a catalog pair,
-    whose jet is a plain function."""
-    return getattr(pair.basis.jet, "__self__", None)
+    """The table behind a Numerov pair's basis; None for any other jet, a
+    catalog pair's plain function or a method of some other object."""
+    table = getattr(pair.basis.jet, "__self__", None)
+    return table if isinstance(table, _QuinticTable) else None
 
 
 # Fractions of a cell at which _cell_ode_residuals probes a Numerov table:
@@ -319,15 +321,23 @@ ODE_PROBES = (0.25, 0.5, 0.75)
 
 
 def _cell_ode_residuals(table: _QuinticTable, pair: AxisSolutionPair) -> np.ndarray:
-    """One float per cell of table: the largest |u'' - f u| / max(|f u|, 1)
-    over both columns and the probes ODE_PROBES of the cell, with u and u''
-    from the cell's own quintic and f the factor that the field kernel
-    forms for pair (_axis_eval).
+    """One read-only float per cell of table: the largest
+    |u'' - f u| / max(|f u|, 1) over both columns and the probes ODE_PROBES
+    of the cell, with u and u'' from the cell's own quintic and f the
+    factor that the field kernel forms for pair (_axis_eval), not the
+    factor that built the table.
 
     The residual is relative where |f u| > 1, so that it does not grow with
     a solution that grows through a forbidden region, and absolute where
     f u vanishes, at turning points and nodes. A residual that overflows,
-    as on a step so fine that h^2 underflows, reads inf or NaN."""
+    as on a step so fine that h^2 underflows, reads inf or NaN.
+
+    The table keeps the last result with the equation it answers
+    (potential, e_axis, scale) in ode_cache, so the pairs that share a
+    table (_SOLVED) compute it once, and only when something reads it."""
+    equation = (pair.potential, pair.e_axis, pair.ode_scale)
+    if table.ode_cache is not None and table.ode_cache[0] == equation:
+        return table.ode_cache[1]
     c = table.coef  # (column, power, cell)
     cells = np.arange(c.shape[2])
     worst = np.zeros(c.shape[2])
@@ -338,6 +348,8 @@ def _cell_ode_residuals(table: _QuinticTable, pair: AxisSolutionPair) -> np.ndar
             x = table.lo + table.h * (cells + t)
             fu = _ode_factor(pair.potential(x), pair.e_axis, pair.ode_scale) * u
             worst = np.maximum(worst, np.max(np.abs(upp - fu) / np.maximum(np.abs(fu), 1.0), axis=0))
+    worst.flags.writeable = False
+    table.ode_cache = (equation, worst)
     return worst
 
 
@@ -349,10 +361,10 @@ def ode_residual(pair: AxisSolutionPair, lo: float, hi: float) -> tuple:
     table = _numerov_table(pair)
     if table is None:
         return 0.0, None
-    n = len(table.ode_residual)
-    first = min(int((lo - table.lo) / table.h), n - 1)
+    residuals = _cell_ode_residuals(table, pair)
+    first = min(int((lo - table.lo) / table.h), len(residuals) - 1)
     last = max(math.ceil((hi - table.lo) / table.h), first + 1)
-    cells = table.ode_residual[first:last]
+    cells = residuals[first:last]
     i = int(np.argmax(cells))
     return float(cells[i]), table.lo + table.h * (first + i + 0.5)
 
@@ -491,11 +503,8 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
     Each node carries u, u' from O(h^4) five-point stencils, and
     u'' = f u with the factor f the recurrence used; values and derivatives
     between the nodes come from one quintic Hermite table over the two
-    solutions (_QuinticTable). The table keeps its ode_residual per cell
-    (_cell_ode_residuals), taken against the equation of the pair that the
-    kernel reads, not the factor that built the table. Calls that read
-    equal inputs share one solved pair, relabelled with their axis
-    (_SOLVED).
+    solutions (_QuinticTable). Calls that read equal inputs share one
+    solved pair, relabelled with their axis (_SOLVED).
     """
     x_lo, x_hi, n_int, i0, (v1, s1), (v2, s2) = numerov_grid(e_axis, domain, step, ic1, ic2, ic_at)
     key = repr((axis_potential, e_axis, x_lo, x_hi, n_int, i0, v1, s1, v2, s2, m0, hbar))
@@ -508,8 +517,6 @@ def solve_axis_numerov(axis_potential, e_axis, domain, step, ic1, ic2, *,
             axis=axis, e_axis=float(e_axis), basis=AxisSolution(table.jet),
             potential=axis_potential, m0=m0, hbar=hbar, domain=(x_lo, x_hi),
         )
-        table.ode_residual = _cell_ode_residuals(table, pair)
-        table.ode_residual.flags.writeable = False
     _SOLVED[key] = pair
     if len(_SOLVED) > 3:
         del _SOLVED[next(iter(_SOLVED))]

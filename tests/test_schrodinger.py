@@ -29,6 +29,7 @@ from qhj3d.schrodinger import (
     OVERFLOW_LIMIT,
     AxisSolution,
     _catalog_wave,
+    _cell_ode_residuals,
     _numerov_fill,
     _numerov_table,
     _ode_factor,
@@ -363,18 +364,53 @@ def test_numerov_table_is_c2_across_cell_edges(harmonic_pairs):
 
 def test_numerov_interpolant_ode_residual_mid_cell(harmonic_pairs):
     """Between the nodes the interpolant's own u'' - f u measures the
-    solution, not the algebra: on the harmonic axis the solve's residual
-    reads 6.3e-8 (worst at the table edges, where the derivative stencils
-    are one-sided) and 1.6e-8 inside |x| < 3.9. Each cell's stored value
-    covers its midpoint, recomputed here from the table's coefficients."""
+    solution, not the algebra: on the harmonic axis it reads 5.0e-7 of
+    max |u| (worst at the table edges, where the derivative stencils are
+    one-sided; 1.8e-7 absolute inside |x| < 3.9). The package's residual,
+    scaled by max(|f u|, 1), reads 6.3e-8 there and 1.6e-8 inside
+    |x| < 3.9, and each cell's value covers the cell's midpoint."""
     pair = harmonic_pairs[0]
     table = _numerov_table(pair)
+    mids = table.lo + table.h * (np.arange(table.coef.shape[2]) + 0.5)
+    u = np.array(pair.basis.value(mids))
+    fu = _ode_factor(pair.potential(mids), pair.e_axis, pair.ode_scale) * u
+    residual = np.abs(np.array(table_second_derivative(table, mids)) - fu)
+    assert np.max(residual) < 1e-6 * np.max(np.abs(u))
+    assert np.max(residual[:, np.abs(mids) < 3.9]) < 1e-6
     assert ode_residual(pair, *pair.domain)[0] < 1e-6
     assert ode_residual(pair, -3.9, 3.9)[0] < 1e-6
-    mids = table.lo + table.h * (np.arange(table.coef.shape[2]) + 0.5)
-    fu = _ode_factor(pair.potential(mids), pair.e_axis, pair.ode_scale) * np.array(pair.basis.value(mids))
-    at_mids = np.abs(np.array(table_second_derivative(table, mids)) - fu) / np.maximum(np.abs(fu), 1.0)
-    assert np.all(np.max(at_mids, axis=0) <= table.ode_residual + 1e-12)
+    cells = _cell_ode_residuals(table, pair)
+    assert np.all(np.max(residual / np.maximum(np.abs(fu), 1.0), axis=0) <= cells + 1e-12)
+
+
+def test_ode_residual_is_computed_once_per_equation(harmonic_pairs):
+    """A table computes its residual when first asked and keeps it: pairs
+    that share the table read the same array, and a pair with another
+    equation on the same table gets its own, 2.4e-3 at e_axis + 1e-3."""
+    pair = harmonic_pairs[0]
+    table = _numerov_table(pair)
+    cells = _cell_ode_residuals(table, pair)
+    assert not cells.flags.writeable
+    assert _cell_ode_residuals(table, replace(pair, axis="z")) is cells
+    shifted = replace(pair, e_axis=pair.e_axis + 1e-3)
+    assert 1e-3 < ode_residual(shifted, *pair.domain)[0] < 1e-2
+    assert _cell_ode_residuals(table, pair) is not cells
+    assert np.array_equal(_cell_ode_residuals(table, pair), cells)
+
+
+class _Tabled:
+    """An object whose method serves as a jet, but is no Numerov table."""
+
+    def jet(self, x):
+        return (np.cos(x), np.sin(x)), (-np.sin(x), np.cos(x))
+
+
+def test_ode_residual_of_a_jet_from_another_object():
+    """Only a Numerov table has a residual to read; a pair whose jet is a
+    method of some other object reads as a catalog pair."""
+    pair = replace(solve_axis_analytic("free", {"k": 1.0}), basis=AxisSolution(_Tabled().jet))
+    assert _numerov_table(pair) is None
+    assert ode_residual(pair, -1.0, 1.0) == (0.0, None)
 
 
 def test_numerov_table_ends(harmonic_pairs):
