@@ -37,6 +37,7 @@ from .schrodinger import (
 )
 from .hj_core import (
     ActionSample,
+    PointSample,
     ReducedActionField,
     continuity_identity_from_sample,
     continuity_identity_residual,

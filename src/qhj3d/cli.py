@@ -246,8 +246,9 @@ def run_verify(scenario: Scenario, grid=None, out=None) -> VerificationReport:
 
 
 def _print_verify_report(report):
-    """The report on stdout, a line naming each axis that fails a per-axis
-    check, and PASS or FAIL last."""
+    """The report on stdout, a line naming each grid check that fails, with
+    its worst point, and each axis that fails a per-axis check, and PASS or
+    FAIL last."""
     print(f"grid {report.grid} over {report.bounds}")
     print(f"points: {report.points_evaluated} evaluated, "
           f"{report.nodal_skips} nodal, {report.singular_skips} singular, "
@@ -258,6 +259,16 @@ def _print_verify_report(report):
           f"(tol {report.wronskian_tol:g})")
     print(f"ode residual per axis     = {[f'{r:.3e}' for r in report.ode_residual]}  (tol {report.ode_tol:g})")
     print(f"signature census          = {report.signature_census}")
+    if report.points_evaluated == 0:
+        print("no grid point was evaluated")
+    else:
+        for label, worst, at, tol in (
+                ("qshje residual", report.max_qshje, report.worst_qshje_point, report.qshje_tol),
+                ("continuity identity", report.max_continuity_identity, report.worst_continuity_point,
+                 report.continuity_tol)):
+            if not worst < tol:
+                where = ", ".join(f"{x:.6g}" for x in at)
+                print(f"{label} {worst:.3e} at ({where}) is not below {tol:g}")
     for axis, drift, residual, at in zip(AXES, report.wronskian_drift, report.ode_residual,
                                          report.worst_ode_coordinate):
         if not drift < report.wronskian_tol:

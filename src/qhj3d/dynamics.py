@@ -4,9 +4,16 @@ The primary route integrates the first-order velocity field
 
     dx^mu/dt = a^{mumu} d_mu S0 / m0,
 
-which satisfies the law identically. The second route is an independent
-check of it: Hamilton's equations of the quantum Hamiltonian
-H = sum_mu a^{mumu} p_mu^2 / 2 m0 + V in canonical form,
+which satisfies the law identically. Its right-hand side is the action's
+point evaluator (ReducedActionField.point_velocity), built once per action:
+it takes the loop's list of floats and gives the bits that sample and
+metric.a_upper_from_sample give, without building their records.
+velocity_field is its public face. Event probes, the second route's start
+and the tests sample the field through the general chain.
+
+The second route is an independent check of the first: Hamilton's
+equations of the quantum Hamiltonian H = sum_mu a^{mumu} p_mu^2 / 2 m0 + V
+in canonical form,
 
     dx^mu/dt = a^{mumu} p_mu / m0,
     dp_mu/dt = -sum_nu (d_mu a^{nunu}) p_nu^2 / 2 m0 - d_mu V,
@@ -36,9 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import as_coords
 from .errors import NodalPoint, NodeSingularity, OutOfDomain
 from .hj_core import ReducedActionField, sample
-from .metric import a_upper_from_sample, a_upper_gradient
+from .metric import a_upper_gradient
 from .schrodinger import evaluate_field
 
 _FIELD_SINGULAR = (NodalPoint, NodeSingularity)
@@ -155,12 +163,13 @@ class Trajectory:
 
 
 def velocity_field(action: ReducedActionField, r):
-    """(v, s, a_upper) at the point r: v^mu = a^{mumu} d_mu S0 / m0, which
-    satisfies v . grad S0 = 2 (E - V), the ActionSample s at r and the
-    a^{mumu} that v was computed from."""
-    s = sample(action, r)
-    a_upper, _ = a_upper_from_sample(action, s)
-    return np.array([a * ds / action.m0 for a, ds in zip(a_upper, s.grad_s0)]), s, a_upper
+    """(v, s, a_upper) at the point r: v^mu = a^{mumu} d_mu S0 / m0 as an
+    array, which satisfies v . grad S0 = 2 (E - V), the PointSample s
+    (grad S0, R and V) at r and the a^{mumu} that v was computed from.
+    The action's point evaluator computes them (hj_core._point_evaluator),
+    as it does for every right-hand side of the first route."""
+    v, s, a_upper = action.point_velocity(as_coords(r))
+    return np.array(v), s, a_upper
 
 
 def _law(action, velocity, s) -> float:
@@ -278,12 +287,14 @@ def _integrate(action, rhs, r0, start, config, position_of, state_of):
     y0 = start(r0).
 
     The state y and every derivative are lists of floats. rhs(y) returns
-    (dy/dt, s, a_upper), with s the ActionSample at position_of(y) and
-    a_upper the a^{mumu} that dy/dt was computed from. Every accepted step,
-    the initial state included, becomes the state state_of(t, y, dy/dt);
-    its law residual, energy residual and grad S0 are computed from that s
-    and a_upper when the step is accepted, and both are dropped with the
-    step. The event check reads the same s.
+    (dy/dt, s, a_upper), with s the sample at position_of(y) (an
+    ActionSample, or the first route's PointSample: the loop reads only
+    grad_s0, amplitude and v) and a_upper the a^{mumu} that dy/dt was
+    computed from. Every accepted step, the initial state included,
+    becomes the state state_of(t, y, dy/dt); its law residual, energy
+    residual and grad S0 are computed from that s and a_upper when the
+    step is accepted, and both are dropped with the step. The event check
+    reads the same s.
 
     If start(r0) or the first right-hand side raises NodalPoint or
     NodeSingularity, the run ends there: a singularity of kind amplitude or
@@ -391,13 +402,11 @@ def integrate_first_order(action: ReducedActionField, r0, config: IntegratorConf
     """Integrate dr/dt = velocity_field(r) from r0.
 
     The velocity of every produced state is the velocity field at its
-    position by construction (FSAL derivative storage)."""
-
-    def rhs(y):
-        v, s, a_upper = velocity_field(action, y)
-        return v.tolist(), s, a_upper
-
-    return _integrate(action, rhs, _point(r0), lambda r: r, config, position_of=lambda y: y,
+    position by construction (FSAL derivative storage). Each right-hand
+    side is one call of the action's point evaluator (velocity_field's
+    body) on the loop's list of floats."""
+    return _integrate(action, action.point_velocity, _point(r0), lambda r: r, config,
+                      position_of=lambda y: y,
                       state_of=lambda t, y, f: TrajectoryState(t, np.array(y), np.array(f)))
 
 

@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .arrays import at_point, maximum, where
-from .errors import NODAL, OK, NodalPoint
-from .schrodinger import OVERFLOW_LIMIT, FieldSample, SolutionField3D, evaluate_field
+from .errors import NODAL, OK, NodalPoint, NodeSingularity
+from .schrodinger import (OVERFLOW_LIMIT, FieldSample, SolutionField3D, _axis_eval, _combine,
+                          _out_of_domain, evaluate_field)
 
 NODAL_EPS = 1e-12
 
@@ -71,6 +73,12 @@ class ReducedActionField:
     def k(self) -> float:
         return self.hbar * self.a
 
+    @cached_property
+    def point_velocity(self):
+        """The first route's right-hand side, built on first use
+        (_point_evaluator); a replace()d action builds its own."""
+        return _point_evaluator(self)
+
 
 class ActionSample(NamedTuple):
     """S0 (principal branch), its closed-form gradient, R, the diagonal
@@ -89,6 +97,15 @@ class ActionSample(NamedTuple):
     v: float
     field: FieldSample
     status: int
+
+
+class PointSample(NamedTuple):
+    """grad S0, R and V at a point, under the names ActionSample gives
+    them: all that the trajectory loop reads of a sample."""
+
+    grad_s0: tuple
+    amplitude: float
+    v: float
 
 
 def _theta_prime_parts(action, fs):
@@ -192,3 +209,54 @@ def continuity_identity_residual(action: ReducedActionField, r) -> float:
     implementation drift; zero up to rounding). See
     continuity_identity_from_sample."""
     return continuity_identity_from_sample(action, sample(action, r))
+
+
+def _point_evaluator(action: ReducedActionField):
+    """The velocity field of the first trajectory route at a point, as one
+    function of r, a sequence of three floats: r -> (v, s, a_upper), with
+    v^mu = a^{mumu} d_mu S0 / m0 a list, s the PointSample at r and
+    a_upper the a^{mumu} tuple.
+
+    It binds the action's per-axis tables and constants once and runs the
+    point branches of sample and metric.a_upper_from_sample in one frame:
+    the same field kernel (_axis_eval, _combine), the same operations in
+    the same order and the same exceptions, so every value is the bits of
+    that chain (tests/test_kernel.py holds it to them). The principal
+    value of S0, which the loop never reads, is not formed.
+    """
+    field = action.field
+    axes, pairs = field._axes, field.pairs
+    theta_terms, phi_terms = field._indexed_terms
+    a, b, hbar, m0 = action.a, action.b, action.hbar, action.m0
+    hbar2 = hbar**2
+    flat_bound = MOMENTUM_EPS * max(1.0, 2.0 * m0 * abs(action.e))
+
+    def evaluate(r):
+        cache, v, inside = _axis_eval(axes, r)
+        if not inside:
+            raise _out_of_domain(pairs, r)
+        th, (gt0, gt1, gt2), (st0, st1, st2) = _combine(theta_terms, cache)
+        ph, (gp0, gp1, gp2), (sp0, sp1, sp2) = _combine(phi_terms, cache)
+        tp = a * th + b * ph
+        g = tp * tp + ph * ph
+        amplitude = math.sqrt(g)
+        if amplitude < NODAL_EPS * max(max(1.0, abs(tp)), abs(ph)):
+            raise NodalPoint(f"R = {amplitude:.3e} at r = {tuple(float(c) for c in r)}")
+        velocity, grad_s0, a_upper = [], [], []
+        for mu, gt, gp, st, sp in ((0, gt0, gp0, st0, sp0), (1, gt1, gp1, st1, sp1),
+                                   (2, gt2, gp2, st2, sp2)):
+            gtp, stp = a * gt + b * gp, a * st + b * sp
+            ds = hbar * (ph * gtp - tp * gp) / g
+            corr = hbar2 * _hessian_r(tp, ph, amplitude, gtp, gp, stp, sp) / amplitude
+            if abs(ds) >= MOMENTUM_EPS:
+                a_mu = 1.0 - corr / (ds * ds)
+            elif abs(corr) <= flat_bound:
+                a_mu = 1.0
+            else:
+                raise NodeSingularity(mu, f"d_{'xyz'[mu]} S0 = {ds:.3e} with nonzero quantum correction")
+            velocity.append(a_mu * ds / m0)
+            grad_s0.append(ds)
+            a_upper.append(a_mu)
+        return velocity, PointSample(tuple(grad_s0), amplitude, v), tuple(a_upper)
+
+    return evaluate

@@ -554,6 +554,11 @@ class SolutionField3D:
         in SELECTORS, which keys an axis's jets in _axis_eval's cache."""
         return _indexed(self.theta_terms), _indexed(self.phi_terms)
 
+    @cached_property
+    def _axes(self) -> tuple:
+        """What _axis_eval reads of each pair, bound once (_bind_axes)."""
+        return _bind_axes(self.pairs)
+
 
 class FieldSample(NamedTuple):
     """Values, gradients and diagonal second partials of theta and phi, the
@@ -606,10 +611,18 @@ def _indexed(terms) -> tuple:
     return tuple((coef, tuple(SELECTORS.index(sel) for sel in sels)) for coef, sels in terms)
 
 
-def _axis_eval(pairs, coords):
+def _bind_axes(pairs) -> tuple:
+    """Per pair, what _axis_eval reads: the padded bounds (lo, hi) of
+    AxisSolutionPair.contains, the anchor, the potential, E_axis, the
+    ode_scale and the basis jet."""
+    return tuple((*pair._bounds, pair.anchor, pair.potential, pair.e_axis, pair.ode_scale,
+                  pair.basis.jet) for pair in pairs)
+
+
+def _axis_eval(axes, coords):
     """Per-axis jets (u, u', u'') for u1 and u2, indexed 0 and 1 as in
     SELECTORS, the summed axis potentials, and whether every coordinate
-    lies inside its axis domain.
+    lies inside its axis domain; axes is _bind_axes of the pairs.
 
     Each axis is evaluated once on its own coordinate (a float, or an array
     for many points). A coordinate outside its domain is evaluated at the
@@ -621,22 +634,28 @@ def _axis_eval(pairs, coords):
     cache = []
     v = 0.0
     inside = True
-    for pair, x in zip(pairs, coords):
-        lo, hi = pair._bounds
+    for (lo, hi, anchor, potential, e_axis, scale, jet), x in zip(axes, coords):
         if isinstance(x, np.ndarray):
             ok = (lo <= x) & (x <= hi)
-            x = np.where(ok, x, pair.anchor)
+            x = np.where(ok, x, anchor)
         else:
             ok = lo <= x <= hi
             if not ok:
-                x = pair.anchor
-        v_axis = pair.potential(x)
-        c = _ode_factor(v_axis, pair.e_axis, pair.ode_scale)
-        (u1, u2), (d1, d2) = pair.basis.jet(x)
+                x = anchor
+        v_axis = potential(x)
+        c = _ode_factor(v_axis, e_axis, scale)
+        (u1, u2), (d1, d2) = jet(x)
         cache.append(((u1, d1, c * u1), (u2, d2, c * u2)))
         v = v + v_axis
         inside = inside & ok
     return cache, v, inside
+
+
+def _out_of_domain(pairs, coords) -> OutOfDomain:
+    """The OutOfDomain of a point whose coordinates coords (floats) are not
+    all inside their axis domains, naming the first axis that fails."""
+    pair, x = next((p, x) for p, x in zip(pairs, coords) if not p.contains(x))
+    return OutOfDomain(f"axis {pair.axis}: {x} outside domain {pair.domain}")
 
 
 def _combine(terms, cache, hessian=False):
@@ -677,14 +696,13 @@ def evaluate_field(field: SolutionField3D, r, hessian=False) -> FieldSample:
     are marked OUT_OF_DOMAIN in the status.
     """
     coords = as_coords(r)
-    cache, v, inside = _axis_eval(field.pairs, coords)
+    cache, v, inside = _axis_eval(field._axes, coords)
     if isinstance(inside, np.ndarray):
         status = np.where(inside, OK, OUT_OF_DOMAIN)
     elif inside:
         status = OK
     else:
-        pair, x = next((p, x) for p, x in zip(field.pairs, coords) if not p.contains(x))
-        raise OutOfDomain(f"axis {pair.axis}: {x} outside domain {pair.domain}")
+        raise _out_of_domain(field.pairs, coords)
     theta_terms, phi_terms = field._indexed_terms
     theta, grad_t, sec_t, *hess_t = _combine(theta_terms, cache, hessian)
     phi, grad_p, sec_p, *hess_p = _combine(phi_terms, cache, hessian)
@@ -711,7 +729,7 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) ->
     phi_terms = normalize_terms(phi_terms, "phi")
 
     probe = sparse_grid([p.probe_interval() for p in pairs], (PROBE_POINTS,) * 3)
-    cache, _, _ = _axis_eval(pairs, probe)
+    cache, _, _ = _axis_eval(_bind_axes(pairs), probe)
     th, gt, _ = _combine(_indexed(theta_terms), cache)
     ph, gp, _ = _combine(_indexed(phi_terms), cache)
     gt, gp = np.array(gt), np.array(gp)

@@ -18,7 +18,7 @@ from qhj3d import (
     sample,
     velocity_field,
 )
-from qhj3d import dynamics, metric, schrodinger
+from qhj3d import dynamics, hj_core, metric, schrodinger
 from qhj3d.dynamics import COMPLETED, DOMAIN_EXIT, SINGULARITY
 from qhj3d.errors import NodalPoint
 from qhj3d.potentials import SeparablePotential
@@ -485,30 +485,63 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_rhs(monkeypatch, inject=None):
+    """Count the first route's right-hand sides: the calls of every point
+    evaluator built from now on (hj_core._point_evaluator), so the action
+    must not have built its own yet. inject(n), if given, runs before the
+    n-th call and may raise in its place."""
+    calls = [0]
+    factory = hj_core._point_evaluator
+
+    def counting_factory(action):
+        evaluate = factory(action)
+
+        def counting(r):
+            calls[0] += 1
+            if inject is not None:
+                inject(calls[0])
+            return evaluate(r)
+
+        return counting
+
+    monkeypatch.setattr(hj_core, "_point_evaluator", counting_factory)
+    return calls
+
+
+def count_samples(monkeypatch):
+    """Count the field evaluations at a point, the first route's and every
+    sample's: the calls of the axis kernel (_axis_eval) from the point
+    evaluator and from evaluate_field. Returns a function reading the sum."""
+    calls = [count_calls(monkeypatch, module, "_axis_eval") for module in (hj_core, schrodinger)]
+    return lambda: sum(n[0] for n in calls)
+
+
 def test_first_route_samples_once_per_rhs(monkeypatch):
-    """Without an event, each right-hand side (one velocity_field call)
-    makes the only sample call: the event check and the columns reuse it."""
+    """Without an event, each right-hand side (one point-evaluator call)
+    makes the only field evaluation: the event check and the columns reuse
+    its sample."""
     action, start, config = shipped_route_case("free_a2.scn")
-    samples = count_calls(monkeypatch, dynamics, "sample")
-    rhs = count_calls(monkeypatch, dynamics, "velocity_field")
+    samples = count_samples(monkeypatch)
+    rhs = count_rhs(monkeypatch)
     tr = integrate_first_order(action, start, config)
     assert tr.termination.status == COMPLETED
     assert rhs[0] >= 6 * (len(tr.states) - 1) + 1
-    assert samples[0] == rhs[0]
+    assert samples() == rhs[0]
 
 
 @pytest.mark.parametrize("case", ["field2d", "harmonic_node"])
 def test_first_route_extra_samples_are_bisection_probes(case, monkeypatch):
-    """An event adds only the bisection probes, ten halvings of the step."""
+    """An event adds only the bisection probes, ten halvings of the step,
+    each one field evaluation."""
     name, mixing, r0, ended = COLUMN_CASES[case]
     action, start, config = shipped_route_case(name, mixing, r0)
-    samples = count_calls(monkeypatch, dynamics, "sample")
-    rhs = count_calls(monkeypatch, dynamics, "velocity_field")
+    samples = count_samples(monkeypatch)
+    rhs = count_rhs(monkeypatch)
     probes = count_calls(monkeypatch, dynamics, "_event_margin")
     tr = integrate_first_order(action, start, config)
     assert (tr.termination.status, tr.termination.kind) == ended
     assert probes[0] == 10
-    assert samples[0] == rhs[0] + probes[0]
+    assert samples() == rhs[0] + probes[0]
 
 
 @pytest.mark.parametrize("route", [integrate_first_order, integrate_second_order],
@@ -516,14 +549,16 @@ def test_first_route_extra_samples_are_bisection_probes(case, monkeypatch):
 @pytest.mark.parametrize("case", list(COLUMN_CASES))
 def test_integrator_stats_account_for_the_loop(case, route, monkeypatch):
     """The counts a trajectory carries are the calls its loop made: one
-    right-hand side per velocity_field call on the first route and per
+    right-hand side per point-evaluator call on the first route and per
     evaluate_field on the second, one probe per _event_margin.
     Each attempted step is accepted, rejected, halved or the last one, and
     costs at most six right-hand sides (seven with the event's own)."""
     name, mixing, r0, ended = COLUMN_CASES[case]
     action, start, config = shipped_route_case(name, mixing, r0)
-    rhs_name = "velocity_field" if route is integrate_first_order else "evaluate_field"
-    rhs = count_calls(monkeypatch, dynamics, rhs_name)
+    if route is integrate_first_order:
+        rhs = count_rhs(monkeypatch)
+    else:
+        rhs = count_calls(monkeypatch, dynamics, "evaluate_field")
     probes = count_calls(monkeypatch, dynamics, "_event_margin")
     tr = route(action, start, config)
     assert (tr.termination.status, tr.termination.kind) == ended
@@ -562,17 +597,14 @@ def test_integrator_stats_count_a_singular_stage(monkeypatch):
     action, start, config = shipped_route_case("free_a2.scn")
     clean = integrate_first_order(action, start, config).stats
     assert clean.singular_halvings == 0
-    original = dynamics.velocity_field
-    calls = [0]
 
-    def singular_third_call(*args, **kwargs):
-        calls[0] += 1
-        if calls[0] == 3:
+    def singular_third_call(n):
+        if n == 3:
             raise NodalPoint("a stage on a node")
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "velocity_field", singular_third_call)
-    stats = integrate_first_order(action, start, config).stats
+    calls = count_rhs(monkeypatch, singular_third_call)
+    # a copy of the action builds its evaluator afresh, through the patch
+    stats = integrate_first_order(dataclasses.replace(action), start, config).stats
     assert stats.singular_halvings == 1
     assert stats.rhs_evals == calls[0]
 

@@ -9,6 +9,7 @@ arrays find singular, and every value must agree to 1e-12. The same holds
 for the rows of a metric report, which evaluates its batch in one call.
 """
 
+import dataclasses
 import math
 import os
 
@@ -260,3 +261,105 @@ def test_point_path_is_floats_in_and_floats_out(name):
                 assert type(leaf) is float, (path, type(leaf))
         seen.append((out, velocity.tolist()))
     assert seen[0] == seen[1] == seen[2]
+
+
+# The first route's point evaluator (hj_core._point_evaluator) against the
+# chain it replaces in the trajectory loop: sample, a_upper_from_sample and
+# v^mu = a^{mumu} d_mu S0 / m0.
+
+ALL_SHIPPED = tuple(sorted(name[:-4] for name in os.listdir(SCENARIOS) if name.endswith(".scn")))
+
+# Points where S0, R or a^{mumu} is undefined or at an edge, per scenario,
+# and the exceptions they must raise among them. The free scenarios are flat
+# along y and z everywhere. Near field2d's node R is the distance to it, so
+# x offsets of 7.5e-13 and 1.5e-12 put R at 0.75 and 1.5 times the nodal
+# threshold.
+_NUMEROV_EDGES = (
+    [(0.0, 0.3, -0.2), (0.5, 0.0, 0.7), (-1.1, 0.4, 0.0), (0.0, 0.0, 0.0),
+     (4.5, 0.3, -0.2), (0.1, -4.2, 0.0), (4.0, 0.0, 1.0), (-4.0, -4.0, -4.0)],
+    {NodeSingularity, OutOfDomain},
+)
+EDGES = {
+    "box": ([(-0.5, 0.0, 0.0), (21.0, 0.3, -0.2), (0.0, 0.0, 0.0), (20.0, 1.0, 1.0), (10.0, 50.0, -50.0)],
+            {OutOfDomain}),
+    "field2d": ([(HALF_PI, -HALF_PI, z) for z in (-1.5, 0.0, 0.4)]
+                + [(-HALF_PI, HALF_PI, 0.0), (HALF_PI, HALF_PI, 0.0)]
+                + [(HALF_PI + dx, -HALF_PI, 0.2) for dx in (7.5e-13, 1.5e-12)], {NodalPoint}),
+    "free_a2": ([(0.0, 0.0, 0.0), (math.pi, 7.0, -9.0), (HALF_PI, 0.0, 0.0)], set()),
+    "free_classical": ([(0.0, 0.0, 0.0), (math.pi, 7.0, -9.0), (HALF_PI, 0.0, 0.0)], set()),
+    "harmonic_numerov": _NUMEROV_EDGES,
+    "tabulated_harmonic": _NUMEROV_EDGES,
+}
+
+
+def _chain(action, r):
+    """(v, s, a_upper) at r from sample and a_upper_from_sample, with s cut
+    to the record the evaluator returns."""
+    s = sample(action, r)
+    a_upper, _ = a_upper_from_sample(action, s)
+    v = [a * ds / action.m0 for a, ds in zip(a_upper, s.grad_s0)]
+    return v, hj_core.PointSample(s.grad_s0, s.amplitude, s.v), a_upper
+
+
+def _outcome(evaluate, r):
+    """Every value as (path, type, bits), or the exception's class, message
+    and axis."""
+    try:
+        out = evaluate(r)
+    except QhjError as exc:
+        return type(exc), str(exc), getattr(exc, "axis", None)
+    return [(path, type(x), x.hex()) for path, x in _leaves(out)]
+
+
+def _scaled(name):
+    """The shipped scenario in other units, hbar 0.7 and m0 1.3, where no
+    product by hbar, hbar^2 or 1/m0 is exact."""
+    with open(os.path.join(SCENARIOS, f"{name}.scn")) as handle:
+        text = handle.read()
+    return parse_scenario(text.replace("hbar = 1.0", "hbar = 0.7").replace("mass = 1.0", "mass = 1.3"))
+
+
+@pytest.mark.parametrize("units", ["shipped", "scaled"])
+@pytest.mark.parametrize("name", ALL_SHIPPED)
+def test_point_evaluator_is_the_chain_bit_for_bit(name, units):
+    """At 240 seeded points over the verify box widened by 30% of its span
+    on each side, and at the scenario's undefined and edge points, the
+    evaluator gives v, grad S0, R, V and a^{mumu} with the bits of the
+    chain, or raises the same exception with the same message and axis;
+    also with hbar and m0 away from 1. velocity_field returns the same v
+    as an array."""
+    scenario = _load(name)
+    action = build_action(scenario if units == "shipped" else _scaled(name))
+    assert (action.hbar, action.m0) == ((1.0, 1.0) if units == "shipped" else (0.7, 1.3))
+    rng = np.random.default_rng(20261020)
+    lo, hi = np.array(scenario.verify.bounds).T
+    pad = 0.3 * (hi - lo)
+    points = [tuple(float(c) for c in p) for p in rng.uniform(lo - pad, hi + pad, size=(240, 3))]
+    edges, must_raise = EDGES[name]
+    raised, defined = set(), 0
+    for r in points + edges:
+        got = _outcome(action.point_velocity, list(r))
+        assert got == _outcome(lambda r: _chain(action, r), r), r
+        if isinstance(got, tuple):
+            raised.add(got[0])
+            continue
+        defined += 1
+        v, _, _ = action.point_velocity(list(r))
+        assert velocity_field(action, r)[0].tolist() == v, r
+    assert must_raise <= raised
+    assert defined >= 100
+
+
+@pytest.mark.parametrize("name", ALL_SHIPPED)
+def test_point_evaluator_is_built_once_per_action(name):
+    """An action builds its evaluator on first use and keeps it; a copy
+    made by dataclasses.replace builds its own. Neither changes the
+    action's equality or hash."""
+    action = build_action(_load(name))
+    copy = dataclasses.replace(action)
+    before = hash(action)
+    evaluate = action.point_velocity
+    assert action.point_velocity is evaluate
+    assert copy.point_velocity is not evaluate
+    assert copy == action and hash(copy) == hash(action) == before
+    assert dataclasses.replace(action, a=2.0 * action.a).point_velocity is not evaluate

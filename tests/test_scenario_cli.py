@@ -637,6 +637,48 @@ def test_verify_fails_a_wrong_axis_table_and_names_the_axis(name, monkeypatch, t
     assert not any(line.startswith(("axis x:", "axis z:")) for line in printed)
 
 
+# harmonic_numerov variants and the grid checks each fails: at (a, b) =
+# (0.5, 2) over bounds +-2.4 the continuity identity reads 2.3e-12 against
+# 1e-13; a QSHJE tolerance of 1e-20 is below any residual.
+GRID_CHECK_VARIANTS = {
+    "shipped": set(),
+    "mixing-0.5-2-bounds-2.4": {"continuity identity"},
+    "qshje-tol-1e-20": {"qshje residual"},
+}
+
+
+@pytest.mark.parametrize("variant", list(GRID_CHECK_VARIANTS))
+def test_verify_names_a_failing_grid_check(variant, tmp_path, capsys):
+    """A variant that fails a grid check exits 3 with a line naming each
+    check it fails, with its value and worst point from the report, and no
+    line for a check that passes. The shipped scenario PASSes."""
+    text = scenario_text("harmonic_numerov.scn")
+    if variant == "mixing-0.5-2-bounds-2.4":
+        text = text.replace("a = 1.5\nb = 0.5", "a = 0.5\nb = 2.0")
+        for axis in "xyz":
+            text = text.replace(f"\n{axis} = -2, 2\n", f"\n{axis} = -2.4, 2.4\n")
+        assert parse_scenario(text).verify.bounds == ((-2.4, 2.4),) * 3
+    elif variant == "qshje-tol-1e-20":
+        text = text.replace("[verify]\n", "[verify]\nqshje_tol = 1e-20\n")
+    path = tmp_path / "variant.scn"
+    path.write_text(text)
+    out = tmp_path / "report.json"
+    code = main(["verify", str(path), "--out", str(out)])
+    printed = capsys.readouterr().out.splitlines()
+    report = strict_json(out.read_text())
+    fails = GRID_CHECK_VARIANTS[variant]
+    assert (code, printed[-1]) == ((3, "FAIL") if fails else (0, "PASS"))
+    for label, key, point in (("qshje residual", "max_qshje", "worst_qshje_point"),
+                              ("continuity identity", "max_continuity_identity", "worst_continuity_point")):
+        tol = report["qshje_tol" if key == "max_qshje" else "continuity_tol"]
+        assert (not report[key] < tol) == (label in fails), label
+        at = ", ".join(f"{x:.6g}" for x in report[point])
+        line = f"{label} {report[key]:.3e} at ({at}) is not below {tol:g}"
+        assert (line in printed) == (label in fails), label
+        assert sum(line.startswith(label) for line in printed) == (label in fails), label
+    assert not any(line.startswith("axis ") for line in printed)
+
+
 def test_run_verify_harmonic_numerov():
     s = parse_scenario(scenario_text("harmonic_numerov.scn"))
     report = run_verify(s, grid=(7, 7, 7))
@@ -982,6 +1024,7 @@ def test_cli_verify_bounds_outside_a_domain_write_a_fail_report(tmp_path, capsys
     printed = capsys.readouterr().out.splitlines()
     assert printed[1] == "points: 0 evaluated, 0 nodal, 0 singular, 9261 out of domain"
     assert printed[-1] == "FAIL"
+    assert "no grid point was evaluated" in printed
     report = strict_json(out.read_text())
     assert report["domain_skips"] == 9261 and report["singular_skips"] == 0
     assert report["max_qshje"] is None and report["max_continuity_identity"] is None
