@@ -8,8 +8,8 @@ which satisfies the law identically. Its right-hand side is the action's
 point evaluator (ReducedActionField.point_velocity), built once per action:
 it takes the loop's list of floats and gives the bits that sample and
 metric.a_upper_from_sample give, without building their records.
-velocity_field is its public face. Event probes, the second route's start
-and the tests sample the field through the general chain.
+velocity_field is its public face. The event probes of both routes and the
+second route's start call it too.
 
 The second route is an independent check of the first: Hamilton's
 equations of the quantum Hamiltonian H = sum_mu a^{mumu} p_mu^2 / 2 m0 + V
@@ -25,8 +25,8 @@ Every product term of the field solves u'' = f_mu u on each axis, so
 a^{mumu} = 2 m0 (E_mu - V_mu) / (d_mu S0)^2 and the law holds axis by
 axis, v^mu = 2 (E_mu - V_mu) / d_mu S0. The exact gradient of a^{mumu}
 (metric.a_upper_gradient) needs only the Hessian of the field and the
-potential gradient: one field evaluation with hessian=True and one
-gradient per right-hand side.
+potential gradient: per right-hand side, one call of a point evaluator
+with hessian=True (hj_core._point_evaluator) and one derivative per axis.
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI-free step
 control. Singularities (a conjugate-momentum component or the amplitude R
@@ -44,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import as_coords
+from . import hj_core
 from .errors import NodalPoint, NodeSingularity, OutOfDomain
-from .hj_core import ReducedActionField, sample
+from .hj_core import ReducedActionField
 from .metric import a_upper_gradient
-from .schrodinger import evaluate_field
 
 _FIELD_SINGULAR = (NodalPoint, NodeSingularity)
 
@@ -211,10 +211,12 @@ def _margin(action, s, eps):
 
 
 def _event_margin(action, r, eps):
-    """The margin at r, sampled there; -inf when r is unevaluable."""
+    """The margin at r, from the action's point evaluator; -inf when r is
+    nodal, node-singular (an active |d_mu S0| < MOMENTUM_EPS, negative
+    anyway for eps >= MOMENTUM_EPS) or out of domain."""
     try:
-        s = sample(action, r)
-    except (NodalPoint, OutOfDomain):
+        _, s, _ = action.point_velocity(r)
+    except (NodalPoint, NodeSingularity, OutOfDomain):
         return -math.inf
     return _margin(action, s, eps)
 
@@ -287,14 +289,12 @@ def _integrate(action, rhs, r0, start, config, position_of, state_of):
     y0 = start(r0).
 
     The state y and every derivative are lists of floats. rhs(y) returns
-    (dy/dt, s, a_upper), with s the sample at position_of(y) (an
-    ActionSample, or the first route's PointSample: the loop reads only
-    grad_s0, amplitude and v) and a_upper the a^{mumu} that dy/dt was
-    computed from. Every accepted step, the initial state included,
-    becomes the state state_of(t, y, dy/dt); its law residual, energy
-    residual and grad S0 are computed from that s and a_upper when the
-    step is accepted, and both are dropped with the step. The event check
-    reads the same s.
+    (dy/dt, s, a_upper), with s the PointSample at position_of(y) (grad S0,
+    R and V) and a_upper the a^{mumu} that dy/dt was computed from. Every
+    accepted step, the initial state included, becomes the state
+    state_of(t, y, dy/dt); its law residual, energy residual and grad S0
+    are computed from that s and a_upper when the step is accepted, and
+    both are dropped with the step. The event check reads the same s.
 
     If start(r0) or the first right-hand side raises NodalPoint or
     NodeSingularity, the run ends there: a singularity of kind amplitude or
@@ -412,21 +412,20 @@ def integrate_first_order(action: ReducedActionField, r0, config: IntegratorConf
 
 def _hamilton_rhs(action: ReducedActionField):
     """The second route's right-hand side y = (r, p) -> (dy/dt, s, a_upper)
-    on lists of floats: Hamilton's equations from one field evaluation
-    with the Hessian at r and one potential gradient, which both d_mu V
-    and the metric gradient use."""
+    on lists of floats: Hamilton's equations from one call of a point
+    evaluator with the Hessian at r and one derivative of each axis
+    potential, which both d_mu V and the metric gradient use."""
     m0 = action.m0
-    field = action.field
-    potential = field.potential
+    evaluate = hj_core._point_evaluator(action, hessian=True)
+    dv_x, dv_y, dv_z = (pair.potential.derivative for pair in action.field.pairs)
 
     def rhs(y):
-        r, p = y[:3], y[3:]
-        fs = evaluate_field(field, r, hessian=True)
-        grad_v = potential.gradient(r).tolist()
-        s, a_upper, grad_a = a_upper_gradient(action, fs, r, grad_v)
-        (p0, p1, p2), (a0, a1, a2) = p, a_upper
+        r0, r1, r2, p0, p1, p2 = y
+        _, s, a_upper, field = evaluate(y[:3])
+        grad_v = (dv_x(r0), dv_y(r1), dv_z(r2))
+        g0, g1, g2 = a_upper_gradient(action, field, s.grad_s0, a_upper, grad_v)
+        (a0, a1, a2), (v0, v1, v2) = a_upper, grad_v
         q0, q1, q2 = p0 * p0, p1 * p1, p2 * p2  # p_mu^2
-        (g0, g1, g2), (v0, v1, v2) = grad_a, grad_v
         return [a0 * p0 / m0, a1 * p1 / m0, a2 * p2 / m0,
                 -(g0[0] * q0 + g0[1] * q1 + g0[2] * q2) / (2.0 * m0) - v0,
                 -(g1[0] * q0 + g1[1] * q1 + g1[2] * q2) / (2.0 * m0) - v1,
@@ -440,8 +439,10 @@ def integrate_second_order(action: ReducedActionField, r0, config: IntegratorCon
     from p = grad S0(r0) (the law of motion leaves no freedom).
 
     A state's velocity is dr/dt = a^{mumu} p_mu / m0 and its momentum p.
+    p0 comes from the action's point evaluator, so a node-singular start
+    ends the run before any right-hand side.
     """
-    start = lambda r: [*r, *sample(action, r).grad_s0]
+    start = lambda r: [*r, *action.point_velocity(r)[1].grad_s0]
     return _integrate(action, _hamilton_rhs(action), _point(r0), start, config,
                       position_of=lambda y: y[:3],
                       state_of=lambda t, y, f: TrajectoryState(t, np.array(y[:3]), np.array(f[:3]),

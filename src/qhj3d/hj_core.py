@@ -14,6 +14,8 @@ the free constant in the continuity solution is pinned to k = hbar*a.
 
 sample and the residuals are array-generic: at a point they raise on a
 nodal or out-of-domain point, and over arrays they report it per point.
+Both trajectory routes evaluate at points through _point_evaluator, which
+gives the bits of sample and metric.a_upper_from_sample without their records.
 """
 
 from __future__ import annotations
@@ -124,12 +126,7 @@ def sample(action: ReducedActionField, r) -> ActionSample:
     A nodal or out-of-domain point raises NodalPoint or OutOfDomain; over
     arrays the status marks such points instead.
     """
-    return _sample_field(action, evaluate_field(action.field, r), r)
-
-
-def _sample_field(action: ReducedActionField, fs: FieldSample, r) -> ActionSample:
-    """sample(action, r) built on fs, a field evaluation at r, with or
-    without the Hessian."""
+    fs = evaluate_field(action.field, r)
     tp, grad_tp, sec_tp = _theta_prime_parts(action, fs)
     ph, grad_ph, sec_ph = fs.phi, fs.grad_phi, fs.second_phi
 
@@ -211,18 +208,22 @@ def continuity_identity_residual(action: ReducedActionField, r) -> float:
     return continuity_identity_from_sample(action, sample(action, r))
 
 
-def _point_evaluator(action: ReducedActionField):
-    """The velocity field of the first trajectory route at a point, as one
-    function of r, a sequence of three floats: r -> (v, s, a_upper), with
-    v^mu = a^{mumu} d_mu S0 / m0 a list, s the PointSample at r and
-    a_upper the a^{mumu} tuple.
+def _point_evaluator(action: ReducedActionField, hessian=False):
+    """The point path of both trajectory routes, as one function of r, a
+    sequence of three floats: r -> (v, s, a_upper), with
+    v^mu = a^{mumu} d_mu S0 / m0 a list (the first route's velocity
+    field), s the PointSample at r and a_upper the a^{mumu} tuple.
+
+    With hessian=True (the second route) it also returns what
+    metric.a_upper_gradient differentiates: (theta, phi, grad theta,
+    grad phi, Hessian of theta, Hessian of phi), indexed as _combine's.
 
     It binds the action's per-axis tables and constants once and runs the
     point branches of sample and metric.a_upper_from_sample in one frame:
     the same field kernel (_axis_eval, _combine), the same operations in
     the same order and the same exceptions, so every value is the bits of
     that chain (tests/test_kernel.py holds it to them). The principal
-    value of S0, which the loop never reads, is not formed.
+    value of S0, which no route reads, is not formed.
     """
     field = action.field
     axes, pairs = field._axes, field.pairs
@@ -235,8 +236,8 @@ def _point_evaluator(action: ReducedActionField):
         cache, v, inside = _axis_eval(axes, r)
         if not inside:
             raise _out_of_domain(pairs, r)
-        th, (gt0, gt1, gt2), (st0, st1, st2) = _combine(theta_terms, cache)
-        ph, (gp0, gp1, gp2), (sp0, sp1, sp2) = _combine(phi_terms, cache)
+        th, (gt0, gt1, gt2), (st0, st1, st2), hess_t = _combine(theta_terms, cache, hessian)
+        ph, (gp0, gp1, gp2), (sp0, sp1, sp2), hess_p = _combine(phi_terms, cache, hessian)
         tp = a * th + b * ph
         g = tp * tp + ph * ph
         amplitude = math.sqrt(g)
@@ -257,6 +258,9 @@ def _point_evaluator(action: ReducedActionField):
             velocity.append(a_mu * ds / m0)
             grad_s0.append(ds)
             a_upper.append(a_mu)
+        if hessian:
+            return (velocity, PointSample(tuple(grad_s0), amplitude, v), tuple(a_upper),
+                    (th, ph, (gt0, gt1, gt2), (gp0, gp1, gp2), hess_t, hess_p))
         return velocity, PointSample(tuple(grad_s0), amplitude, v), tuple(a_upper)
 
     return evaluate

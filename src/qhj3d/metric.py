@@ -21,7 +21,7 @@ import numpy as np
 
 from .arrays import at_point, stack, where
 from .errors import NODE_SINGULAR, NON_RIEMANNIAN, OK, NodeSingularity, NonRiemannianPoint
-from .hj_core import MOMENTUM_EPS, ReducedActionField, sample, _sample_field
+from .hj_core import MOMENTUM_EPS, ReducedActionField, sample
 
 TWELVE_EQUATION_LABELS = (
     "row_norm_x", "row_norm_y", "row_norm_z",
@@ -86,11 +86,12 @@ def a_upper_from_sample(action: ReducedActionField, s):
     return tuple(a_upper), status
 
 
-def a_upper_gradient(action: ReducedActionField, fs, r, grad_v):
-    """The ActionSample at the point r built on fs, a field evaluation there
-    with hessian=True; a^{mumu} from it (a_upper_from_sample, which raises
-    NodeSingularity); and its exact gradient grad_a[nu][mu] = d_nu a^{mumu},
-    given grad_v, the potential gradient at r.
+def a_upper_gradient(action: ReducedActionField, field, grad_s0, a_upper, grad_v):
+    """The exact gradient grad_a[nu][mu] = d_nu a^{mumu} at a point, from
+    what the second route's point evaluator gives there
+    (hj_core._point_evaluator with hessian=True): field, the pieces
+    (theta, phi, grad theta, grad phi, Hessian of theta, Hessian of phi);
+    grad S0; and a^{mumu}. grad_v is the potential gradient at the point.
 
     With psi = phi + i theta' = R exp(i S0 / hbar) and w_mu = d_mu psi / psi,
     p_mu = d_mu S0 = hbar Im w_mu. Every product term solves u'' = f_mu u on
@@ -106,24 +107,23 @@ def a_upper_gradient(action: ReducedActionField, fs, r, grad_v):
     axes are formed: 1 Hessian entry of psi on a field varying along one
     axis, 4 along two.
     """
-    s = _sample_field(action, fs, r)
-    a_upper, _ = a_upper_from_sample(action, s)
+    theta, phi, grad_theta, grad_phi, hessian_theta, hessian_phi = field
     hbar, two_m0 = action.hbar, 2.0 * action.m0
     ct, cp = complex(0.0, action.a), complex(1.0, action.b)
-    inv = 1.0 / (ct * fs.theta + cp * fs.phi)
+    inv = 1.0 / (ct * theta + cp * phi)
     active = [nu for nu in range(3) if action.field.active_axes[nu]]
-    w = {nu: (ct * fs.grad_theta[nu] + cp * fs.grad_phi[nu]) * inv for nu in active}
+    w = {nu: (ct * grad_theta[nu] + cp * grad_phi[nu]) * inv for nu in active}
     grad_a = [[0.0] * 3 for _ in range(3)]
     for mu in active:
-        p = s.grad_s0[mu]
+        p = grad_s0[mu]
         if abs(p) < MOMENTUM_EPS:
             continue
         for nu in active:
-            hess = (ct * fs.hessian_theta[nu][mu] + cp * fs.hessian_phi[nu][mu]) * inv
+            hess = (ct * hessian_theta[nu][mu] + cp * hessian_phi[nu][mu]) * inv
             dp = hbar * (hess - w[nu] * w[mu]).imag
             grad_a[nu][mu] = -2.0 * a_upper[mu] * dp / p
         grad_a[mu][mu] -= two_m0 * grad_v[mu] / (p * p)
-    return s, a_upper, grad_a
+    return grad_a
 
 
 def signature_chars(a_upper) -> tuple:

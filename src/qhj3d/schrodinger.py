@@ -568,12 +568,8 @@ class FieldSample(NamedTuple):
     float; over arrays every entry has the broadcast shape, and points
     outside the domain hold the values at the axis anchors.
 
-    An evaluation with hessian=True also holds, for theta and phi, the
-    Hessian hessian[nu][mu] = d_nu d_mu, whose diagonal is the second
-    partials; otherwise it is None.
-
     A read-only record that builds in a fraction of a frozen dataclass's
-    time: the trajectory loop builds one per right-hand side.
+    time.
     """
 
     theta: float
@@ -584,8 +580,6 @@ class FieldSample(NamedTuple):
     second_phi: tuple
     v: float
     status: int
-    hessian_theta: tuple | None = None
-    hessian_phi: tuple | None = None
 
 
 def normalize_terms(terms, which):
@@ -659,9 +653,10 @@ def _out_of_domain(pairs, coords) -> OutOfDomain:
 
 
 def _combine(terms, cache, hessian=False):
-    """Value, gradient and diagonal second partials of a sum of products,
-    whose terms carry selector indices (_indexed); hessian=True adds the
-    Hessian, indexed [nu][mu].
+    """Value, gradient, diagonal second partials and Hessian of a sum of
+    products, whose terms carry selector indices (_indexed). The Hessian,
+    indexed [nu][mu], is formed only with hessian=True and is None
+    otherwise.
 
     Per-axis factors broadcast into the products. Sums start from +0.0 and
     run in term order, so a point and a grid entry take the same steps.
@@ -683,14 +678,13 @@ def _combine(terms, cache, hessian=False):
             c2 = coef * u2
             h01, h02, h12 = h01 + d0 * d1 * c2, h02 + d0 * d2 * c1, h12 + d1 * d2 * c0
     if not hessian:
-        return value, (g0, g1, g2), (e0, e1, e2)
+        return value, (g0, g1, g2), (e0, e1, e2), None
     return value, (g0, g1, g2), (e0, e1, e2), ((e0, h01, h02), (h01, e1, h12), (h02, h12, e2))
 
 
-def evaluate_field(field: SolutionField3D, r, hessian=False) -> FieldSample:
+def evaluate_field(field: SolutionField3D, r) -> FieldSample:
     """theta and phi with exact second partials at r: a point, or three
     coordinate arrays that broadcast together (see arrays.sparse_grid).
-    hessian=True adds their Hessians (see FieldSample).
 
     A point outside the domain raises OutOfDomain; over arrays such points
     are marked OUT_OF_DOMAIN in the status.
@@ -704,9 +698,9 @@ def evaluate_field(field: SolutionField3D, r, hessian=False) -> FieldSample:
     else:
         raise _out_of_domain(field.pairs, coords)
     theta_terms, phi_terms = field._indexed_terms
-    theta, grad_t, sec_t, *hess_t = _combine(theta_terms, cache, hessian)
-    phi, grad_p, sec_p, *hess_p = _combine(phi_terms, cache, hessian)
-    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status, *hess_t, *hess_p)
+    theta, grad_t, sec_t, _ = _combine(theta_terms, cache)
+    phi, grad_p, sec_p, _ = _combine(phi_terms, cache)
+    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status)
 
 
 def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) -> SolutionField3D:
@@ -730,8 +724,8 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) ->
 
     probe = sparse_grid([p.probe_interval() for p in pairs], (PROBE_POINTS,) * 3)
     cache, _, _ = _axis_eval(_bind_axes(pairs), probe)
-    th, gt, _ = _combine(_indexed(theta_terms), cache)
-    ph, gp, _ = _combine(_indexed(phi_terms), cache)
+    th, gt, _, _ = _combine(_indexed(theta_terms), cache)
+    ph, gp, _, _ = _combine(_indexed(phi_terms), cache)
     gt, gp = np.array(gt), np.array(gp)
     max_cross = float(np.max(np.abs(ph * gt - th * gp)))
     max_grad = np.max(np.maximum(np.abs(gt), np.abs(gp)), axis=(1, 2, 3))

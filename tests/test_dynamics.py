@@ -20,8 +20,7 @@ from qhj3d import (
 )
 from qhj3d import dynamics, hj_core, metric, schrodinger
 from qhj3d.dynamics import COMPLETED, DOMAIN_EXIT, SINGULARITY
-from qhj3d.errors import NodalPoint
-from qhj3d.potentials import SeparablePotential
+from qhj3d.errors import NodalPoint, NodeSingularity, OutOfDomain
 from qhj3d.scenario import build_action, parse_scenario
 
 from conftest import make_box_field, make_field_2d
@@ -486,25 +485,39 @@ def count_calls(monkeypatch, module, name):
 
 
 def count_rhs(monkeypatch, inject=None):
-    """Count the first route's right-hand sides: the calls of every point
+    """Count the point-evaluator calls of a run: the calls of every
     evaluator built from now on (hj_core._point_evaluator), so the action
-    must not have built its own yet. inject(n), if given, runs before the
-    n-th call and may raise in its place."""
-    calls = [0]
-    factory = hj_core._point_evaluator
+    must not have built its own yet. "probe" counts the calls inside
+    dynamics._event_margin; the others count by the evaluator's hessian
+    flag, "lean" (the first route's right-hand sides, and the second
+    route's start) and "hessian" (the second route's right-hand sides).
+    inject(n), if given, runs before the n-th lean call and may raise in
+    its place."""
+    calls = {"lean": 0, "hessian": 0, "probe": 0}
+    probing = [False]
+    factory, margin = hj_core._point_evaluator, dynamics._event_margin
 
-    def counting_factory(action):
-        evaluate = factory(action)
+    def counting_factory(action, hessian=False):
+        evaluate = factory(action, hessian)
 
         def counting(r):
-            calls[0] += 1
-            if inject is not None:
-                inject(calls[0])
+            key = "probe" if probing[0] else "hessian" if hessian else "lean"
+            calls[key] += 1
+            if inject is not None and key == "lean":
+                inject(calls[key])
             return evaluate(r)
 
         return counting
 
+    def probing_margin(*args):
+        probing[0] = True
+        try:
+            return margin(*args)
+        finally:
+            probing[0] = False
+
     monkeypatch.setattr(hj_core, "_point_evaluator", counting_factory)
+    monkeypatch.setattr(dynamics, "_event_margin", probing_margin)
     return calls
 
 
@@ -522,26 +535,42 @@ def test_first_route_samples_once_per_rhs(monkeypatch):
     its sample."""
     action, start, config = shipped_route_case("free_a2.scn")
     samples = count_samples(monkeypatch)
-    rhs = count_rhs(monkeypatch)
+    calls = count_rhs(monkeypatch)
     tr = integrate_first_order(action, start, config)
     assert tr.termination.status == COMPLETED
-    assert rhs[0] >= 6 * (len(tr.states) - 1) + 1
-    assert samples() == rhs[0]
+    assert calls["lean"] >= 6 * (len(tr.states) - 1) + 1
+    assert samples() == calls["lean"]
 
 
 @pytest.mark.parametrize("case", ["field2d", "harmonic_node"])
 def test_first_route_extra_samples_are_bisection_probes(case, monkeypatch):
     """An event adds only the bisection probes, ten halvings of the step,
-    each one field evaluation."""
+    each one call of the action's point evaluator."""
     name, mixing, r0, ended = COLUMN_CASES[case]
     action, start, config = shipped_route_case(name, mixing, r0)
     samples = count_samples(monkeypatch)
-    rhs = count_rhs(monkeypatch)
-    probes = count_calls(monkeypatch, dynamics, "_event_margin")
+    calls = count_rhs(monkeypatch)
     tr = integrate_first_order(action, start, config)
     assert (tr.termination.status, tr.termination.kind) == ended
-    assert probes[0] == 10
-    assert samples() == rhs[0] + probes[0]
+    assert calls["probe"] == 10
+    assert samples() == calls["lean"] + calls["probe"]
+
+
+def test_event_margin_is_minus_inf_at_every_unevaluable_point():
+    """A probe on a harmonic_numerov node plane, where a momentum component
+    vanishes under a quantum correction, is unevaluable, as a probe at a
+    node of R or outside the domain is: its margin is -inf, not a finite
+    negative number."""
+    harmonic, _, config = shipped_route_case("harmonic_numerov.scn")
+    field2d, _, _ = shipped_route_case("field2d.scn")
+    eps = config.singularity_eps
+    for action, r, error in ((harmonic, [0.0, 0.3, -0.2], NodeSingularity),
+                             (field2d, [math.pi / 2, math.pi / 2, 0.0], NodalPoint),
+                             (harmonic, [4.5, 0.3, -0.2], OutOfDomain)):
+        with pytest.raises(error):
+            velocity_field(action, r)
+        assert dynamics._event_margin(action, r, eps) == -math.inf
+    assert dynamics._event_margin(harmonic, [0.5, 0.3, -0.2], eps) > 0.0
 
 
 @pytest.mark.parametrize("route", [integrate_first_order, integrate_second_order],
@@ -549,21 +578,19 @@ def test_first_route_extra_samples_are_bisection_probes(case, monkeypatch):
 @pytest.mark.parametrize("case", list(COLUMN_CASES))
 def test_integrator_stats_account_for_the_loop(case, route, monkeypatch):
     """The counts a trajectory carries are the calls its loop made: one
-    right-hand side per point-evaluator call on the first route and per
-    evaluate_field on the second, one probe per _event_margin.
+    right-hand side per call of the lean point evaluator on the first route
+    and of the one with the Hessian on the second, one probe per
+    _event_margin.
     Each attempted step is accepted, rejected, halved or the last one, and
     costs at most six right-hand sides (seven with the event's own)."""
     name, mixing, r0, ended = COLUMN_CASES[case]
     action, start, config = shipped_route_case(name, mixing, r0)
-    if route is integrate_first_order:
-        rhs = count_rhs(monkeypatch)
-    else:
-        rhs = count_calls(monkeypatch, dynamics, "evaluate_field")
-    probes = count_calls(monkeypatch, dynamics, "_event_margin")
+    calls = count_rhs(monkeypatch)
     tr = route(action, start, config)
     assert (tr.termination.status, tr.termination.kind) == ended
     stats = tr.stats
-    assert (stats.rhs_evals, stats.event_probes) == (rhs[0], probes[0])
+    rhs = calls["lean" if route is integrate_first_order else "hessian"]
+    assert (stats.rhs_evals, stats.event_probes) == (rhs, calls["probe"])
     steps = stats.accepted + stats.rejected
     halvings = stats.singular_halvings + stats.domain_halvings
     assert 1 + 6 * steps + halvings <= stats.rhs_evals <= 1 + 6 * (steps + halvings) + 7
@@ -606,7 +633,7 @@ def test_integrator_stats_count_a_singular_stage(monkeypatch):
     # a copy of the action builds its evaluator afresh, through the patch
     stats = integrate_first_order(dataclasses.replace(action), start, config).stats
     assert stats.singular_halvings == 1
-    assert stats.rhs_evals == calls[0]
+    assert stats.rhs_evals == calls["lean"]
 
 
 # ---------------------------------------------------------------------------
@@ -669,21 +696,19 @@ def test_second_route_matches_dop853_oracle(stratum):
 
 
 def test_second_route_one_field_evaluation_per_rhs(monkeypatch):
-    """Each right-hand side (one potential gradient) evaluates the field
-    once, with the Hessian, and calls metric_at never; the only other field
-    evaluation is the sample that sets p0."""
+    """Each right-hand side (one call of the point evaluator with the
+    Hessian) evaluates the field once and calls metric_at never; the only
+    other field evaluation is the lean evaluator's call that sets p0."""
     action, start, config = route_centre("field2d")
-    rhs = count_calls(monkeypatch, SeparablePotential, "gradient")
-    rhs_evals = count_calls(monkeypatch, dynamics, "evaluate_field")
-    all_evals = count_calls(monkeypatch, schrodinger, "_axis_eval")
-    samples = count_calls(monkeypatch, dynamics, "sample")
+    calls = count_rhs(monkeypatch)
+    all_evals = count_samples(monkeypatch)
     metric_calls = count_calls(monkeypatch, metric, "metric_at")
     tr = integrate_second_order(action, start, config)
     assert tr.termination.status == COMPLETED
-    assert rhs[0] >= 6 * (len(tr.states) - 1) + 1
-    assert rhs_evals[0] == rhs[0]
-    assert all_evals[0] == rhs[0] + 1
-    assert samples[0] == 1
+    assert calls["hessian"] >= 6 * (len(tr.states) - 1) + 1
+    assert tr.stats.rhs_evals == calls["hessian"]
+    assert all_evals() == calls["hessian"] + 1
+    assert calls["lean"] == 1
     assert metric_calls[0] == 0
 
 

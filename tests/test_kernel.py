@@ -28,6 +28,7 @@ from qhj3d import (
     velocity_field,
     verify_transformation,
 )
+from qhj3d.arrays import as_coords
 from qhj3d.cli import run_metric
 from qhj3d.hj_core import MOMENTUM_EPS
 from qhj3d.metric import TWELVE_EQUATION_LABELS
@@ -220,7 +221,6 @@ def test_metric_batch_evaluates_the_field_once_plus_once_per_flagged_row(monkeyp
 
 # A point may be given as any 3-sequence; the kernel reads it as floats.
 POINT_FORMS = (tuple, list, np.array)
-JETS = ("hessian_theta", "hessian_phi")
 
 
 def _leaves(value, path=""):
@@ -238,7 +238,7 @@ def _leaves(value, path=""):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_point_path_is_floats_in_and_floats_out(name):
     """At a point given as a tuple, a list or an ndarray, the field
-    evaluations without and with the Hessian, sample,
+    evaluation, the point evaluator with the Hessian, sample,
     a_upper_from_sample and velocity_field hold Python floats in every
     per-axis entry, never np.float64, and equal values for the three
     forms. velocity_field's velocity is the one array."""
@@ -250,13 +250,11 @@ def test_point_path_is_floats_in_and_floats_out(name):
         smp = sample(action, r)
         velocity, at_v, a_upper_v = velocity_field(action, r)
         assert type(velocity) is np.ndarray and velocity.dtype == np.float64 and velocity.shape == (3,)
-        out = (evaluate_field(action.field, r), evaluate_field(action.field, r, hessian=True), smp,
-               a_upper_from_sample(action, smp), at_v, a_upper_v)
+        out = (evaluate_field(action.field, r), hj_core._point_evaluator(action, hessian=True)(as_coords(r)),
+               smp, a_upper_from_sample(action, smp), at_v, a_upper_v)
         for path, leaf in _leaves(out):
             if path.endswith(".status") or path == "[3][1]":
                 assert type(leaf) is int and leaf == OK, path
-            elif leaf is None:  # the Hessians of an evaluation without hessian=True
-                assert not path.startswith("[1].") and path.endswith(JETS), path
             else:
                 assert type(leaf) is float, (path, type(leaf))
         seen.append((out, velocity.tolist()))
@@ -301,6 +299,11 @@ def _chain(action, r):
     return v, hj_core.PointSample(s.grad_s0, s.amplitude, s.v), a_upper
 
 
+def _bits(value):
+    """Every value of nested records, tuples and lists as (path, type, bits)."""
+    return [(path, type(x), x.hex()) for path, x in _leaves(value)]
+
+
 def _outcome(evaluate, r):
     """Every value as (path, type, bits), or the exception's class, message
     and axis."""
@@ -308,7 +311,7 @@ def _outcome(evaluate, r):
         out = evaluate(r)
     except QhjError as exc:
         return type(exc), str(exc), getattr(exc, "axis", None)
-    return [(path, type(x), x.hex()) for path, x in _leaves(out)]
+    return _bits(out)
 
 
 def _scaled(name):
@@ -327,9 +330,15 @@ def test_point_evaluator_is_the_chain_bit_for_bit(name, units):
     evaluator gives v, grad S0, R, V and a^{mumu} with the bits of the
     chain, or raises the same exception with the same message and axis;
     also with hbar and m0 away from 1. velocity_field returns the same v
-    as an array."""
+    as an array.
+
+    The evaluator with the Hessian (the second route's) gives the same v,
+    PointSample and a^{mumu}, or the same exception; its theta, phi and
+    their gradients are evaluate_field's bits, and the diagonals of its
+    Hessians are that function's second partials."""
     scenario = _load(name)
     action = build_action(scenario if units == "shipped" else _scaled(name))
+    with_hessian = hj_core._point_evaluator(action, hessian=True)
     assert (action.hbar, action.m0) == ((1.0, 1.0) if units == "shipped" else (0.7, 1.3))
     rng = np.random.default_rng(20261020)
     lo, hi = np.array(scenario.verify.bounds).T
@@ -340,12 +349,18 @@ def test_point_evaluator_is_the_chain_bit_for_bit(name, units):
     for r in points + edges:
         got = _outcome(action.point_velocity, list(r))
         assert got == _outcome(lambda r: _chain(action, r), r), r
+        assert _outcome(lambda r: with_hessian(r)[:3], list(r)) == got, r
         if isinstance(got, tuple):
             raised.add(got[0])
             continue
         defined += 1
         v, _, _ = action.point_velocity(list(r))
         assert velocity_field(action, r)[0].tolist() == v, r
+        theta, phi, grad_theta, grad_phi, hessian_theta, hessian_phi = with_hessian(list(r))[3]
+        fs = evaluate_field(action.field, r)
+        assert _bits((theta, phi, grad_theta, grad_phi)) == _bits(fs[:4]), r
+        for hessian, second in ((hessian_theta, fs.second_theta), (hessian_phi, fs.second_phi)):
+            assert _bits([hessian[mu][mu] for mu in range(3)]) == _bits(list(second)), r
     assert must_raise <= raised
     assert defined >= 100
 

@@ -17,13 +17,14 @@ from qhj3d import (
     sparse_grid,
     verify_transformation,
 )
-from qhj3d import dynamics
+from qhj3d import dynamics, hj_core
+from qhj3d.arrays import as_coords
 from qhj3d.errors import OK, QhjError
 from qhj3d.hj_core import MOMENTUM_EPS
 from qhj3d.metric import (JacobianMatrix, QuantumMetric, TWELVE_EQUATION_LABELS, a_upper_from_sample,
                           a_upper_gradient)
 from qhj3d.scenario import build_action, parse_scenario
-from qhj3d.schrodinger import evaluate_field
+from qhj3d.schrodinger import _axis_eval, _combine, evaluate_field
 
 from conftest import make_box_field, make_free_field
 from reduction_1d import (ClassicalTurningPoint, ZeroConjugateMomentum, floyd_residual_1d, fm_factor_1d,
@@ -294,17 +295,25 @@ def assert_close(exact, estimate, what):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_order3_keeps_order2_fields_bitwise(name):
-    """An evaluation with hessian=True holds the fields of one without,
-    bit for bit, and adds the Hessians."""
+    """A combination with hessian=True holds the value, gradient and second
+    partials of one without, bit for bit, and adds the Hessian."""
     action, points = shipped_off_node_points(name)
     scenario = parse_scenario((SCENARIOS / f"{name}.scn").read_text())
     grid = sparse_grid(scenario.verify.bounds, scenario.verify.grid)
     for r in (*points, grid):
-        two, three = evaluate_field(action.field, r), evaluate_field(action.field, r, hessian=True)
-        assert two.hessian_theta is None and three.hessian_phi is not None
-        for f in ("theta", "phi", "grad_theta", "grad_phi", "second_theta", "second_phi", "v", "status"):
-            assert np.array_equal(getattr(two, f), getattr(three, f)), f
-            assert np.asarray(getattr(two, f)).tobytes() == np.asarray(getattr(three, f)).tobytes(), f
+        cache, _, _ = _axis_eval(action.field._axes, as_coords(r))
+        for terms in action.field._indexed_terms:
+            two, three = _combine(terms, cache), _combine(terms, cache, hessian=True)
+            assert two[3] is None and three[3] is not None
+            for f, a, b in zip(("value", "gradient", "second"), two[:3], three[:3]):
+                assert np.array_equal(a, b), f
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f
+
+
+def hessian_evaluation(action, r):
+    """The point evaluator with the Hessian, as the second route builds it,
+    at the point r."""
+    return hj_core._point_evaluator(action, hessian=True)([float(x) for x in r])
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -314,16 +323,17 @@ def test_order3_partials_match_central_differences(name):
     action, points = shipped_off_node_points(name)
     field = action.field
     for r in points:
-        fs = evaluate_field(field, r, hessian=True)
-        for which in ("theta", "phi"):
+        hessians = hessian_evaluation(action, r)[3][4:]  # of theta and of phi
+        for which, exact in zip(("theta", "phi"), hessians):
             hessian = central_difference(lambda x: getattr(evaluate_field(field, x), f"grad_{which}"), r)
-            assert_close(getattr(fs, f"hessian_{which}"), hessian, (which, "hessian", r))
+            assert_close(exact, hessian, (which, "hessian", r))
 
 
 def gradient_at(action, r):
-    """a_upper_gradient at the point r as the second route calls it."""
-    return a_upper_gradient(action, evaluate_field(action.field, r, hessian=True), r,
-                            action.field.potential.gradient(r).tolist())
+    """(s, a^{mumu}, grad_a) at the point r as the second route forms them."""
+    _, s, a_upper, field = hessian_evaluation(action, r)
+    grad_v = action.field.potential.gradient(r).tolist()
+    return s, a_upper, a_upper_gradient(action, field, s.grad_s0, a_upper, grad_v)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
