@@ -53,9 +53,6 @@ MAX_NUMEROV_STEPS = 1_000_000
 # constants share the bound, well below the 1e154 that overflows a square.
 OVERFLOW_LIMIT = 1e50
 
-# RK4 substeps per grid cell when seeding the anchor's neighbours.
-RK4_SUBSTEPS = 32
-
 # Points per axis of assemble_field's independence/activity probe grid.
 PROBE_POINTS = 5
 
@@ -370,27 +367,20 @@ def ode_residual(pair: AxisSolutionPair, lo: float, hi: float) -> tuple:
 
 
 def _rk4_segment(factor, x0, u, up, x1):
-    """March (u, u') across one grid cell with RK4 substeps, where
-    factor(x) is the u''/u factor.
+    """u at x1 from (u, u') at x0 by one RK4 step across the grid cell,
+    where factor(x) is the u''/u factor.
 
-    Only used to seed the neighbour of the anchor point; RK4_SUBSTEPS
-    substeps make the seed error negligible against the Numerov truncation
-    error.
+    Only used to seed the neighbour of the anchor point; its O(h^5) error
+    stays below the Numerov truncation error.
     """
-    h = (x1 - x0) / RK4_SUBSTEPS
-    x = x0
-    for _ in range(RK4_SUBSTEPS):
-        k1u, k1p = up, factor(x) * u
-        k2u = up + 0.5 * h * k1p
-        k2p = factor(x + 0.5 * h) * (u + 0.5 * h * k1u)
-        k3u = up + 0.5 * h * k2p
-        k3p = factor(x + 0.5 * h) * (u + 0.5 * h * k2u)
-        k4u = up + h * k3p
-        k4p = factor(x + h) * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        up = up + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        x += h
-    return u, up
+    h = x1 - x0
+    k1u, k1p = up, factor(x0) * u
+    k2u = up + 0.5 * h * k1p
+    k2p = factor(x0 + 0.5 * h) * (u + 0.5 * h * k1u)
+    k3u = up + 0.5 * h * k2p
+    k3p = factor(x0 + 0.5 * h) * (u + 0.5 * h * k2u)
+    k4u = up + h * k3p
+    return u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
 
 
 def _numerov_fill(table, fvals, h, i0, axis):
@@ -476,9 +466,9 @@ def _numerov_solve(factor, x_lo, x_hi, n_int, i0, ics, axis) -> _QuinticTable:
         for u, (value, slope) in zip(tables, ics):
             u[i0] = value
             if i0 + 1 <= n_int:
-                u[i0 + 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
+                u[i0 + 1] = _rk4_segment(factor, xs[i0], value, slope, xs[i0 + 1])
             if i0 - 1 >= 0:
-                u[i0 - 1], _ = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
+                u[i0 - 1] = _rk4_segment(factor, xs[i0], value, slope, xs[i0 - 1])
         _numerov_fill(tables, fvals, h, i0, axis)
     du = np.array([_five_point_derivative(u, h) for u in tables])
     return _QuinticTable(x_lo, x_hi, tables, du, fvals * tables)
