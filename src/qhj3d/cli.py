@@ -283,12 +283,16 @@ def _print_verify_report(report):
 # trajectory
 # ---------------------------------------------------------------------------
 
+# One CSV row: the CSV_HEADER columns, each as _g17 writes it.
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
+
+
 def _trajectory_csv(trajectory: Trajectory) -> str:
     lines = [CSV_HEADER]
-    for i, st in enumerate(trajectory.states):
-        row = [st.t, *st.position, *st.velocity, *trajectory.grad_s0[i],
-               trajectory.law_residuals[i], trajectory.energy_residuals[i]]
-        lines.append(",".join(_g17(v) for v in row))
+    for st, grad, law, energy in zip(trajectory.states, trajectory.grad_s0.tolist(),
+                                     trajectory.law_residuals.tolist(),
+                                     trajectory.energy_residuals.tolist()):
+        lines.append(_CSV_ROW % (st.t, *st.position.tolist(), *st.velocity.tolist(), *grad, law, energy))
     return "\n".join(lines) + "\n"
 
 

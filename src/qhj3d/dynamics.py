@@ -7,9 +7,11 @@ The primary route integrates the first-order velocity field
 which satisfies the law identically. Its right-hand side is the action's
 point evaluator (ReducedActionField.point_velocity), built once per action:
 it takes the loop's list of floats and gives the bits that sample and
-metric.a_upper_from_sample give, without building their records.
-velocity_field is its public face. The event probes of both routes and the
-second route's start call it too.
+metric.a_upper_from_sample give, without building their records. It takes
+a^{mumu} = -hbar^2 f_mu / (d_mu S0)^2 from the axis factors f_mu and sums
+no second partial, so the law and energy residuals of this route are
+rounding by construction. velocity_field is its public face. The event
+probes of both routes and the second route's start call it too.
 
 The second route is an independent check of the first: Hamilton's
 equations of the quantum Hamiltonian H = sum_mu a^{mumu} p_mu^2 / 2 m0 + V
@@ -260,11 +262,12 @@ def _locate_event(action, position_of, y, f, y_new, f_new, h, eps, stats):
 
 def _stage_point(y, h, weights, ks):
     """y + h * sum_i weights[i] * ks[i], per component."""
+    terms = list(zip(weights, ks))
     point = []
-    for y_j, column in zip(y, zip(*ks)):
+    for j, y_j in enumerate(y):
         total = 0.0
-        for w, k in zip(weights, column):
-            total += w * k
+        for w, k in terms:
+            total += w * k[j]
         point.append(y_j + h * total)
     return point
 
@@ -273,11 +276,12 @@ def _error_norm(y, y_new, h, ks, abs_tol, rel_tol) -> float:
     """The RMS over components of h * sum_i E[i] * ks[i] scaled by
     abs_tol + rel_tol * max(|y|, |y_new|), where the max is NaN if either
     is, as np.maximum's."""
+    terms = list(zip(_DP_E, ks))
     total = 0.0
-    for y_j, y_new_j, column in zip(y, y_new, zip(*ks)):
+    for j, (y_j, y_new_j) in enumerate(zip(y, y_new)):
         err = 0.0
-        for e, k in zip(_DP_E, column):
-            err += e * k
+        for e, k in terms:
+            err += e * k[j]
         a, b = abs(y_j), abs(y_new_j)
         q = h * err / (abs_tol + rel_tol * (b if b > a or b != b else a))
         total += q * q

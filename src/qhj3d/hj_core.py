@@ -15,7 +15,9 @@ the free constant in the continuity solution is pinned to k = hbar*a.
 sample and the residuals are array-generic: at a point they raise on a
 nodal or out-of-domain point, and over arrays they report it per point.
 Both trajectory routes evaluate at points through _point_evaluator, which
-gives the bits of sample and metric.a_upper_from_sample without their records.
+gives the bits of sample and metric.a_upper_from_sample without their records
+and takes a^{mumu} from the per-axis factors (_a_moving), not from the
+second partials that sample sums for the residuals.
 """
 
 from __future__ import annotations
@@ -208,21 +210,55 @@ def continuity_identity_residual(action: ReducedActionField, r) -> float:
     return continuity_identity_from_sample(action, sample(action, r))
 
 
+def _a_moving(hc, ds):
+    """a^{mumu} = -hbar^2 c_mu / (d_mu S0)^2 along an axis with
+    |d_mu S0| >= MOMENTUM_EPS, from hc = hbar^2 c_mu: floats or arrays.
+
+    Every product term solves u'' = c_mu u on axis mu, so
+    d^2_mu R / R = c_mu + (d_mu S0 / hbar)^2 and the long form
+    1 - hbar^2 (d^2_mu R / R) / (d_mu S0)^2 reduces to this. At a turning
+    point (V_mu = E_mu) c_mu is +0.0; 0.0 - x gives a^{mumu} = +0.0 there,
+    not -0.0, and -x everywhere else. The one formula of the point
+    evaluator and metric.a_upper_from_sample.
+    """
+    return 0.0 - hc / (ds * ds)
+
+
+def _a_upper_at(mu, ds, hc, flat_bound):
+    """a^{mumu} at a point from d_mu S0 = ds and hc = hbar^2 c_mu: the
+    closed form (_a_moving) where |d_mu S0| >= MOMENTUM_EPS, 1 on a flat
+    axis (|hc| <= flat_bound), and a NodeSingularity naming axis mu
+    otherwise."""
+    if abs(ds) >= MOMENTUM_EPS:
+        return _a_moving(hc, ds)
+    if abs(hc) <= flat_bound:
+        return 1.0
+    raise NodeSingularity(mu, f"d_{'xyz'[mu]} S0 = {ds:.3e} with nonzero quantum correction")
+
+
 def _point_evaluator(action: ReducedActionField, hessian=False):
     """The point path of both trajectory routes, as one function of r, a
     sequence of three floats: r -> (v, s, a_upper), with
     v^mu = a^{mumu} d_mu S0 / m0 a list (the first route's velocity
     field), s the PointSample at r and a_upper the a^{mumu} tuple.
 
+    a^{mumu} comes from the per-axis factor c_mu of _axis_eval (_a_moving),
+    so no second partial is summed. An axis with |d_mu S0| < MOMENTUM_EPS
+    reads a^{mumu} = 1 when |hbar^2 c_mu| is within the flat bound, and
+    raises NodeSingularity otherwise: the rule of
+    metric.a_upper_from_sample, which gives the same bits
+    (tests/test_kernel.py holds them to it).
+
     With hessian=True (the second route) it also returns what
     metric.a_upper_gradient differentiates: (theta, phi, grad theta,
-    grad phi, Hessian of theta, Hessian of phi), indexed as _combine's.
+    grad phi, Hessian of theta, Hessian of phi), indexed [nu][mu]. Each
+    Hessian's diagonal is c_mu times the value; _combine forms only the
+    off-diagonals.
 
-    It binds the action's per-axis tables and constants once and runs the
-    point branches of sample and metric.a_upper_from_sample in one frame:
-    the same field kernel (_axis_eval, _combine), the same operations in
-    the same order and the same exceptions, so every value is the bits of
-    that chain (tests/test_kernel.py holds it to them). The principal
+    It binds the action's per-axis tables and constants once and runs in
+    one frame the field kernel (_axis_eval, _combine) and the point
+    branches of sample: the same operations in the same order and the same
+    exceptions, so grad S0, R and V are the bits of sample. The principal
     value of S0, which no route reads, is not formed.
     """
     field = action.field
@@ -233,34 +269,29 @@ def _point_evaluator(action: ReducedActionField, hessian=False):
     flat_bound = MOMENTUM_EPS * max(1.0, 2.0 * m0 * abs(action.e))
 
     def evaluate(r):
-        cache, v, inside = _axis_eval(axes, r)
+        cache, (c0, c1, c2), v, inside = _axis_eval(axes, r)
         if not inside:
             raise _out_of_domain(pairs, r)
-        th, (gt0, gt1, gt2), (st0, st1, st2), hess_t = _combine(theta_terms, cache, hessian)
-        ph, (gp0, gp1, gp2), (sp0, sp1, sp2), hess_p = _combine(phi_terms, cache, hessian)
+        th, (gt0, gt1, gt2), _, off_t = _combine(theta_terms, cache, None, hessian)
+        ph, (gp0, gp1, gp2), _, off_p = _combine(phi_terms, cache, None, hessian)
         tp = a * th + b * ph
         g = tp * tp + ph * ph
         amplitude = math.sqrt(g)
         if amplitude < NODAL_EPS * max(max(1.0, abs(tp)), abs(ph)):
             raise NodalPoint(f"R = {amplitude:.3e} at r = {tuple(float(c) for c in r)}")
-        velocity, grad_s0, a_upper = [], [], []
-        for mu, gt, gp, st, sp in ((0, gt0, gp0, st0, sp0), (1, gt1, gp1, st1, sp1),
-                                   (2, gt2, gp2, st2, sp2)):
-            gtp, stp = a * gt + b * gp, a * st + b * sp
-            ds = hbar * (ph * gtp - tp * gp) / g
-            corr = hbar2 * _hessian_r(tp, ph, amplitude, gtp, gp, stp, sp) / amplitude
-            if abs(ds) >= MOMENTUM_EPS:
-                a_mu = 1.0 - corr / (ds * ds)
-            elif abs(corr) <= flat_bound:
-                a_mu = 1.0
-            else:
-                raise NodeSingularity(mu, f"d_{'xyz'[mu]} S0 = {ds:.3e} with nonzero quantum correction")
-            velocity.append(a_mu * ds / m0)
-            grad_s0.append(ds)
-            a_upper.append(a_mu)
+        ds0 = hbar * (ph * (a * gt0 + b * gp0) - tp * gp0) / g
+        ds1 = hbar * (ph * (a * gt1 + b * gp1) - tp * gp1) / g
+        ds2 = hbar * (ph * (a * gt2 + b * gp2) - tp * gp2) / g
+        a0 = _a_upper_at(0, ds0, hbar2 * c0, flat_bound)
+        a1 = _a_upper_at(1, ds1, hbar2 * c1, flat_bound)
+        a2 = _a_upper_at(2, ds2, hbar2 * c2, flat_bound)
+        out = ([a0 * ds0 / m0, a1 * ds1 / m0, a2 * ds2 / m0],
+               PointSample((ds0, ds1, ds2), amplitude, v), (a0, a1, a2))
         if hessian:
-            return (velocity, PointSample(tuple(grad_s0), amplitude, v), tuple(a_upper),
-                    (th, ph, (gt0, gt1, gt2), (gp0, gp1, gp2), hess_t, hess_p))
-        return velocity, PointSample(tuple(grad_s0), amplitude, v), tuple(a_upper)
+            (t01, t02, t12), (p01, p02, p12) = off_t, off_p
+            return (*out, (th, ph, (gt0, gt1, gt2), (gp0, gp1, gp2),
+                           ((c0 * th, t01, t02), (t01, c1 * th, t12), (t02, t12, c2 * th)),
+                           ((c0 * ph, p01, p02), (p01, c1 * ph, p12), (p02, p12, c2 * ph))))
+        return out
 
     return evaluate

@@ -1,11 +1,14 @@
 """Pointwise quantum metric and the flattening coordinate transformation.
 
 The diagonal metric a^{mumu} = 1 - hbar^2 (d_mu S0)^{-2} (d^2_mu R)/R turns
-the quantum Hamilton-Jacobi equation into classical form. A 3x3 Jacobian
-J[mu][nu] = dx^mu/dxhat^nu realizes the transformation pointwise when it
-satisfies twelve constraint equations; those equations fix J only up to a
-right rotation, and the canonical gauge picked here is the positive
-diagonal square root.
+the quantum Hamilton-Jacobi equation into classical form. Every product
+term solves u'' = c_mu u on axis mu, so this long form equals
+-hbar^2 c_mu / (d_mu S0)^2, the closed form computed here and in the
+trajectory loop (hj_core._a_moving); the long form is the tests' oracle.
+A 3x3 Jacobian J[mu][nu] = dx^mu/dxhat^nu realizes the transformation
+pointwise when it satisfies twelve constraint equations; those equations
+fix J only up to a right rotation, and the canonical gauge picked here is
+the positive diagonal square root.
 
 metric_at, canonical_jacobian and verify_transformation are array-generic
 like the kernel: at a point they return (3,), (3, 3) and (12,) arrays and
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import at_point, stack, where
-from .errors import NODE_SINGULAR, NON_RIEMANNIAN, OK, NodeSingularity, NonRiemannianPoint
-from .hj_core import MOMENTUM_EPS, ReducedActionField, sample
+from .errors import NODE_SINGULAR, NON_RIEMANNIAN, OK, NonRiemannianPoint
+from .hj_core import MOMENTUM_EPS, ReducedActionField, _a_moving, _a_upper_at, sample
 
 TWELVE_EQUATION_LABELS = (
     "row_norm_x", "row_norm_y", "row_norm_z",
@@ -57,13 +60,17 @@ class JacobianMatrix:
 
 
 def a_upper_from_sample(action: ReducedActionField, s):
-    """Diagonal a^{mumu} from an ActionSample, as an (x, y, z) tuple like
-    s.grad_s0, and the sample's status with NODE_SINGULAR added.
+    """Diagonal a^{mumu} = -hbar^2 c_mu / (d_mu S0)^2 from an ActionSample
+    (hj_core._a_moving, with c_mu the sample's per-axis factors), as an
+    (x, y, z) tuple like s.grad_s0, and the sample's status with
+    NODE_SINGULAR added. A point takes the point evaluator's rule
+    (hj_core._a_upper_at).
 
-    Axes along which the field is flat (d_mu S0 and d^2_mu R both vanish)
-    carry no quantum correction: a^{mumu} = 1 there. A vanishing momentum
-    component with a surviving correction is a genuine NodeSingularity: a
-    point raises it, and over arrays such points read 1 and are marked.
+    Axes along which the field is flat (d_mu S0 and hbar^2 c_mu both
+    vanish) carry no quantum correction: a^{mumu} = 1 there. A vanishing
+    momentum component with a surviving correction is a genuine
+    NodeSingularity: a point raises it, and over arrays such points read 1
+    and are marked.
     """
     hbar2 = action.hbar**2
     p_scale = max(1.0, 2.0 * action.m0 * abs(action.e))
@@ -72,17 +79,15 @@ def a_upper_from_sample(action: ReducedActionField, s):
     a_upper = []
     for mu in range(3):
         ds = s.grad_s0[mu]
-        corr = hbar2 * s.hessian_r_diag[mu] / s.amplitude
-        moving = abs(ds) >= MOMENTUM_EPS
-        flat = abs(corr) <= MOMENTUM_EPS * p_scale
+        hc = hbar2 * s.field.factors[mu]
         if point:
-            if not (moving or flat):
-                raise NodeSingularity(mu, f"d_{'xyz'[mu]} S0 = {ds:.3e} with nonzero quantum correction")
-            a_upper.append(1.0 - corr / (ds * ds) if moving else 1.0)
+            a_upper.append(_a_upper_at(mu, ds, hc, MOMENTUM_EPS * p_scale))
             continue
+        moving = abs(ds) >= MOMENTUM_EPS
+        flat = abs(hc) <= MOMENTUM_EPS * p_scale
         singular = ~(moving | flat)
         status = np.where(singular & (status == OK), NODE_SINGULAR, status)
-        a_upper.append(np.where(moving, 1.0 - corr / np.where(moving, ds * ds, 1.0), 1.0))
+        a_upper.append(np.where(moving, _a_moving(hc, np.where(moving, ds, 1.0)), 1.0))
     return tuple(a_upper), status
 
 

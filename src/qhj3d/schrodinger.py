@@ -552,11 +552,13 @@ class SolutionField3D:
 
 class FieldSample(NamedTuple):
     """Values, gradients and diagonal second partials of theta and phi, the
+    per-axis factors c_mu = (2 m0/hbar^2)(V_mu - E_mu) of u'' = c_mu u, the
     potential V, and the status (OK or OUT_OF_DOMAIN).
 
     Per-axis quantities are (x, y, z) tuples. At a point every entry is a
-    float; over arrays every entry has the broadcast shape, and points
-    outside the domain hold the values at the axis anchors.
+    float; over arrays every entry has the broadcast shape, except that
+    c_mu has the shape of axis mu's coordinates, and points outside the
+    domain hold the values at the axis anchors.
 
     A read-only record that builds in a fraction of a frozen dataclass's
     time.
@@ -568,6 +570,7 @@ class FieldSample(NamedTuple):
     grad_phi: tuple
     second_theta: tuple
     second_phi: tuple
+    factors: tuple
     v: float
     status: int
 
@@ -604,9 +607,11 @@ def _bind_axes(pairs) -> tuple:
 
 
 def _axis_eval(axes, coords):
-    """Per-axis jets (u, u', u'') for u1 and u2, indexed 0 and 1 as in
-    SELECTORS, the summed axis potentials, and whether every coordinate
-    lies inside its axis domain; axes is _bind_axes of the pairs.
+    """Per-axis jets ((u1, u2), (u1', u2')), indexed 0 and 1 as in
+    SELECTORS, the per-axis factors c_mu = _ode_factor(V_mu, E_mu) with
+    u'' = c_mu u for both solutions, the summed axis potentials, and
+    whether every coordinate lies inside its axis domain; axes is
+    _bind_axes of the pairs.
 
     Each axis is evaluated once on its own coordinate (a float, or an array
     for many points). A coordinate outside its domain is evaluated at the
@@ -616,6 +621,7 @@ def _axis_eval(axes, coords):
     conditional on a float.
     """
     cache = []
+    factors = []
     v = 0.0
     inside = True
     for (lo, hi, anchor, potential, e_axis, scale, jet), x in zip(axes, coords):
@@ -627,12 +633,11 @@ def _axis_eval(axes, coords):
             if not ok:
                 x = anchor
         v_axis = potential(x)
-        c = _ode_factor(v_axis, e_axis, scale)
-        (u1, u2), (d1, d2) = jet(x)
-        cache.append(((u1, d1, c * u1), (u2, d2, c * u2)))
+        factors.append(_ode_factor(v_axis, e_axis, scale))
+        cache.append(jet(x))
         v = v + v_axis
         inside = inside & ok
-    return cache, v, inside
+    return cache, factors, v, inside
 
 
 def _out_of_domain(pairs, coords) -> OutOfDomain:
@@ -642,34 +647,38 @@ def _out_of_domain(pairs, coords) -> OutOfDomain:
     return OutOfDomain(f"axis {pair.axis}: {x} outside domain {pair.domain}")
 
 
-def _combine(terms, cache, hessian=False):
-    """Value, gradient, diagonal second partials and Hessian of a sum of
-    products, whose terms carry selector indices (_indexed). The Hessian,
-    indexed [nu][mu], is formed only with hessian=True and is None
-    otherwise.
+def _combine(terms, cache, factors=None, hessian=False):
+    """Value, gradient, diagonal second partials and Hessian off-diagonals
+    of a sum of products, whose terms carry selector indices (_indexed).
 
-    Per-axis factors broadcast into the products. Sums start from +0.0 and
+    The second partials c_mu u_mu times the other two axes' values are
+    formed only when the per-axis factors c_mu are given, and are None
+    otherwise. The off-diagonals (d_x d_y, d_x d_z, d_y d_z) are formed
+    only with hessian=True and are None otherwise: the Hessian's diagonal
+    is c_mu times the value.
+
+    Per-axis arrays broadcast into the products. Sums start from +0.0 and
     run in term order, so a point and a grid entry take the same steps.
     """
     value = g0 = g1 = g2 = e0 = e1 = e2 = 0.0
     h01 = h02 = h12 = 0.0
-    jets0, jets1, jets2 = cache
+    (vals0, ders0), (vals1, ders1), (vals2, ders2) = cache
+    f0, f1, f2 = factors or (None, None, None)
     for coef, (sel0, sel1, sel2) in terms:
-        f0, f1, f2 = jets0[sel0], jets1[sel1], jets2[sel2]
-        u0, u1, u2 = f0[0], f1[0], f2[0]
-        d0, d1, d2 = f0[1], f1[1], f2[1]
+        u0, u1, u2 = vals0[sel0], vals1[sel1], vals2[sel2]
+        d0, d1, d2 = ders0[sel0], ders1[sel1], ders2[sel2]
         c0, c1 = coef * u0, coef * u1
         # o_mu: coef times the values of the two axes other than mu
         o0, o1, o2 = c1 * u2, c0 * u2, c0 * u1
         value = value + o2 * u2
         g0, g1, g2 = g0 + d0 * o0, g1 + d1 * o1, g2 + d2 * o2
-        e0, e1, e2 = e0 + f0[2] * o0, e1 + f1[2] * o1, e2 + f2[2] * o2
+        if factors is not None:
+            e0, e1, e2 = e0 + f0 * u0 * o0, e1 + f1 * u1 * o1, e2 + f2 * u2 * o2
         if hessian:
             c2 = coef * u2
             h01, h02, h12 = h01 + d0 * d1 * c2, h02 + d0 * d2 * c1, h12 + d1 * d2 * c0
-    if not hessian:
-        return value, (g0, g1, g2), (e0, e1, e2), None
-    return value, (g0, g1, g2), (e0, e1, e2), ((e0, h01, h02), (h01, e1, h12), (h02, h12, e2))
+    return (value, (g0, g1, g2), None if factors is None else (e0, e1, e2),
+            (h01, h02, h12) if hessian else None)
 
 
 def evaluate_field(field: SolutionField3D, r) -> FieldSample:
@@ -680,7 +689,7 @@ def evaluate_field(field: SolutionField3D, r) -> FieldSample:
     are marked OUT_OF_DOMAIN in the status.
     """
     coords = as_coords(r)
-    cache, v, inside = _axis_eval(field._axes, coords)
+    cache, factors, v, inside = _axis_eval(field._axes, coords)
     if isinstance(inside, np.ndarray):
         status = np.where(inside, OK, OUT_OF_DOMAIN)
     elif inside:
@@ -688,9 +697,9 @@ def evaluate_field(field: SolutionField3D, r) -> FieldSample:
     else:
         raise _out_of_domain(field.pairs, coords)
     theta_terms, phi_terms = field._indexed_terms
-    theta, grad_t, sec_t, _ = _combine(theta_terms, cache)
-    phi, grad_p, sec_p, _ = _combine(phi_terms, cache)
-    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, v, status)
+    theta, grad_t, sec_t, _ = _combine(theta_terms, cache, factors)
+    phi, grad_p, sec_p, _ = _combine(phi_terms, cache, factors)
+    return FieldSample(theta, phi, grad_t, grad_p, sec_t, sec_p, tuple(factors), v, status)
 
 
 def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) -> SolutionField3D:
@@ -713,7 +722,7 @@ def assemble_field(pairs: Sequence[AxisSolutionPair], theta_terms, phi_terms) ->
     phi_terms = normalize_terms(phi_terms, "phi")
 
     probe = sparse_grid([p.probe_interval() for p in pairs], (PROBE_POINTS,) * 3)
-    cache, _, _ = _axis_eval(_bind_axes(pairs), probe)
+    cache, _, _, _ = _axis_eval(_bind_axes(pairs), probe)
     th, gt, _, _ = _combine(_indexed(theta_terms), cache)
     ph, gp, _, _ = _combine(_indexed(phi_terms), cache)
     gt, gp = np.array(gt), np.array(gp)

@@ -419,6 +419,19 @@ def shipped_route_case(name, mixing=None, r0=None):
     return build_action(scenario), r0 if r0 is not None else spec.r0, spec
 
 
+@pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS.glob("*.scn")))
+def test_first_route_law_and_energy_are_rounding_on_shipped_scenarios(name):
+    """With a^{mumu} = -hbar^2 c_mu / (d_mu S0)^2 the velocity field gives
+    v . grad S0 = 2 (E - V) and sum_mu a_{mumu} v_mu^2 m0 / 2 = E - V up to
+    rounding, axis by axis: on every shipped scenario the first route's law
+    and energy residuals stay below 1e-13."""
+    action, start, config = shipped_route_case(name)
+    tr = integrate_first_order(action, start, config)
+    assert tr.states
+    assert tr.max_law_residual < 1e-13
+    assert tr.max_energy_residual < 1e-13
+
+
 def _trajectory_bits(tr):
     """Every number and outcome of a trajectory, floats as their bits."""
     states = [(st.t, st.position.tobytes(), st.velocity.tobytes(),

@@ -72,11 +72,13 @@ def _close(a, b):
 
 def _singular_axes(action, s, idx):
     """The axes along which the array sample s is node-singular at idx:
-    d_mu S0 below MOMENTUM_EPS with a quantum correction that is not flat."""
+    d_mu S0 below MOMENTUM_EPS with a quantum correction hbar^2 c_mu, c_mu
+    the axis factor of u'' = c_mu u, that is not flat."""
     p_scale = max(1.0, 2.0 * action.m0 * abs(action.e))
+    shape = s.status.shape
     return [mu for mu in range(3)
             if abs(s.grad_s0[mu][idx]) < MOMENTUM_EPS
-            and abs(action.hbar**2 * s.hessian_r_diag[mu][idx] / s.amplitude[idx]) > MOMENTUM_EPS * p_scale]
+            and abs(action.hbar**2 * np.broadcast_to(s.field.factors[mu], shape)[idx]) > MOMENTUM_EPS * p_scale]
 
 
 def _check(name, bounds, grid):
@@ -329,13 +331,15 @@ def test_point_evaluator_is_the_chain_bit_for_bit(name, units):
     on each side, and at the scenario's undefined and edge points, the
     evaluator gives v, grad S0, R, V and a^{mumu} with the bits of the
     chain, or raises the same exception with the same message and axis;
-    also with hbar and m0 away from 1. velocity_field returns the same v
-    as an array.
+    also with hbar and m0 away from 1. a^{mumu} has the bits of
+    0.0 - hbar^2 c_mu / (d_mu S0)^2, or 1 on a flat axis. velocity_field
+    returns the same v as an array.
 
     The evaluator with the Hessian (the second route's) gives the same v,
     PointSample and a^{mumu}, or the same exception; its theta, phi and
     their gradients are evaluate_field's bits, and the diagonals of its
-    Hessians are that function's second partials."""
+    Hessians are c_mu theta and c_mu phi, with c_mu evaluate_field's axis
+    factors."""
     scenario = _load(name)
     action = build_action(scenario if units == "shipped" else _scaled(name))
     with_hessian = hj_core._point_evaluator(action, hessian=True)
@@ -354,13 +358,16 @@ def test_point_evaluator_is_the_chain_bit_for_bit(name, units):
             raised.add(got[0])
             continue
         defined += 1
-        v, _, _ = action.point_velocity(list(r))
+        v, s, a_upper = action.point_velocity(list(r))
         assert velocity_field(action, r)[0].tolist() == v, r
         theta, phi, grad_theta, grad_phi, hessian_theta, hessian_phi = with_hessian(list(r))[3]
         fs = evaluate_field(action.field, r)
+        closed = [0.0 - action.hbar**2 * c / (p * p) if abs(p) >= MOMENTUM_EPS else 1.0
+                  for c, p in zip(fs.factors, s.grad_s0)]
+        assert _bits(a_upper) == _bits(closed), r
         assert _bits((theta, phi, grad_theta, grad_phi)) == _bits(fs[:4]), r
-        for hessian, second in ((hessian_theta, fs.second_theta), (hessian_phi, fs.second_phi)):
-            assert _bits([hessian[mu][mu] for mu in range(3)]) == _bits(list(second)), r
+        for hessian, value in ((hessian_theta, fs.theta), (hessian_phi, fs.phi)):
+            assert _bits([hessian[mu][mu] for mu in range(3)]) == _bits([c * value for c in fs.factors]), r
     assert must_raise <= raised
     assert defined >= 100
 

@@ -19,7 +19,7 @@ from qhj3d import (
 )
 from qhj3d import dynamics, hj_core
 from qhj3d.arrays import as_coords
-from qhj3d.errors import OK, QhjError
+from qhj3d.errors import NON_RIEMANNIAN, OK, QhjError
 from qhj3d.hj_core import MOMENTUM_EPS
 from qhj3d.metric import (JacobianMatrix, QuantumMetric, TWELVE_EQUATION_LABELS, a_upper_from_sample,
                           a_upper_gradient)
@@ -295,19 +295,29 @@ def assert_close(exact, estimate, what):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_order3_keeps_order2_fields_bitwise(name):
-    """A combination with hessian=True holds the value, gradient and second
-    partials of one without, bit for bit, and adds the Hessian."""
+    """A combination holds the value and gradient of the plain one bit for
+    bit, whatever it is asked to add. Given the axis factors it adds the
+    second partials, which are evaluate_field's; with hessian=True it adds
+    the three off-diagonals; each part is None unless asked for, and the
+    same bits with or without the other."""
     action, points = shipped_off_node_points(name)
     scenario = parse_scenario((SCENARIOS / f"{name}.scn").read_text())
     grid = sparse_grid(scenario.verify.bounds, scenario.verify.grid)
     for r in (*points, grid):
-        cache, _, _ = _axis_eval(action.field._axes, as_coords(r))
-        for terms in action.field._indexed_terms:
-            two, three = _combine(terms, cache), _combine(terms, cache, hessian=True)
-            assert two[3] is None and three[3] is not None
-            for f, a, b in zip(("value", "gradient", "second"), two[:3], three[:3]):
-                assert np.array_equal(a, b), f
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f
+        cache, factors, _, _ = _axis_eval(action.field._axes, as_coords(r))
+        fs = evaluate_field(action.field, r)
+        for terms, second in zip(action.field._indexed_terms, (fs.second_theta, fs.second_phi)):
+            plain = _combine(terms, cache)
+            assert plain[2] is None and plain[3] is None
+            asked = {(f, h): _combine(terms, cache, factors if f else None, h)
+                     for f in (False, True) for h in (False, True)}
+            for (f, h), out in asked.items():
+                assert (out[2] is None) == (not f) and (out[3] is None) == (not h)
+                for a, b in zip(plain[:2], out[:2]):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            for out in (asked[True, False][2], asked[True, True][2]):
+                assert np.asarray(out).tobytes() == np.asarray(second).tobytes()
+            assert np.asarray(asked[False, True][3]).tobytes() == np.asarray(asked[True, True][3]).tobytes()
 
 
 def hessian_evaluation(action, r):
@@ -352,10 +362,13 @@ def test_a_upper_gradient_matches_central_differences(name):
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda path: path.stem)
 def test_a_upper_is_the_closed_form_on_verify_grids(path):
-    """Each product term solves u'' = f_mu u on axis mu, so
-    a^{mumu} = 1 - hbar^2 (d^2_mu R / R) / (d_mu S0)^2 is 2 m0 (E_mu - V_mu) / (d_mu S0)^2,
-    the form a_upper_gradient differentiates: at every OK point of the
-    verify grid with |d_mu S0| >= MOMENTUM_EPS, to 1e-12 of max(1, |a^{mumu}|)."""
+    """Each product term solves u'' = c_mu u on axis mu, so the long form
+    a^{mumu} = 1 - hbar^2 (d^2_mu R / R) / (d_mu S0)^2 equals the closed
+    form -hbar^2 c_mu / (d_mu S0)^2 = 2 m0 (E_mu - V_mu) / (d_mu S0)^2 that
+    a_upper_from_sample computes. Both oracles, the long form from the
+    sample's second partials of R and 2 m0 (E_mu - V_mu) from the axis
+    potential, agree with it at every OK point of the verify grid with
+    |d_mu S0| >= MOMENTUM_EPS, to 1e-12 of max(1, |a^{mumu}|)."""
     scenario = parse_scenario(path.read_text())
     action = build_action(scenario)
     grid = sparse_grid(scenario.verify.bounds, scenario.verify.grid)
@@ -363,11 +376,14 @@ def test_a_upper_is_the_closed_form_on_verify_grids(path):
     s = sample(action, grid)
     a_upper, status = a_upper_from_sample(action, s)
     checked = 0
-    for pair, x, a, p in zip(action.field.pairs, grid, a_upper, s.grad_s0):
+    for pair, x, a, p, second in zip(action.field.pairs, grid, a_upper, s.grad_s0, s.hessian_r_diag):
         moving = np.broadcast_to((status == OK) & (np.abs(p) >= MOMENTUM_EPS), shape)
-        closed = 2.0 * action.m0 * (pair.e_axis - pair.potential(x)) / np.where(moving, p * p, 1.0)
-        error = np.abs(a - closed) / np.maximum(1.0, np.abs(a))
-        assert np.all(np.broadcast_to(error, shape)[moving] <= 1e-12)
+        p2 = np.where(moving, p * p, 1.0)
+        long_form = 1.0 - action.hbar**2 * (second / s.amplitude) / p2
+        energy_form = 2.0 * action.m0 * (pair.e_axis - pair.potential(x)) / p2
+        for oracle in (long_form, energy_form):
+            error = np.abs(a - oracle) / np.maximum(1.0, np.abs(a))
+            assert np.all(np.broadcast_to(error, shape)[moving] <= 1e-12)
         checked += int(np.count_nonzero(moving))
     assert checked > 0
 
@@ -378,6 +394,36 @@ def float_bits(values) -> bytes:
     flat = np.ravel(np.array(values, dtype=object))
     assert all(type(v) is float for v in flat)
     return np.array(flat, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("x", [-1.0, 1.0])
+def test_turning_point_reads_positive_zero(x):
+    """harmonic_numerov's x axis turns at x = +-1, where V_x = E_x and the
+    axis factor c_x is +0.0, so -hbar^2 c_x is -0.0. a^{xx} reads +0.0
+    there in the point evaluator, in metric_at and over arrays, not -0.0:
+    the signature is '0' and canonical_jacobian marks the point
+    non-Riemannian. So does every point of the 5^3 lattice over [-2, 2]^3
+    on the plane where d_x S0 moves; where it vanishes the axis is flat."""
+    action = build_action(parse_scenario((SCENARIOS / "harmonic_numerov.scn").read_text()))
+    r = (x, 0.5, 0.5)
+    assert evaluate_field(action.field, r).factors[0] == 0.0
+    _, s, a_upper = action.point_velocity(list(r))
+    assert abs(s.grad_s0[0]) >= MOMENTUM_EPS
+    assert float_bits(a_upper[0]) == float_bits(0.0)
+    met = metric_at(action, r)
+    assert met.a_upper[0].tobytes() == np.float64(0.0).tobytes()
+    assert met.signature[0] == "0"
+    with pytest.raises(NonRiemannianPoint):
+        canonical_jacobian(met)
+
+    axes = sparse_grid(((-2.0, 2.0),) * 3, (5, 5, 5))
+    grid = metric_at(action, axes)
+    plane = 1 if x < 0 else 3  # x = -1 or x = 1
+    p_x = np.broadcast_to(sample(action, axes).grad_s0[0], grid.status.shape)[plane]
+    moving = (grid.status[plane] == OK) & (np.abs(p_x) >= MOMENTUM_EPS)
+    assert moving.any()
+    assert grid.a_upper[plane][moving][:, 0].tobytes() == np.zeros(int(moving.sum())).tobytes()
+    assert np.all(canonical_jacobian(grid).status[plane][moving] == NON_RIEMANNIAN)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
